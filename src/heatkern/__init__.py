@@ -24,13 +24,6 @@ from .space import (
     generator,
     graph_distances,
     is_connected,
-    laplacian_apply,
-    laplacian_matrix,
-    markov_apply,
-    markov_matrix,
-    normalized_laplacian_matrix,
-    nu_measure,
-    transfer_matrix,
 )
 from .spectral import SpectralData, eigh_weighted, expm_series, jacobi_eigh, spectral_heat
 from .timekernel import (
@@ -42,8 +35,6 @@ from .timekernel import (
     TimeKernel,
     bound_ell_fold,
     convolve,
-    convolve_hilbert,
-    ell_fold,
     series_tail_bound,
 )
 from .parametrix import (
@@ -57,11 +48,9 @@ from .parametrix import (
 )
 from .neumann import (
     HeatKernelResult,
-    NeumannSum,
     build_heat_kernel,
     cross_parametrix_build,
     heat_residual,
-    neumann_series,
 )
 from .derived import (
     GreenResult,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 from pathlib import Path
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -47,38 +48,12 @@ from .derived import (
     resistance,
 )
 
-COMMANDS = ("build", "validate-parametrix", "oracle-compare", "green",
-            "resistance", "entropy", "poisson", "diagnostics")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with its own status on bad usage; route through the
     # input-error path instead so the exit-code contract stays intact.
     def error(self, message):
         raise ParseError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="heatkern", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--edges", required=True, help="edge list CSV: x,y,w")
-        p.add_argument("--measure", help="measure CSV: x,lambda (default 1)")
-        p.add_argument("--config", help="flat key=value run configuration")
-        p.add_argument("--out", help="directory for report.json and friends")
-        p.add_argument("--gram", help="gram matrix CSV for the rkhs starter")
-        p.add_argument("--tol", type=float, default=None)
-        if name in ("build", "oracle-compare", "entropy"):
-            p.add_argument("--t", default=None,
-                           help="comma-separated evaluation times")
-        if name == "resistance":
-            p.add_argument("--pair", default=None, help="two point labels: x,y")
-        if name == "entropy":
-            p.add_argument("--point", required=True)
-        if name == "poisson":
-            p.add_argument("--w", type=float, default=1.0)
-    return parser
 
 
 def _parse_times(arg, default):
@@ -91,12 +66,6 @@ def _parse_times(arg, default):
     if not ts or any(t < 0.0 for t in ts):
         raise ParseError(f"times must be nonnegative, got {arg!r}")
     return ts
-
-
-def _load(args):
-    cfg = getattr(args, "_cfg", None) or RunConfig()
-    space, cond, _deg = load_graph(args.edges, args.measure)
-    return space, cond, cfg
 
 
 def _make_parametrix(space, cond, cfg, args):
@@ -132,23 +101,24 @@ def _grid(cfg):
 
 
 # ------------------------------------------------------------ subcommands
+#
+# Each handler runs after the dispatcher has loaded the graph, filled
+# n_points and, for commands that build, constructed the kernel and filled
+# terms_used and truncation_bound.  Handlers fill only their own fields.
 
-def _cmd_build(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
-    if args.tol is not None:
-        cfg = dataclasses.replace(cfg, tol=args.tol)
-    result = _construct(space, cond, cfg, args)
-    report["terms_used"] = result.terms_used
-    report["truncation_bound"] = result.truncation_bound
+# Diagnostics fields reported as defects; build reports a subset.
+_DIAG_FIELDS = ("semigroup_defect", "min_value", "max_mass", "min_mass",
+                "symmetry_defect", "mass_drift", "l2_monotone")
+_BUILD_FIELDS = tuple(f for f in _DIAG_FIELDS if f not in ("min_mass", "l2_monotone"))
+
+
+def _defects(result, fields):
     diag = diagnostics(result)
-    report["defects"] = {
-        "semigroup_defect": diag.semigroup_defect,
-        "min_value": diag.min_value,
-        "max_mass": diag.max_mass,
-        "symmetry_defect": diag.symmetry_defect,
-        "mass_drift": diag.mass_drift,
-    }
+    return {name: getattr(diag, name) for name in fields}
+
+
+def _cmd_build(args, report, outdir, space, cond, cfg, result):
+    report["defects"] = _defects(result, _BUILD_FIELDS)
     times = _parse_times(args.t, _grid(cfg))
     if outdir:
         write_matrix_csv(outdir / "matrices.csv", space,
@@ -158,9 +128,7 @@ def _cmd_build(args, report, outdir):
           f"(certified error {result.truncation_bound:.3e})")
 
 
-def _cmd_validate(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
+def _cmd_validate(args, report, outdir, space, cond, cfg, result):
     p = _make_parametrix(space, cond, cfg, args)
     rep = validate(p, tolerance=args.tol or cfg.validate_tolerance)
     report["defects"] = {
@@ -182,12 +150,7 @@ def _cmd_validate(args, report, outdir):
         )
 
 
-def _cmd_oracle(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
-    result = _construct(space, cond, cfg, args)
-    report["terms_used"] = result.terms_used
-    report["truncation_bound"] = result.truncation_bound
+def _cmd_oracle(args, report, outdir, space, cond, cfg, result):
     spec = eigh_weighted(result.generator_matrix, result.weight)
     ts = _parse_times(args.t, _grid(cfg))
     rows, dev = [], 0.0
@@ -215,12 +178,7 @@ def _cmd_oracle(args, report, outdir):
         )
 
 
-def _cmd_green(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
-    result = _construct(space, cond, cfg, args)
-    report["terms_used"] = result.terms_used
-    report["truncation_bound"] = result.truncation_bound
+def _cmd_green(args, report, outdir, space, cond, cfg, result):
     spec = eigh_weighted(result.generator_matrix, result.weight)
     tol = args.tol if args.tol is not None else 1e-8
     g = green_regularized(space, cond, spec, K=result, tol=tol)
@@ -239,9 +197,7 @@ def _cmd_green(args, report, outdir):
         )
 
 
-def _cmd_resistance(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
+def _cmd_resistance(args, report, outdir, space, cond, cfg, result):
     A, mu = generator(space, cond, "combinatorial")
     spec = eigh_weighted(A, mu)
     R = resistance(space, cond, spec)
@@ -268,12 +224,7 @@ def _cmd_resistance(args, report, outdir):
         write_matrix_csv(outdir / "matrices.csv", space, [(None, R)])
 
 
-def _cmd_entropy(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
-    result = _construct(space, cond, cfg, args)
-    report["terms_used"] = result.terms_used
-    report["truncation_bound"] = result.truncation_bound
+def _cmd_entropy(args, report, outdir, space, cond, cfg, result):
     default = np.geomspace(max(0.05, cfg.horizon * 1e-2), cfg.horizon, 30)
     ts = _parse_times(args.t, default)
     rows = [(t, entropy(result, args.point, t)) for t in ts]
@@ -284,12 +235,7 @@ def _cmd_entropy(args, report, outdir):
           f"E({args.point}, {fmt(t_last)}) = {fmt(e_last)}")
 
 
-def _cmd_poisson(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
-    result = _construct(space, cond, cfg, args)
-    report["terms_used"] = result.terms_used
-    report["truncation_bound"] = result.truncation_bound
+def _cmd_poisson(args, report, outdir, space, cond, cfg, result):
     spec = eigh_weighted(result.generator_matrix, result.weight)
     threshold = args.tol if args.tol is not None else 1e-6
     res = poisson_kernel(spec, result, w=args.w, tol=threshold / 10.0)
@@ -307,36 +253,55 @@ def _cmd_poisson(args, report, outdir):
         )
 
 
-def _cmd_diagnostics(args, report, outdir):
-    space, cond, cfg = _load(args)
-    report["n_points"] = space.n
-    result = _construct(space, cond, cfg, args)
-    report["terms_used"] = result.terms_used
-    report["truncation_bound"] = result.truncation_bound
-    diag = diagnostics(result)
-    report["defects"] = {
-        "semigroup_defect": diag.semigroup_defect,
-        "min_value": diag.min_value,
-        "max_mass": diag.max_mass,
-        "min_mass": diag.min_mass,
-        "symmetry_defect": diag.symmetry_defect,
-        "mass_drift": diag.mass_drift,
-        "l2_monotone": diag.l2_monotone,
-    }
+def _cmd_diagnostics(args, report, outdir, space, cond, cfg, result):
+    report["defects"] = _defects(result, _DIAG_FIELDS)
     for key, val in report["defects"].items():
         print(f"{key}: {val if isinstance(val, bool) else fmt(val)}")
 
 
-_DISPATCH = {
-    "build": _cmd_build,
-    "validate-parametrix": _cmd_validate,
-    "oracle-compare": _cmd_oracle,
-    "green": _cmd_green,
-    "resistance": _cmd_resistance,
-    "entropy": _cmd_entropy,
-    "poisson": _cmd_poisson,
-    "diagnostics": _cmd_diagnostics,
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One subcommand: its handler, whether the dispatcher builds a kernel
+    first (under --tol as the build tolerance when tol_builds is set), and
+    its arguments beyond the common ones."""
+
+    run: Callable
+    builds: bool = True
+    tol_builds: bool = False
+    extra: tuple = ()
+
+
+_TIMES = ("--t", {"default": None, "help": "comma-separated evaluation times"})
+
+COMMANDS = {
+    "build": _Command(_cmd_build, tol_builds=True, extra=(_TIMES,)),
+    "validate-parametrix": _Command(_cmd_validate, builds=False),
+    "oracle-compare": _Command(_cmd_oracle, extra=(_TIMES,)),
+    "green": _Command(_cmd_green),
+    "resistance": _Command(_cmd_resistance, builds=False, extra=(
+        ("--pair", {"default": None, "help": "two point labels: x,y"}),)),
+    "entropy": _Command(_cmd_entropy, extra=(
+        _TIMES, ("--point", {"required": True}))),
+    "poisson": _Command(_cmd_poisson, extra=(
+        ("--w", {"type": float, "default": 1.0}),)),
+    "diagnostics": _Command(_cmd_diagnostics),
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="heatkern", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--edges", required=True, help="edge list CSV: x,y,w")
+        p.add_argument("--measure", help="measure CSV: x,lambda (default 1)")
+        p.add_argument("--config", help="flat key=value run configuration")
+        p.add_argument("--out", help="directory for report.json and friends")
+        p.add_argument("--gram", help="gram matrix CSV for the rkhs starter")
+        p.add_argument("--tol", type=float, default=None)
+        for flag, options in command.extra:
+            p.add_argument(flag, **options)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -349,11 +314,21 @@ def main(argv=None) -> int:
         if args.out:
             outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)
-        args._cfg = parse_config(args.config) if args.config else RunConfig()
-        if outdir is None and args._cfg.outputs_dir:
-            outdir = Path(args._cfg.outputs_dir)
+        cfg = parse_config(args.config) if args.config else RunConfig()
+        if outdir is None and cfg.outputs_dir:
+            outdir = Path(cfg.outputs_dir)
             outdir.mkdir(parents=True, exist_ok=True)
-        _DISPATCH[args.command](args, report, outdir)
+        command = COMMANDS[args.command]
+        space, cond, _deg = load_graph(args.edges, args.measure)
+        report["n_points"] = space.n
+        result = None
+        if command.builds:
+            if command.tol_builds and args.tol is not None:
+                cfg = dataclasses.replace(cfg, tol=args.tol)
+            result = _construct(space, cond, cfg, args)
+            report["terms_used"] = result.terms_used
+            report["truncation_bound"] = result.truncation_bound
+        command.run(args, report, outdir, space, cond, cfg, result)
         report["exit_reason"] = "ok"
         code = 0
     except InputError as e:

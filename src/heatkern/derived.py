@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    Disconnected,
+    DisconnectedSpace,
     NonpositiveEntry,
     NonpositiveShift,
     NonpositiveTime,
@@ -36,7 +36,7 @@ def _kernel_of(K) -> TimeKernel:
 def _ground_projector(spec: SpectralData) -> np.ndarray:
     m = spec.zero_multiplicity
     if m != 1:
-        raise Disconnected(
+        raise DisconnectedSpace(
             f"expected a single zero mode, found {m}; the space is not connected"
         )
     phi0 = spec.eigenvectors[:, :1]
@@ -76,7 +76,7 @@ def green_regularized(space: PointSpace, conductance: Conductance,
     """
     comps = connected_components(space, conductance)
     if len(comps) != 1:
-        raise Disconnected(
+        raise DisconnectedSpace(
             f"regularization needs a connected space; found {len(comps)} components"
         )
     if spec is None:
@@ -142,7 +142,7 @@ def resistance(space: PointSpace, conductance: Conductance,
     """Effective resistance R(x, y) = G*(x,x) + G*(y,y) - 2 G*(x,y)."""
     comps = connected_components(space, conductance)
     if len(comps) != 1:
-        raise Disconnected(
+        raise DisconnectedSpace(
             f"resistance needs a connected space; found {len(comps)} components"
         )
     if spec is None:
@@ -163,7 +163,7 @@ def resistance_by_current(space: PointSpace, conductance: Conductance,
     """
     comps = connected_components(space, conductance)
     if len(comps) != 1:
-        raise Disconnected(
+        raise DisconnectedSpace(
             f"resistance needs a connected space; found {len(comps)} components"
         )
     i, j = space.index(x), space.index(y)

@@ -52,10 +52,6 @@ class HorizonExceeded(InputError):
     pass
 
 
-class DegenerateInnerProduct(InputError):
-    pass
-
-
 class BadTruncation(InputError):
     pass
 
@@ -84,10 +80,6 @@ class ConfigError(InputError):
 
 class DisconnectedSpace(CertificateError):
     """Zero eigenvalue with multiplicity above one."""
-
-
-# Some call sites name the condition by its effect rather than its cause.
-Disconnected = DisconnectedSpace
 
 
 class ProfileUnnormalizable(CertificateError):

@@ -52,15 +52,6 @@ THETA = 4.0
 
 
 @dataclass
-class NeumannSum:
-    """One evaluation of the correction series F(x, y; t)."""
-
-    matrix: np.ndarray
-    tail_bound: float
-    terms_used: int
-
-
-@dataclass
 class HeatKernelResult:
     """A constructed heat kernel with its convergence certificate."""
 
@@ -102,43 +93,6 @@ def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
     return np.unique(np.concatenate([dense, small]))
 
 
-def neumann_series(f: TimeKernel, t: float, tol: float,
-                   envelope: tuple | None = None, max_terms: int = 64,
-                   quad: QuadratureConfig | None = None) -> NeumannSum:
-    """Sum the alternating fold series of f at time t to tolerance tol.
-
-    The envelope (C, k) certifying |f| <= C s^k for s <= t is read off the
-    kernel when not passed explicitly.  Raises when no admissible number
-    of terms brings the certified tail under tol.
-    """
-    quad = quad or DEFAULT_QUAD
-    if envelope is None:
-        envelope = getattr(f, "envelope", None)
-    if envelope is None:
-        raise DimensionMismatch(
-            "the series needs an envelope (C, k) for its integrand"
-        )
-    C, k = float(envelope[0]), int(envelope[1])
-    norm1 = _row_mass_norm(f, f.weight, _sample_grid(t))
-    terms = None
-    for L in range(1, max_terms + 1):
-        tail = series_tail_bound(C, norm1, k, L, t)
-        if tail + L * quad.target_tol < tol:
-            terms = L
-            break
-    if terms is None:
-        raise NoConvergenceBudget(
-            f"correction series needs more than {max_terms} terms at t={t} "
-            f"(row-mass norm {norm1:.3g}); shorten the horizon or raise tol"
-        )
-    cache = FoldCache(f, quad, horizon=t)
-    total = np.zeros((f.n, f.n))
-    for ell in range(1, terms + 1):
-        total += ((-1) ** ell) * cache.fold(ell).at(t)
-    bound = series_tail_bound(C, norm1, k, terms, t) + terms * quad.target_tol
-    return NeumannSum(total, bound, terms)
-
-
 def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
                       max_terms: int = 64, quad: QuadratureConfig | None = None,
                       force: bool = False) -> HeatKernelResult:
@@ -165,7 +119,8 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     if not report.passed and not force:
         raise InvalidParametrix(
             f"starter family {parametrix.family!r} failed validation "
-            f"(dirac residual {report.dirac_residual:.3g}, fitted order "
+            f"({', '.join(report.failed_checks)}: dirac residual "
+            f"{report.dirac_residual:.3g}, fitted order "
             f"{report.fitted_order:.3g} vs declared {parametrix.order_k}); "
             f"pass force=True to build on it anyway"
         )
@@ -196,13 +151,19 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         squarings = math.ceil(math.log2(rate * T / THETA))
     slop = quad.target_tol
     terms = None
+
+    def certificate(L, slop_term):
+        # Series tail through the H * F assembly, plus the charged slop,
+        # amplified by the squarings; reads the current base horizon.
+        tail = series_tail_bound(C, norm1, k, L, T_base)
+        return (tail * (1.0 + T_base * massH) + slop_term) * grow
+
     while True:
         T_base = T / (2 ** squarings)
         grow = 2.0 ** squarings
         massH = _row_mass_norm(parametrix.H, weight, _sample_grid(T_base))
         for L in range(1, max_terms + 1):
-            tail = series_tail_bound(C, norm1, k, L, T_base)
-            cert = (tail * (1.0 + T_base * massH) + L * slop) * grow
+            cert = certificate(L, L * slop)
             if cert < tol:
                 terms, bound = L, cert
                 break
@@ -248,9 +209,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             float(np.max(np.abs(coarse.at(t) - fKvals[j])))
             for j, t in enumerate(fnodes)
         )
-        tail = series_tail_bound(C, norm1, k, terms, T_base)
-        slop_term = max(terms * slop, 2.0 * measured)
-        bound = (tail * (1.0 + T_base * massH) + slop_term) * grow
+        bound = certificate(terms, max(terms * slop, 2.0 * measured))
         if bound >= tol:
             raise NoConvergenceBudget(
                 f"measured quadrature error {measured:.3g} on the base grid "
@@ -262,8 +221,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     base = ChebKernel(parametrix.space, T_base, weight, Kvals)
 
     gram = parametrix.gram
-    K = SemigroupKernel(base, horizon=T, generator=parametrix.generator_matrix,
-                        weight_inv=gram)
+    K = SemigroupKernel(base, horizon=T, weight_inv=gram)
     return HeatKernelResult(
         K=K, terms_used=terms, truncation_bound=bound,
         parametrix_family=parametrix.family, space=parametrix.space,
@@ -347,26 +305,24 @@ def cross_parametrix_build(result: HeatKernelResult,
     def H_at(t):
         return Kp.at(t) * scale[None, :]
 
-    H = ClosedFormKernel(new_space, horizon, mu_new, H_at,
-                         dt_evaluator=lambda t: -(A_old @ H_at(t)),
-                         name="imported")
+    H = ClosedFormKernel(new_space, horizon, mu_new, H_at, name="imported")
     image = ClosedFormKernel(new_space, horizon, mu_new,
                              evaluator=lambda t: diff @ H_at(t),
                              name="imported-image")
     ts = _sample_grid(horizon)
     Cimg = max(float(np.max(np.abs(image.at(t)))) for t in ts)
     Cimg = Cimg * (1.0 + 1e-6) + 1e-300
-    image.envelope = (Cimg, 0)
     # The imported starter varies on the old kernel's time scale even when
     # the perturbation (and hence the series norm) is tiny.
-    envelope = {"C": Cimg, "k": 0, "h": None, "rate": _operator_rate(A_old)}
+    envelope = {"C": Cimg, "k": 0, "rate": _operator_rate(A_old)}
     p = Parametrix(H, image, 0, "imported", envelope,
                    new_space, cond, result.kind, A_new, mu_new)
     rep = validate(p)
     if not rep.passed:
         raise InvalidParametrix(
             f"imported starter failed validation after the perturbation "
-            f"(dirac residual {rep.dirac_residual:.3g}); the two spaces are "
-            f"too far apart, build from a fresh starter instead"
+            f"({', '.join(rep.failed_checks)}: dirac residual "
+            f"{rep.dirac_residual:.3g}, fitted order {rep.fitted_order:.3g}); "
+            f"the two spaces are too far apart, build from a fresh starter instead"
         )
     return build_heat_kernel(p, horizon, tol=tol, max_terms=max_terms, quad=quad)

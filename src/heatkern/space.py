@@ -5,9 +5,9 @@ measure.  A conductance assigns a nonnegative symmetric weight to
 unordered point pairs (self-pairs allowed).  Row sums of the weight
 matrix give the degree function c, which must be strictly positive at
 every point (Assumption C, checked at construction).  From these we
-derive the transfer operator, the Markov averaging operator, the
-combinatorial and normalized Laplacians, the degree-weighted measure
-nu = c * lam, and the energy form.
+derive one operator, the generator of either Laplacian kind (with the
+degree-weighted measure nu = c * lam for the normalized kind), and the
+energy form.
 
 Functions on the space are represented as numpy vectors ordered like
 ``space.points``.
@@ -51,9 +51,6 @@ class PointSpace:
         except KeyError:
             raise KeyError(f"unknown point {point!r}") from None
 
-    def total_mass(self) -> float:
-        return float(self.lam.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class Conductance:
@@ -76,17 +73,6 @@ class DegreeVector:
 
     def __post_init__(self):
         self.c.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense matrix of one of the induced operators, tagged by kind."""
-
-    entries: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
 
 
 def _parse_lambda(points, lambda_weights):
@@ -165,9 +151,8 @@ def build_space(points, lambda_weights=None, edge_weights=()):
         W[i, j] = w
         W[j, i] = w
 
-    # c = W @ 1 rather than W.sum(axis=1): bitwise identical to the
-    # matrix-vector path used by markov_apply, so P(constant) = constant
-    # holds exactly in floating point.
+    # c = W @ 1 rather than W.sum(axis=1): bitwise identical to
+    # degree_vector, which the generator uses, so both see the same c.
     c = W @ np.ones(n)
     bad = np.nonzero(c <= 0)[0]
     if bad.size:
@@ -190,33 +175,6 @@ def degree_vector(conductance: Conductance) -> np.ndarray:
     return W @ np.ones(W.shape[0])
 
 
-def laplacian_apply(space: PointSpace, conductance: Conductance, f) -> np.ndarray:
-    """(Delta f)(x) = sum_y weight(x, y) (f(x) - f(y))."""
-    f = _as_function(space, f)
-    c = degree_vector(conductance)
-    return c * f - conductance.matrix @ f
-
-
-def markov_apply(space: PointSpace, conductance: Conductance, f) -> np.ndarray:
-    """(P f)(x) = (1 / c(x)) sum_y weight(x, y) f(y)."""
-    f = _as_function(space, f)
-    c = degree_vector(conductance)
-    if np.any(c <= 0):
-        i = int(np.argmin(c))
-        raise ZeroDegreePoint(
-            f"Assumption C violated at point {space.points[i]!r}: "
-            f"total conductance is zero"
-        )
-    return (conductance.matrix @ f) / c
-
-
-def nu_measure(space: PointSpace, degree: DegreeVector) -> np.ndarray:
-    """Degree-weighted measure nu({x}) = c(x) * lam({x})."""
-    if degree.c.shape != (space.n,):
-        raise DimensionMismatch("degree vector does not match the space")
-    return degree.c * space.lam
-
-
 def energy_inner(space: PointSpace, conductance: Conductance, f, g) -> float:
     """Energy form (1/2) sum_x sum_y weight(x,y) (f(x)-f(y)) (g(x)-g(y)).
 
@@ -228,28 +186,6 @@ def energy_inner(space: PointSpace, conductance: Conductance, f, g) -> float:
     df = f[:, None] - f[None, :]
     dg = g[:, None] - g[None, :]
     return 0.5 * float(np.sum(conductance.matrix * df * dg))
-
-
-# ------------------------------------------------------------- operators
-
-def transfer_matrix(space: PointSpace, conductance: Conductance) -> OperatorMatrix:
-    return OperatorMatrix(conductance.matrix.copy(), "transfer")
-
-
-def markov_matrix(space: PointSpace, conductance: Conductance) -> OperatorMatrix:
-    c = degree_vector(conductance)
-    return OperatorMatrix(conductance.matrix / c[:, None], "markov")
-
-
-def laplacian_matrix(space: PointSpace, conductance: Conductance) -> OperatorMatrix:
-    c = degree_vector(conductance)
-    return OperatorMatrix(np.diag(c) - conductance.matrix, "laplacian")
-
-
-def normalized_laplacian_matrix(space: PointSpace, conductance: Conductance) -> OperatorMatrix:
-    c = degree_vector(conductance)
-    W = conductance.matrix
-    return OperatorMatrix(np.eye(space.n) - W / c[:, None], "normalized")
 
 
 KINDS = ("combinatorial", "normalized")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSelfAdjoint
-from .space import OperatorMatrix
 
 
 def jacobi_eigh(S, tol: float = 1e-14, max_sweeps: int = 60):
@@ -109,7 +108,7 @@ def eigh_weighted(operator, mu) -> SpectralData:
     runs the Jacobi solver, and maps eigenvectors back to mu-orthonormal
     functions phi = D^{-1/2} v.
     """
-    A = operator.entries if isinstance(operator, OperatorMatrix) else np.asarray(operator, dtype=float)
+    A = np.asarray(operator, dtype=float)
     mu = np.asarray(mu, dtype=float)
     root = np.sqrt(mu)
     S = (A * root[:, None]) / root[None, :]

@@ -2,8 +2,8 @@
 
 A kernel maps (x, y, t) to a real value for points x, y of a finite space
 and t on a closed horizon [0, T].  Two representations are supported:
-closed forms (an evaluator of t, optionally with an analytic time
-derivative) and Chebyshev-Lobatto samples with barycentric interpolation.
+closed forms (an evaluator of t) and Chebyshev-Lobatto samples with
+barycentric interpolation.
 
 The convolution pairs the space variable through a weight (a measure
 vector, or a full symmetric matrix for Hilbert pairings) and integrates
@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateInnerProduct,
     DimensionMismatch,
     HorizonExceeded,
     SpaceMismatch,
 )
-from .space import Conductance, PointSpace, degree_vector
+from .space import PointSpace
 
 _leggauss_cache = {}
 
@@ -85,14 +84,12 @@ class QuadratureConfig:
 
     nodes_per_panel: Gauss-Legendre points per panel (two panels per
     convolution, split at t/2).  cheb_degree: degree of the sampled-kernel
-    grids.  refine_factor is fixed at 2 and exists so convergence tests
-    state their refinement explicitly.  target_tol is the error budgeted
-    to each cached fold when a series certificate is assembled.
+    grids.  target_tol is the error budgeted to each cached fold when a
+    series certificate is assembled.
     """
 
     nodes_per_panel: int = 16
     cheb_degree: int = 32
-    refine_factor: int = 2
     target_tol: float = 1e-13
 
     def __post_init__(self):
@@ -100,8 +97,6 @@ class QuadratureConfig:
             raise DimensionMismatch("nodes_per_panel must be at least 4")
         if self.cheb_degree < 8:
             raise DimensionMismatch("cheb_degree must be at least 8")
-        if self.refine_factor != 2:
-            raise DimensionMismatch("refine_factor is fixed at 2")
         if not self.target_tol > 0:
             raise DimensionMismatch("target_tol must be positive")
 
@@ -127,12 +122,6 @@ class TimeKernel:
             raise DimensionMismatch("pairing weight must be a vector or a matrix")
 
     @property
-    def mu(self) -> np.ndarray:
-        if self.weight.ndim != 1:
-            raise DimensionMismatch("kernel is paired by a matrix, not a measure")
-        return self.weight
-
-    @property
     def n(self) -> int:
         return self.space.n
 
@@ -151,9 +140,6 @@ class TimeKernel:
     def at_many(self, ts) -> np.ndarray:
         return np.stack([self.at(t) for t in np.atleast_1d(ts)])
 
-    def dt(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
     def __call__(self, t: float) -> np.ndarray:
         return self.at(t)
 
@@ -165,25 +151,14 @@ class TimeKernel:
             self.weight, other.weight
         )
 
-    def resample(self, degree: int | None = None) -> "ChebKernel":
-        degree = degree if degree is not None else DEFAULT_QUAD.cheb_degree
-        nodes = lobatto_nodes(degree, self.horizon)
-        return ChebKernel(self.space, self.horizon, self.weight, self.at_many(nodes))
-
 
 class ClosedFormKernel(TimeKernel):
-    """Kernel given by an evaluator t -> matrix, valid on [0, horizon].
+    """Kernel given by an evaluator t -> matrix, valid on [0, horizon]."""
 
-    dt_evaluator, when given, must be the analytic time derivative; kernels
-    without one fall back to spectral differentiation of a sampled copy.
-    """
-
-    def __init__(self, space, horizon, weight, evaluator, dt_evaluator=None, name=""):
+    def __init__(self, space, horizon, weight, evaluator, name=""):
         super().__init__(space, horizon, weight)
         self.evaluator = evaluator
-        self.dt_evaluator = dt_evaluator
         self.name = name
-        self._sampled = None
 
     def at(self, t: float) -> np.ndarray:
         t = self._check_time(t)
@@ -193,14 +168,6 @@ class ClosedFormKernel(TimeKernel):
                 f"evaluator returned shape {out.shape}, expected {(self.n, self.n)}"
             )
         return out
-
-    def dt(self, t: float) -> np.ndarray:
-        if self.dt_evaluator is not None:
-            t = self._check_time(t)
-            return np.asarray(self.dt_evaluator(t), dtype=float)
-        if self._sampled is None:
-            self._sampled = self.resample()
-        return self._sampled.dt(t)
 
 
 class ChebKernel(TimeKernel):
@@ -262,11 +229,10 @@ class SemigroupKernel(TimeKernel):
     declared build interval rather than a hard limit.
     """
 
-    def __init__(self, base: ChebKernel, horizon: float, generator=None,
+    def __init__(self, base: ChebKernel, horizon: float,
                  weight_inv: np.ndarray | None = None):
         super().__init__(base.space, horizon, base.weight)
         self.base = base
-        self.generator = None if generator is None else np.asarray(generator, dtype=float)
         if self.weight.ndim == 1:
             self._winv = None
         else:
@@ -295,25 +261,13 @@ class SemigroupKernel(TimeKernel):
             M = M @ M
         return self._unapply_weight(M)
 
-    def dt(self, t: float) -> np.ndarray:
-        t = float(t)
-        if t <= self.base.horizon:
-            return self.base.dt(t)
-        if self.generator is None:
-            raise HorizonExceeded(
-                "time derivative beyond the base horizon needs the generator"
-            )
-        return -self.generator @ self.at(t)
-
 
 def constant_kernel(space, horizon, weight, matrix, name="constant") -> ClosedFormKernel:
-    """Kernel constant in time, with exact zero time derivative."""
+    """Kernel constant in time."""
     matrix = np.asarray(matrix, dtype=float)
-    zero = np.zeros_like(matrix)
     return ClosedFormKernel(
         space, horizon, weight,
         evaluator=lambda t: matrix,
-        dt_evaluator=lambda t: zero,
         name=name,
     )
 
@@ -340,30 +294,9 @@ def _panel_points(t: float, npts: int):
     return np.concatenate(taus), np.concatenate(wts)
 
 
-def _convolve_weighted(F1: TimeKernel, F2: TimeKernel, t: float,
-                       weight: np.ndarray, quad: QuadratureConfig,
-                       swap_roles: bool) -> np.ndarray:
-    if t == 0.0:
-        return np.zeros((F1.n, F1.n))
-    taus, gw = _panel_points(t, quad.nodes_per_panel)
-    if swap_roles:
-        A = F1.at_many(taus)
-        B = F2.at_many(t - taus)
-    else:
-        A = F1.at_many(t - taus)
-        B = F2.at_many(taus)
-    return _weighted_chain(A, weight, B, gw)
-
-
 def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
-             quad: QuadratureConfig | None = None,
-             swap_roles: bool = False) -> np.ndarray:
-    """Time convolution of two kernels under their shared pairing.
-
-    swap_roles integrates F1(tau) against F2(t - tau) instead; by the
-    change of variables tau -> t - tau the two parametrizations agree,
-    which convergence tests exercise.
-    """
+             quad: QuadratureConfig | None = None) -> np.ndarray:
+    """Time convolution of two kernels under their shared pairing."""
     quad = quad or DEFAULT_QUAD
     if not F1.same_space(F2):
         raise SpaceMismatch("kernels live on different point spaces")
@@ -373,59 +306,13 @@ def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
     horizon = min(F1.horizon, F2.horizon)
     if t < 0 or t > horizon * (1 + 1e-9):
         raise HorizonExceeded(f"time {t} outside the shared horizon [0, {horizon}]")
-    return _convolve_weighted(F1, F2, min(t, horizon), F1.weight, quad, swap_roles)
-
-
-def convolve_hilbert(F1: TimeKernel, F2: TimeKernel, t: float, inner: str,
-                     conductance: Conductance | None = None,
-                     quad: QuadratureConfig | None = None,
-                     mean_tol: float = 1e-8) -> np.ndarray:
-    """Convolution with the space pairing taken in a named Hilbert space.
-
-    inner is 'L2-lambda', 'L2-nu', or 'energy'.  The L2 pairings weight by
-    the base or degree-weighted measure; 'energy' pairs through the energy
-    form of the conductance, whose null space is the constants, so both
-    kernel slots must be mean-zero in lambda (checked, DegenerateInnerProduct).
-    """
-    quad = quad or DEFAULT_QUAD
-    if not F1.same_space(F2):
-        raise SpaceMismatch("kernels live on different point spaces")
-    space = F1.space
-    t = float(t)
-    horizon = min(F1.horizon, F2.horizon)
-    if t < 0 or t > horizon * (1 + 1e-9):
-        raise HorizonExceeded(f"time {t} outside the shared horizon [0, {horizon}]")
-    if inner == "L2-lambda":
-        weight = space.lam
-    elif inner == "L2-nu":
-        if conductance is None:
-            raise DimensionMismatch("'L2-nu' pairing needs the conductance")
-        weight = degree_vector(conductance) * space.lam
-    elif inner == "energy":
-        if conductance is None:
-            raise DimensionMismatch("'energy' pairing needs the conductance")
-        c = degree_vector(conductance)
-        weight = np.diag(c) - conductance.matrix
-    else:
-        raise DimensionMismatch(f"unknown inner product {inner!r}")
-
+    t = min(t, horizon)
     if t == 0.0:
         return np.zeros((F1.n, F1.n))
     taus, gw = _panel_points(t, quad.nodes_per_panel)
     A = F1.at_many(t - taus)
     B = F2.at_many(taus)
-    if inner == "energy":
-        lam = space.lam
-        total = lam.sum()
-        scale = max(float(np.max(np.abs(A))), float(np.max(np.abs(B))), 1e-300)
-        mean_rows = float(np.max(np.abs(A @ lam))) / total
-        mean_cols = float(np.max(np.abs(np.einsum("z,qzy->qy", lam, B)))) / total
-        if max(mean_rows, mean_cols) > mean_tol * scale:
-            raise DegenerateInnerProduct(
-                "energy pairing applied to functions with a constant component; "
-                "project to lambda-mean zero first"
-            )
-    return _weighted_chain(A, weight, B, gw)
+    return _weighted_chain(A, F1.weight, B, gw)
 
 
 # ------------------------------------------------------------------ folds
@@ -456,23 +343,12 @@ class FoldCache:
         while top < ell:
             prev = self._folds[top]
             values = np.stack([
-                _convolve_weighted(self.f, prev, t, self.f.weight, self.quad, False)
+                convolve(self.f, prev, t, self.quad)
                 for t in self.nodes
             ])
             top += 1
             self._folds[top] = ChebKernel(self.f.space, self.horizon, self.f.weight, values)
         return self._folds[ell]
-
-
-def ell_fold(f: TimeKernel, ell: int, t: float,
-             quad: QuadratureConfig | None = None) -> np.ndarray:
-    """The ell-fold convolution f * f * ... * f evaluated at time t."""
-    if int(ell) != ell or ell < 1:
-        raise DimensionMismatch(f"fold count must be a positive integer, got {ell}")
-    if ell == 1:
-        return f.at(t)
-    cache = FoldCache(f, quad)
-    return cache.fold(int(ell)).at(t)
 
 
 # ------------------------------------------------------------ certificates

@@ -9,13 +9,6 @@ from heatkern import (
     generator,
     graph_distances,
     is_connected,
-    laplacian_apply,
-    laplacian_matrix,
-    markov_apply,
-    markov_matrix,
-    normalized_laplacian_matrix,
-    nu_measure,
-    transfer_matrix,
 )
 from heatkern.errors import (
     AsymmetricConductance,
@@ -90,31 +83,41 @@ def test_degree_k3(k3):
 
 
 def test_nu_measure_two_point():
+    # the normalized generator is paired by nu = c * lam
     sp, cond, deg = build_space(["a", "b"], [2.0, 1.0], [("a", "b", 3.0)])
-    assert np.array_equal(nu_measure(sp, deg), np.array([6.0, 3.0]))
+    _, nu = generator(sp, cond, "normalized")
+    assert np.array_equal(nu, np.array([6.0, 3.0]))
+    assert np.array_equal(nu, deg.c * sp.lam)
 
 
 def test_laplacian_apply_k3(k3):
+    # under the counting measure the combinatorial generator is Delta
     sp, cond, _ = k3
-    out = laplacian_apply(sp, cond, [1.0, 0.0, 0.0])
+    A, _ = generator(sp, cond, "combinatorial")
+    out = A @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(out, [2.0, -1.0, -1.0], atol=0, rtol=0)
 
 
 def test_laplacian_kills_constants(rng):
-    sp, cond, _ = random_connected_graph(rng)
-    out = laplacian_apply(sp, cond, np.ones(sp.n))
-    assert np.max(np.abs(out)) < 1e-12
+    sp, cond, _ = random_connected_graph(rng, random_measure=True)
+    for kind in ("combinatorial", "normalized"):
+        A, _ = generator(sp, cond, kind)
+        assert np.max(np.abs(A @ np.ones(sp.n))) < 1e-12
 
 
 def test_markov_apply_path(path3):
+    # under the counting measure the normalized generator is I - P with P
+    # the Markov averaging operator W / c
     sp, cond, _ = path3
-    out = markov_apply(sp, cond, [1.0, 0.0, 0.0])
+    A, _ = generator(sp, cond, "normalized")
+    out = (np.eye(sp.n) - A) @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(out, [0.0, 0.5, 0.0], atol=0, rtol=0)
 
 
 def test_markov_preserves_constants(rng):
     sp, cond, _ = random_connected_graph(rng)
-    out = markov_apply(sp, cond, np.ones(sp.n))
+    A, _ = generator(sp, cond, "normalized")
+    out = (np.eye(sp.n) - A) @ np.ones(sp.n)
     assert np.max(np.abs(out - 1.0)) < 1e-12
 
 
@@ -125,24 +128,16 @@ def test_energy_inner_k3(k3):
 
 
 def test_energy_is_greens_identity(rng):
-    # <Delta f, g>_lam with counting lam equals the energy form
-    sp, cond, _ = random_connected_graph(rng)
+    # <f, Delta g> = <f, g>_E with Delta = diag(c) - W = diag(mu) A for the
+    # combinatorial generator A under any base measure (A = Delta under the
+    # counting measure); energy_inner takes the double sum, so the two
+    # sides share no code
+    sp, cond, _ = random_connected_graph(rng, random_measure=True)
+    A, mu = generator(sp, cond, "combinatorial")
     f = rng.standard_normal(sp.n)
     g = rng.standard_normal(sp.n)
-    lhs = float(laplacian_apply(sp, cond, f) @ g)
+    lhs = float(f @ (mu * (A @ g)))
     assert energy_inner(sp, cond, f, g) == pytest.approx(lhs, abs=1e-10)
-
-
-def test_operator_matrices_consistent(k3):
-    sp, cond, _ = k3
-    L = laplacian_matrix(sp, cond).entries
-    P = markov_matrix(sp, cond).entries
-    W = transfer_matrix(sp, cond).entries
-    c = degree_vector(cond)
-    assert np.allclose(L, np.diag(c) - W)
-    assert np.allclose(P, W / c[:, None])
-    Lt = normalized_laplacian_matrix(sp, cond).entries
-    assert np.allclose(Lt, np.eye(3) - P)
 
 
 @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
@@ -156,11 +151,13 @@ def test_generator_self_adjoint_in_mu(rng, kind):
 
 def test_generator_counting_measure_matches_matrices(k3):
     sp, cond, _ = k3
+    W = cond.matrix
+    c = degree_vector(cond)
     A, mu = generator(sp, cond, "combinatorial")
-    assert np.allclose(A, laplacian_matrix(sp, cond).entries)
+    assert np.allclose(A, np.diag(c) - W)
     assert np.array_equal(mu, sp.lam)
     At, nu = generator(sp, cond, "normalized")
-    assert np.allclose(At, normalized_laplacian_matrix(sp, cond).entries)
+    assert np.allclose(At, np.eye(3) - W / c[:, None])
     assert np.array_equal(nu, degree_vector(cond) * sp.lam)
 
 

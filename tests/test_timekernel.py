@@ -13,24 +13,22 @@ from heatkern import (
     bound_ell_fold,
     build_space,
     convolve,
-    convolve_hilbert,
-    ell_fold,
+    dirac_parametrix,
     series_tail_bound,
 )
 from heatkern.errors import (
-    DegenerateInnerProduct,
     DimensionMismatch,
     HorizonExceeded,
     SpaceMismatch,
 )
 
+from _graphs import random_connected_graph
+
 
 def const_kernel(space, M, weight=None, horizon=10.0):
     M = np.asarray(M, dtype=float)
     w = space.lam if weight is None else weight
-    return ClosedFormKernel(space, horizon, w, lambda t: M,
-                            dt_evaluator=lambda t: np.zeros_like(M),
-                            name="const")
+    return ClosedFormKernel(space, horizon, w, lambda t: M, name="const")
 
 
 def test_convolve_constant_ones(two_point):
@@ -55,18 +53,6 @@ def test_convolve_constant_matrix_squares(rng):
     f = const_kernel(sp, A)
     out = convolve(f, f, 1.0)
     assert np.max(np.abs(out - A @ A)) < 1e-13 * max(1.0, np.max(np.abs(A @ A)))
-
-
-def test_convolve_fubini_swap(two_point, rng):
-    sp, _, _ = two_point
-    B = rng.standard_normal((2, 2))
-    C = rng.standard_normal((2, 2))
-    f = ClosedFormKernel(sp, 10.0, sp.lam, lambda t: B + t * C)
-    g = ClosedFormKernel(sp, 10.0, sp.lam, lambda t: np.exp(-t) * B)
-    for t in (0.4, 1.7):
-        a = convolve(f, g, t)
-        b = convolve(f, g, t, swap_roles=True)
-        assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_convolve_bilinear(two_point, rng):
@@ -138,31 +124,33 @@ def test_convolve_horizon_guard(two_point):
 def test_ell_fold_single_point():
     sp, _, _ = build_space(["o"], None, [("o", "o", 1.0)])
     f = const_kernel(sp, np.ones((1, 1)))
-    assert ell_fold(f, 3, 1.0)[0, 0] == pytest.approx(0.5, abs=1e-13)
+    cache = FoldCache(f)
+    assert cache.fold(3).at(1.0)[0, 0] == pytest.approx(0.5, abs=1e-13)
     for ell in (1, 2, 4, 6):
         want = 1.0 ** (ell - 1) / math.factorial(ell - 1)
-        assert ell_fold(f, ell, 1.0)[0, 0] == pytest.approx(want, abs=1e-11)
+        assert cache.fold(ell).at(1.0)[0, 0] == pytest.approx(want, abs=1e-11)
 
 
 def test_ell_fold_base_case(two_point, rng):
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
     f = ClosedFormKernel(sp, 10.0, sp.lam, lambda t: np.exp(-t) * B)
-    assert np.array_equal(ell_fold(f, 1, 0.7), f.at(0.7))
+    assert np.array_equal(FoldCache(f).fold(1).at(0.7), f.at(0.7))
 
 
 def test_ell_fold_zero_kernel(two_point):
     sp, _, _ = two_point
     z = const_kernel(sp, np.zeros((2, 2)))
+    cache = FoldCache(z)
     for ell in (2, 3):
-        assert np.max(np.abs(ell_fold(z, ell, 1.0))) == 0.0
+        assert np.max(np.abs(cache.fold(ell).at(1.0))) == 0.0
 
 
 def test_ell_fold_rejects_bad_count(two_point):
     sp, _, _ = two_point
     f = const_kernel(sp, np.ones((2, 2)))
     with pytest.raises(DimensionMismatch):
-        ell_fold(f, 0, 1.0)
+        FoldCache(f).fold(0)
 
 
 def test_fold_cache_reuses_entries(two_point):
@@ -219,13 +207,35 @@ def test_folds_match_exact_rational_convolution(rng):
         for _ in range(3)
     ]
     f = ClosedFormKernel(sp, 2.0, sp.lam, lambda t: _poly_eval(coeffs, t))
+    cache = FoldCache(f)
     exact = coeffs
     for ell in range(2, 7):
         exact = _poly_convolve_exact(coeffs, exact, mu)
-        got = ell_fold(f, ell, 1.0)
+        got = cache.fold(ell).at(1.0)
         want = _poly_eval(exact, 1.0)
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) < 1e-9 * scale, f"fold {ell}"
+
+
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+def test_dirac_folds_are_exact_taylor_terms(rng, kind):
+    # the dirac heat image f = A D^-1 is constant, so its folds are
+    # f^{*l}(t) = t^(l-1) / (l-1)! A^l D^-1; quadrature and resampling are
+    # polynomial-exact at these degrees, leaving only roundoff
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
+    p = dirac_parametrix(sp, cond, kind=kind, horizon=1.0)
+    A, Dinv = p.generator_matrix, np.diag(1.0 / p.weight)
+    assert not np.allclose(p.weight, p.weight[0])
+    cache = FoldCache(p.heat_image)
+    norm = np.max(np.sum(np.abs(A), axis=1))
+    for ell in range(1, 9):
+        for t in (0.3, 1.0):
+            want = t ** (ell - 1) / math.factorial(ell - 1) \
+                * np.linalg.matrix_power(A, ell) @ Dinv
+            scale = (norm * t) ** (ell - 1) / math.factorial(ell - 1) \
+                * norm * np.max(Dinv)
+            err = np.max(np.abs(cache.fold(ell).at(t) - want))
+            assert err <= 1e-13 * scale, (kind, ell, t, err / scale)
 
 
 # ---------------------------------------------------------------- bounds
@@ -250,58 +260,6 @@ def test_series_tail_bound_dominates_true_tail():
         bound = series_tail_bound(1.0, 2.0, 1, L, 3.0)
         assert bound >= tail * (1 - 1e-12)
         assert bound <= 4.0 * tail + 1e-300  # not wastefully loose
-
-
-# ---------------------------------------------------------------- hilbert
-
-def test_convolve_hilbert_lambda_matches_convolve(two_point):
-    sp, _, _ = two_point
-    ones = const_kernel(sp, np.ones((2, 2)))
-    a = convolve(ones, ones, 0.5)
-    b = convolve_hilbert(ones, ones, 0.5, "L2-lambda")
-    assert np.array_equal(a, b)
-
-
-def test_convolve_hilbert_zero(two_point, k3):
-    sp, cond, _ = two_point
-    ones = const_kernel(sp, np.ones((2, 2)))
-    zero = const_kernel(sp, np.zeros((2, 2)))
-    for inner in ("L2-lambda", "L2-nu", "energy"):
-        out = convolve_hilbert(zero, zero, 1.0, inner, conductance=cond)
-        assert np.max(np.abs(out)) == 0.0
-    assert np.max(np.abs(convolve_hilbert(ones, zero, 1.0, "L2-lambda"))) < 1e-15
-
-
-def test_convolve_hilbert_nu_pairing(two_point):
-    sp, cond, _ = two_point
-    ones = const_kernel(sp, np.ones((2, 2)))
-    out = convolve_hilbert(ones, ones, 1.0, "L2-nu", conductance=cond)
-    # nu = c * lam = (1, 1) here, so this matches the lambda value
-    assert np.max(np.abs(out - 2.0)) < 1e-14
-
-
-def test_convolve_hilbert_energy_hand_value(two_point):
-    sp, cond, _ = two_point
-    P = np.array([[0.5, -0.5], [-0.5, 0.5]])  # identity projected mean-zero
-    f = const_kernel(sp, P)
-    out = convolve_hilbert(f, f, 1.0, "energy", conductance=cond)
-    # <(1/2,-1/2), (1/2,-1/2)>_E = 1 and cross pairs give -1
-    want = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.max(np.abs(out - want)) < 1e-13
-
-
-def test_convolve_hilbert_energy_rejects_constants(two_point):
-    sp, cond, _ = two_point
-    f = const_kernel(sp, np.eye(2))
-    with pytest.raises(DegenerateInnerProduct):
-        convolve_hilbert(f, f, 1.0, "energy", conductance=cond)
-
-
-def test_convolve_hilbert_unknown_inner(two_point):
-    sp, _, _ = two_point
-    f = const_kernel(sp, np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        convolve_hilbert(f, f, 1.0, "L3-lambda")
 
 
 # ---------------------------------------------------------------- kernels
