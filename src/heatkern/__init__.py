@@ -32,6 +32,7 @@ from .timekernel import (
     FoldCache,
     QuadratureConfig,
     SemigroupKernel,
+    SeparableKernel,
     TimeKernel,
     bound_ell_fold,
     convolve,
@@ -63,6 +64,7 @@ from .derived import (
     resistance_by_current,
     resistance,
     resolvent,
+    semigroup_defect,
 )
 from .graphio import (
     ball_truncate,

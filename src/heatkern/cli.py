@@ -46,6 +46,7 @@ from .derived import (
     poisson_kernel,
     resistance_by_current,
     resistance,
+    semigroup_defect,
 )
 
 
@@ -113,6 +114,9 @@ _BUILD_FIELDS = tuple(f for f in _DIAG_FIELDS if f not in ("min_mass", "l2_monot
 
 
 def _defects(result, fields):
+    if result.weight.ndim == 2:
+        # A matrix pairing has no measure: only the semigroup identity applies.
+        return {"semigroup_defect": semigroup_defect(result)}
     diag = diagnostics(result)
     return {name: getattr(diag, name) for name in fields}
 

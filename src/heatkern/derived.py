@@ -25,7 +25,7 @@ from .errors import (
 )
 from .space import Conductance, PointSpace, connected_components, generator
 from .spectral import SpectralData, eigh_weighted, spectral_heat
-from .timekernel import SemigroupKernel, TimeKernel, gauss_legendre
+from .timekernel import SemigroupKernel, TimeKernel, gauss_legendre, pair
 from .neumann import HeatKernelResult
 
 
@@ -298,6 +298,31 @@ class HeatDiagnostics:
                    self.symmetry_defect, self.mass_drift)
 
 
+def _diagnostic_grid(horizon: float, t_grid) -> tuple:
+    if t_grid is None:
+        t_grid = tuple(t for t in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0) if t <= horizon) \
+            or (horizon / 4.0, horizon / 2.0, horizon)
+    return tuple(float(t) for t in t_grid)
+
+
+def semigroup_defect(result: HeatKernelResult, t_grid=None, mats=None) -> float:
+    """max |K(s + t) - K(s) W K(t)| over pairs s <= t of the grid, W the
+    pairing; unlike the rest of `diagnostics` it holds for a matrix pairing
+    too (K(t) = e^{-tA} G, W = G^-1).  mats may hold K on the grid by time."""
+    K, W = result.K, result.weight
+    if mats is None:
+        mats = {t: K.at(t) for t in _diagnostic_grid(result.horizon, t_grid)}
+    ts = tuple(mats)
+    defect = 0.0
+    for i, ti in enumerate(ts):
+        for tj in ts[i:]:
+            if ti + tj > result.horizon * (1.0 + 1e-9) and not isinstance(K, SemigroupKernel):
+                continue
+            rhs = pair(mats[ti], W) @ mats[tj]
+            defect = max(defect, float(np.max(np.abs(K.at(ti + tj) - rhs))))
+    return defect
+
+
 def diagnostics(result: HeatKernelResult, t_grid=None) -> HeatDiagnostics:
     """Evaluate the structural identities a heat kernel must satisfy.
 
@@ -310,15 +335,8 @@ def diagnostics(result: HeatKernelResult, t_grid=None) -> HeatDiagnostics:
         raise DimensionMismatch("diagnostics need a measure-paired kernel")
     K = result.K
     mu = result.weight
-    horizon = result.horizon
-    if t_grid is None:
-        t_grid = tuple(t for t in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0) if t <= horizon)
-        if not t_grid:
-            t_grid = (horizon / 4.0, horizon / 2.0, horizon)
-    t_grid = tuple(float(t) for t in t_grid)
-
+    t_grid = _diagnostic_grid(result.horizon, t_grid)
     mats = {t: K.at(t) for t in t_grid}
-    allow_double = isinstance(K, SemigroupKernel)
 
     # The kernel is a density against mu, so K itself is the symmetric
     # object; K(x,y;t) mu(y) is only self-adjointness, not symmetry.
@@ -330,14 +348,7 @@ def diagnostics(result: HeatKernelResult, t_grid=None) -> HeatDiagnostics:
     min_mass = min(float(np.min(m)) for m in masses.values())
     drift = max(float(np.max(np.abs(m - 1.0))) for m in masses.values())
 
-    defect = 0.0
-    for i, ti in enumerate(t_grid):
-        for tj in t_grid[i:]:
-            if ti + tj > horizon * (1.0 + 1e-9) and not allow_double:
-                continue
-            lhs = K.at(ti + tj)
-            rhs = (mats[ti] * mu[None, :]) @ mats[tj]
-            defect = max(defect, float(np.max(np.abs(lhs - rhs))))
+    defect = semigroup_defect(result, mats=mats)
 
     # mu-weighted L2 norm of t -> K(x, ., t) never grows in t.
     ts_sorted = (0.0,) + tuple(sorted(t_grid))

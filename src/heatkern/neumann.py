@@ -37,6 +37,7 @@ from .timekernel import (
     FoldCache,
     QuadratureConfig,
     SemigroupKernel,
+    SeparableKernel,
     TimeKernel,
     convolve,
     lobatto_nodes,
@@ -183,7 +184,13 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         cache = FoldCache(f, q, horizon=T_base)
         Fvals = np.zeros((nodes.shape[0], f.n, f.n))
         for ell in range(1, terms + 1):
-            Fvals += ((-1) ** ell) * cache.fold(ell).at_many(nodes)
+            Fvals += ((-1) ** ell) * (cache.fold(ell).values if ell > 1 else f.at_many(nodes))
+        H = parametrix.H
+        if isinstance(H, SeparableKernel):
+            # Free the folds first: K's samples allocated above them would
+            # pin the folds' heap pages until K itself is freed.
+            del cache
+            return nodes, H.at_many(nodes) + H.convolve_samples(H.volterra(T_base, q), Fvals)
         Fker = ChebKernel(parametrix.space, T_base, weight, Fvals)
         Kvals = np.empty_like(Fvals)
         Kvals[0] = parametrix.H.at(0.0)

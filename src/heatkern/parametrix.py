@@ -35,7 +35,7 @@ from .space import (
     graph_distances,
 )
 from .spectral import SpectralData, eigh_weighted
-from .timekernel import ClosedFormKernel, TimeKernel, constant_kernel
+from .timekernel import ClosedFormKernel, SeparableKernel, TimeKernel, constant_kernel, pair
 
 
 @dataclass
@@ -244,15 +244,11 @@ def rkhs_parametrix(space: PointSpace, gram: np.ndarray, conductance: Conductanc
     A, _ = generator(space, conductance, kind)
     B = A @ G - G
 
-    def H_at(t):
-        return np.exp(-t) * G
+    def decay(t):
+        return np.exp(-t)
 
-    H = ClosedFormKernel(space, horizon, Ginv, H_at, name="rkhs")
-    image = ClosedFormKernel(
-        space, horizon, Ginv,
-        evaluator=lambda t: np.exp(-t) * B,
-        name="rkhs-image",
-    )
+    H = SeparableKernel(space, horizon, Ginv, decay, G, name="rkhs")
+    image = SeparableKernel(space, horizon, Ginv, decay, B, name="rkhs-image")
     C = float(np.max(np.abs(B)))
     return Parametrix(H, image, 0, "rkhs", {"C": C, "k": 0},
                       space, conductance, kind, A, Ginv, gram=G)
@@ -265,8 +261,7 @@ def _dirac_residuals(H: TimeKernel, pairing: np.ndarray, ts: np.ndarray) -> np.n
     out = np.empty(ts.shape[0])
     for i, t in enumerate(ts):
         M = H.at(t)
-        paired = M * pairing[None, :] if pairing.ndim == 1 else M @ pairing
-        out[i] = float(np.max(np.abs(paired - eye)))
+        out[i] = float(np.max(np.abs(pair(M, pairing) - eye)))
     return out
 
 

@@ -14,6 +14,12 @@ the time variable with composite Gauss-Legendre panels split at t/2:
 Iterated self-convolutions ("folds") are cached as sampled kernels, and
 a factorial-decay majorant bounds everything beyond a truncation point,
 which is what certifies series built from these folds.
+
+Kernels separable in time, phi(t) M (constant and rkhs starters), take a
+second path chosen by their type: on a sampled grid their convolution is
+one scalar Volterra matrix on the samples, with the same panels and
+resampling, then one product with M W (after Hale & Townsend, SIAM J.
+Sci. Comput. 36, 2014).  Every other kernel is convolved node by node.
 """
 
 from __future__ import annotations
@@ -104,6 +110,11 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
+def pair(M: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """M W for a pairing W given as a measure vector or a matrix."""
+    return M * weight[None, :] if weight.ndim == 1 else M @ weight
+
+
 class TimeKernel:
     """Base class: a kernel on space x space x [0, horizon].
 
@@ -140,9 +151,6 @@ class TimeKernel:
     def at_many(self, ts) -> np.ndarray:
         return np.stack([self.at(t) for t in np.atleast_1d(ts)])
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.at(t)
-
     def same_space(self, other: "TimeKernel") -> bool:
         return self.space is other.space or self.space.points == other.space.points
 
@@ -168,6 +176,33 @@ class ClosedFormKernel(TimeKernel):
                 f"evaluator returned shape {out.shape}, expected {(self.n, self.n)}"
             )
         return out
+
+
+class SeparableKernel(ClosedFormKernel):
+    """Kernel phi(t) M: a scalar time profile (taking arrays) times one matrix."""
+
+    def __init__(self, space, horizon, weight, phi, matrix, name=""):
+        matrix = np.asarray(matrix, dtype=float)
+        super().__init__(space, horizon, weight, lambda t: phi(t) * matrix, name)
+        self.phi, self.matrix = phi, matrix
+
+    def volterra(self, horizon: float, quad: QuadratureConfig) -> np.ndarray:
+        """S[j, i] = sum_q gw_jq phi(t_j - tau_jq) l_i(tau_jq): the panels of
+        `convolve` at node t_j of the grid of [0, horizon], resampled from the
+        grid, so that (self * g)(t_j) = M W sum_i S[j, i] g(t_i)."""
+        self._check_time(horizon)
+        nodes = lobatto_nodes(quad.cheb_degree, horizon)
+        bary = lobatto_bary_weights(quad.cheb_degree)
+        S = np.zeros((nodes.shape[0], nodes.shape[0]))
+        for j in range(1, nodes.shape[0]):
+            taus, gw = _panel_points(nodes[j], quad.nodes_per_panel)
+            S[j] = (gw * self.phi(nodes[j] - taus)) @ interp_matrix(nodes, bary, taus)
+        return S
+
+    def convolve_samples(self, S: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """self * g at the grid nodes of S, from g's (m+1, n, n) samples there."""
+        m1, n = samples.shape[0], self.n
+        return pair(self.matrix, self.weight) @ (S @ samples.reshape(m1, n * n)).reshape(m1, n, n)
 
 
 class ChebKernel(TimeKernel):
@@ -212,11 +247,6 @@ class ChebKernel(TimeKernel):
             self._dvalues = np.einsum("ij,jxy->ixy", D, self.values)
         return self._dvalues
 
-    def dt(self, t: float) -> np.ndarray:
-        t = self._check_time(t)
-        M = interp_matrix(self.nodes, self.bary, np.array([t]))
-        return np.einsum("j,jxy->xy", M[0], self.dvalues)
-
 
 class SemigroupKernel(TimeKernel):
     """A heat kernel stored on a base horizon and extended by its semigroup.
@@ -238,16 +268,6 @@ class SemigroupKernel(TimeKernel):
         else:
             self._winv = weight_inv if weight_inv is not None else np.linalg.inv(self.weight)
 
-    def _apply_weight(self, M: np.ndarray) -> np.ndarray:
-        if self.weight.ndim == 1:
-            return M * self.weight[None, :]
-        return M @ self.weight
-
-    def _unapply_weight(self, M: np.ndarray) -> np.ndarray:
-        if self.weight.ndim == 1:
-            return M / self.weight[None, :]
-        return M @ self._winv
-
     def at(self, t: float) -> np.ndarray:
         t = float(t)
         if t < 0:
@@ -256,20 +276,15 @@ class SemigroupKernel(TimeKernel):
         if t <= Tb:
             return self.base.at(t)
         j = max(1, int(math.ceil(math.log2(t / Tb))))
-        M = self._apply_weight(self.base.at(t / 2.0 ** j))
+        M = pair(self.base.at(t / 2.0 ** j), self.weight)
         for _ in range(j):
             M = M @ M
-        return self._unapply_weight(M)
+        return M / self.weight[None, :] if self.weight.ndim == 1 else M @ self._winv
 
 
-def constant_kernel(space, horizon, weight, matrix, name="constant") -> ClosedFormKernel:
+def constant_kernel(space, horizon, weight, matrix, name="constant") -> SeparableKernel:
     """Kernel constant in time."""
-    matrix = np.asarray(matrix, dtype=float)
-    return ClosedFormKernel(
-        space, horizon, weight,
-        evaluator=lambda t: matrix,
-        name=name,
-    )
+    return SeparableKernel(space, horizon, weight, np.ones_like, matrix, name)
 
 
 # ------------------------------------------------------------ convolution
@@ -322,8 +337,11 @@ class FoldCache:
 
     fold(1) is the kernel itself; fold(l) samples f * fold(l-1) on the
     Chebyshev grid of [0, horizon] so that higher folds interpolate their
-    predecessor instead of recursing.  Build sequentially; the cache only
-    grows and is safe to share once populated.
+    predecessor instead of recursing.  A SeparableKernel f gets all nodes
+    of a fold at once as M W (S @ samples of fold(l-1)), S its Volterra
+    matrix built once per cache; any other f calls `convolve` per node.
+    Build sequentially; the cache only grows and is safe to share once
+    populated.
     """
 
     def __init__(self, f: TimeKernel, quad: QuadratureConfig | None = None,
@@ -335,6 +353,7 @@ class FoldCache:
             raise HorizonExceeded("fold horizon exceeds the kernel horizon")
         self.nodes = lobatto_nodes(self.quad.cheb_degree, self.horizon)
         self._folds = {1: f}
+        self._S = f.volterra(self.horizon, self.quad) if isinstance(f, SeparableKernel) else None
 
     def fold(self, ell: int) -> TimeKernel:
         if ell < 1:
@@ -342,10 +361,11 @@ class FoldCache:
         top = max(self._folds)
         while top < ell:
             prev = self._folds[top]
-            values = np.stack([
-                convolve(self.f, prev, t, self.quad)
-                for t in self.nodes
-            ])
+            if self._S is not None:
+                samples = prev.values if top > 1 else prev.at_many(self.nodes)
+                values = self.f.convolve_samples(self._S, samples)
+            else:
+                values = np.stack([convolve(self.f, prev, t, self.quad) for t in self.nodes])
             top += 1
             self._folds[top] = ChebKernel(self.f.space, self.horizon, self.f.weight, values)
         return self._folds[ell]

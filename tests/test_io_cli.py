@@ -325,6 +325,22 @@ def test_cli_diagnostics(k3_file, capsys):
     assert "semigroup_defect" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["build", "diagnostics"])
+def test_cli_rkhs_reports_semigroup_defect(k3_file, tmp_path, capsys, command):
+    # a matrix pairing has no measure, so only the semigroup identity
+    # K(s + t) = K(s) G^-1 K(t) is reported
+    gram = _write(tmp_path, "gram.csv", "2,1,1\n1,2,1\n1,1,2\n")
+    cfg = _write(tmp_path, "rkhs.cfg", "parametrix.kind = rkhs\n")
+    out = tmp_path / "art"
+    code = main([command, "--edges", k3_file, "--config", cfg, "--gram", gram,
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rep = _report(out)
+    assert list(rep["defects"]) == ["semigroup_defect"]
+    assert 0.0 <= rep["defects"]["semigroup_defect"] < RunConfig().tol
+    assert rep["exit_reason"] == "ok"
+
+
 def test_cli_bad_usage_exits_one(two_point_file, capsys):
     assert main(["build", "--edges", two_point_file, "--frobnicate"]) == 1
     assert main(["entropy", "--edges", two_point_file]) == 1  # --point missing

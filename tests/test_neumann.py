@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from heatkern import (
     heat_residual,
     profile_parametrix,
     rkhs_parametrix,
+    SeparableKernel,
     spectral_heat,
     spectral_parametrix,
     validate,
@@ -147,8 +150,9 @@ def test_duhamel_identity(two_point, rng):
     f = ClosedFormKernel(sp, 2.0, mu, lambda t: np.exp(-0.4 * t) * B + t * C)
     conv = ClosedFormKernel(sp, 2.0, mu, lambda t: convolve(p.H, f, t))
     g = ChebKernel.from_kernel(conv, 32)
+    dg = ChebKernel(sp, 2.0, mu, g.dvalues)
     for t in (0.3, 0.9, 1.6):
-        lhs = g.dt(t) + A @ g.at(t)
+        lhs = dg.at(t) + A @ g.at(t)
         rhs = f.at(t) + convolve(p.heat_image, f, t)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -231,6 +235,30 @@ def test_rkhs_build_matches_operator_exponential(two_point):
     for t in (0.3, 1.0, 2.0):
         want = expm_series(A, t) @ G
         assert np.max(np.abs(res.K.at(t) - want)) < 1e-10
+
+
+@pytest.mark.parametrize("family", ["dirac", "rkhs"])
+def test_separable_path_matches_generic_path(rng, family):
+    # the same starter built once as SeparableKernels (scalar Volterra
+    # folds and assembly) and once as plain closed forms (per-node
+    # convolution); the generic path is the reference
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
+    if family == "dirac":
+        p = dirac_parametrix(sp, cond, horizon=2.0)
+    else:
+        X = rng.standard_normal((sp.n, sp.n))
+        p = rkhs_parametrix(sp, X @ X.T / sp.n + np.eye(sp.n), cond, horizon=2.0)
+    assert isinstance(p.H, SeparableKernel)
+    assert isinstance(p.heat_image, SeparableKernel)
+    generic = dataclasses.replace(p, **{
+        name: ClosedFormKernel(sp, k.horizon, k.weight, k.evaluator, name=k.name)
+        for name, k in (("H", p.H), ("heat_image", p.heat_image))})
+    fast = build_heat_kernel(p, T=2.0, tol=1e-8)
+    ref = build_heat_kernel(generic, T=2.0, tol=1e-8)
+    assert (fast.terms_used, fast.squarings, fast.truncation_bound) \
+        == (ref.terms_used, ref.squarings, ref.truncation_bound)
+    scale = np.max(np.abs(ref.K.base.values))
+    assert np.max(np.abs(fast.K.base.values - ref.K.base.values)) <= 1e-13 * scale
 
 
 def test_certificate_bound_honored(rng):

@@ -14,6 +14,7 @@ from heatkern import (
     build_space,
     convolve,
     dirac_parametrix,
+    rkhs_parametrix,
     series_tail_bound,
 )
 from heatkern.errors import (
@@ -238,6 +239,30 @@ def test_dirac_folds_are_exact_taylor_terms(rng, kind):
             assert err <= 1e-13 * scale, (kind, ell, t, err / scale)
 
 
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+def test_rkhs_folds_are_exact_closed_form(rng, kind):
+    # the rkhs heat image f = e^{-t} B is separable in time, so under the
+    # pairing W = G^-1 its folds are f^{*l}(t) = e^{-t} t^(l-1) / (l-1)!
+    # (B W)^(l-1) B
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
+    X = rng.standard_normal((sp.n, sp.n))
+    G = X @ X.T / sp.n + np.eye(sp.n)
+    p = rkhs_parametrix(sp, G, cond, kind=kind, horizon=1.0)
+    W = p.weight
+    B = p.generator_matrix @ G - G
+    BW = B @ W
+    cache = FoldCache(p.heat_image)
+    norm = np.max(np.sum(np.abs(BW), axis=1))
+    for ell in range(1, 9):
+        for t in (0.3, 1.0):
+            want = np.exp(-t) * t ** (ell - 1) / math.factorial(ell - 1) \
+                * np.linalg.matrix_power(BW, ell - 1) @ B
+            scale = np.exp(-t) * (norm * t) ** (ell - 1) / math.factorial(ell - 1) \
+                * np.max(np.abs(B))
+            err = np.max(np.abs(cache.fold(ell).at(t) - want))
+            assert err <= 1e-13 * scale, (kind, ell, t, err / scale)
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_bound_ell_fold_frozen_values():
@@ -280,8 +305,9 @@ def test_cheb_kernel_derivative(two_point, rng):
     B = rng.standard_normal((2, 2))
     f = ClosedFormKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t) * B)
     cheb = ChebKernel.from_kernel(f, 32)
+    deriv = ChebKernel(sp, 4.0, sp.lam, cheb.dvalues)
     for t in (0.2, 1.0, 3.0):
-        assert np.max(np.abs(cheb.dt(t) + np.exp(-t) * B)) < 1e-10
+        assert np.max(np.abs(deriv.at(t) + np.exp(-t) * B)) < 1e-10
 
 
 def test_closed_form_horizon_guard(two_point):
