@@ -305,13 +305,13 @@ def _diagnostic_grid(horizon: float, t_grid) -> tuple:
     return tuple(float(t) for t in t_grid)
 
 
-def semigroup_defect(result: HeatKernelResult, t_grid=None, mats=None) -> float:
-    """max |K(s + t) - K(s) W K(t)| over pairs s <= t of the grid, W the
-    pairing; unlike the rest of `diagnostics` it holds for a matrix pairing
-    too (K(t) = e^{-tA} G, W = G^-1).  mats may hold K on the grid by time."""
+def semigroup_defect(result: HeatKernelResult, mats=None) -> float:
+    """max |K(s + t) - K(s) W K(t)| over pairs s <= t of the times of mats
+    (default: K on the `diagnostics` grid), W the pairing; unlike the rest of
+    `diagnostics` it holds for a matrix pairing too (K(t) = e^{-tA} G, W = G^-1)."""
     K, W = result.K, result.weight
     if mats is None:
-        mats = {t: K.at(t) for t in _diagnostic_grid(result.horizon, t_grid)}
+        mats = {t: K.at(t) for t in _diagnostic_grid(result.horizon, None)}
     ts = tuple(mats)
     defect = 0.0
     for i, ti in enumerate(ts):

@@ -27,6 +27,7 @@ from .errors import (
     HorizonExceeded,
     InvalidParametrix,
     NoConvergenceBudget,
+    SpaceMismatch,
 )
 from .space import Conductance, PointSpace, generator
 from .parametrix import Parametrix, ParametrixReport, validate
@@ -114,6 +115,10 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             f"starter was built for horizon {parametrix.H.horizon}, "
             f"cannot construct out to T={T}"
         )
+    H, f, weight = parametrix.H, parametrix.heat_image, parametrix.weight
+    # The folds, the certificate and H * F all pair under this one weight.
+    if not (H.same_space(f) and H.same_pairing(f) and np.array_equal(H.weight, weight)):
+        raise SpaceMismatch("starter and heat image must share one space and the starter's weight")
     report = parametrix.report
     if report is None:
         report = validate(parametrix)
@@ -126,8 +131,6 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             f"pass force=True to build on it anyway"
         )
 
-    f = parametrix.heat_image
-    weight = parametrix.weight
     C = float(parametrix.envelope["C"])
     k = int(parametrix.order_k)
     norm1 = _row_mass_norm(f, weight, _sample_grid(T))
@@ -162,7 +165,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     while True:
         T_base = T / (2 ** squarings)
         grow = 2.0 ** squarings
-        massH = _row_mass_norm(parametrix.H, weight, _sample_grid(T_base))
+        massH = _row_mass_norm(H, weight, _sample_grid(T_base))
         for L in range(1, max_terms + 1):
             cert = certificate(L, L * slop)
             if cert < tol:
@@ -185,7 +188,6 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         Fvals = np.zeros((nodes.shape[0], f.n, f.n))
         for ell in range(1, terms + 1):
             Fvals += ((-1) ** ell) * (cache.fold(ell).values if ell > 1 else f.at_many(nodes))
-        H = parametrix.H
         if isinstance(H, SeparableKernel):
             # Free the folds first: K's samples allocated above them would
             # pin the folds' heap pages until K itself is freed.
@@ -193,10 +195,10 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             return nodes, H.at_many(nodes) + H.convolve_samples(H.volterra(T_base, q), Fvals)
         Fker = ChebKernel(parametrix.space, T_base, weight, Fvals)
         Kvals = np.empty_like(Fvals)
-        Kvals[0] = parametrix.H.at(0.0)
+        Kvals[0] = H.at(0.0)
         for j in range(1, nodes.shape[0]):
             t = nodes[j]
-            Kvals[j] = parametrix.H.at(t) + convolve(parametrix.H, Fker, t, q)
+            Kvals[j] = H.at(t) + convolve(H, Fker, t, q)
         return nodes, Kvals
 
     nodes, Kvals = assemble(quad)

@@ -244,11 +244,8 @@ def rkhs_parametrix(space: PointSpace, gram: np.ndarray, conductance: Conductanc
     A, _ = generator(space, conductance, kind)
     B = A @ G - G
 
-    def decay(t):
-        return np.exp(-t)
-
-    H = SeparableKernel(space, horizon, Ginv, decay, G, name="rkhs")
-    image = SeparableKernel(space, horizon, Ginv, decay, B, name="rkhs-image")
+    H = SeparableKernel(space, horizon, Ginv, lambda t: np.exp(-t), G, name="rkhs")
+    image = SeparableKernel(space, horizon, Ginv, lambda t: np.exp(-t), B, name="rkhs-image")
     C = float(np.max(np.abs(B)))
     return Parametrix(H, image, 0, "rkhs", {"C": C, "k": 0},
                       space, conductance, kind, A, Ginv, gram=G)

@@ -27,6 +27,7 @@ from heatkern.errors import (
     HorizonExceeded,
     InvalidParametrix,
     NoConvergenceBudget,
+    SpaceMismatch,
 )
 
 from _graphs import random_connected_graph
@@ -259,6 +260,26 @@ def test_separable_path_matches_generic_path(rng, family):
         == (ref.terms_used, ref.squarings, ref.truncation_bound)
     scale = np.max(np.abs(ref.K.base.values))
     assert np.max(np.abs(fast.K.base.values - ref.K.base.values)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("path", ["separable", "generic"])
+@pytest.mark.parametrize("role", ["H", "heat_image"])
+def test_build_refuses_mixed_pairings(two_point, path, role):
+    # a starter or image paired under another weight than the record's is
+    # refused on the separable path as on the per-node path
+    sp, cond, _ = two_point
+    p = dirac_parametrix(sp, cond, horizon=2.0)
+    if path == "generic":
+        p = dataclasses.replace(p, **{
+            name: ClosedFormKernel(sp, k.horizon, k.weight, k.evaluator)
+            for name, k in (("H", p.H), ("heat_image", p.heat_image))})
+    k = getattr(p, role)
+    if path == "separable":
+        bad = SeparableKernel(sp, k.horizon, 2.0 * k.weight, k.phi, k.matrix)
+    else:
+        bad = ClosedFormKernel(sp, k.horizon, 2.0 * k.weight, k.evaluator)
+    with pytest.raises(SpaceMismatch):
+        build_heat_kernel(dataclasses.replace(p, **{role: bad}), T=2.0)
 
 
 def test_certificate_bound_honored(rng):
