@@ -91,9 +91,7 @@ def _make_parametrix(space, cond, cfg, args):
 
 def _construct(space, cond, cfg, args):
     p = _make_parametrix(space, cond, cfg, args)
-    tol = cfg.tol
-    return build_heat_kernel(p, cfg.horizon, tol=tol,
-                             max_terms=cfg.max_terms, quad=cfg.quadrature())
+    return build_heat_kernel(p, cfg.horizon, tol=cfg.tol, max_terms=cfg.max_terms)
 
 
 def _grid(cfg):

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .space import KINDS
-from .timekernel import QuadratureConfig
 
 
 @dataclass(frozen=True)
@@ -25,16 +24,8 @@ class RunConfig:
     horizon: float = 10.0
     tol: float = 1e-8
     max_terms: int = 64
-    nodes_per_panel: int = 16
-    cheb_degree: int = 32
-    target_tol: float = 1e-13
     validate_tolerance: float = 1e-6
     outputs_dir: str = ""
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(nodes_per_panel=self.nodes_per_panel,
-                                cheb_degree=self.cheb_degree,
-                                target_tol=self.target_tol)
 
 
 _KEYS = {
@@ -46,9 +37,6 @@ _KEYS = {
     "time.horizon": ("horizon", float),
     "neumann.tol": ("tol", float),
     "neumann.max_terms": ("max_terms", int),
-    "quad.nodes_per_panel": ("nodes_per_panel", int),
-    "quad.cheb_degree": ("cheb_degree", int),
-    "quad.target_tol": ("target_tol", float),
     "validate.tolerance": ("validate_tolerance", float),
     "outputs.dir": ("outputs_dir", str),
 }
@@ -99,10 +87,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     if cfg.parametrix_order < 0 or cfg.parametrix_n_modes < 0:
         raise ConfigError(f"{origin}: parametrix orders and mode counts "
                           f"cannot be negative")
-    try:
-        cfg.quadrature()
-    except Exception as e:
-        raise ConfigError(f"{origin}: {e}") from None
     return cfg
 
 

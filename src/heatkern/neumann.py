@@ -96,17 +96,17 @@ def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
 
 
 def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
-                      max_terms: int = 64, quad: QuadratureConfig | None = None,
-                      force: bool = False) -> HeatKernelResult:
+                      max_terms: int = 64) -> HeatKernelResult:
     """Construct the heat kernel on [0, T] from a validated starter.
 
-    Validates the starter first (unless a cached report already passed, or
-    force is set), picks a base horizon short enough for the alternating
-    series to stay well scaled, sums the folds on a shared Chebyshev grid,
+    Validates the starter first (unless a cached report already passed),
+    picks a base horizon short enough for the alternating series to stay
+    well scaled, sums the folds on the DEFAULT_QUAD Chebyshev grid,
     assembles K = H + H * F there, and wraps the grid in a semigroup
     extension that reaches T by repeated squaring.  The certified sup
-    error at T is stored as `truncation_bound`; construction refuses to
-    start when that certificate cannot be brought under tol.
+    error at T is stored as `truncation_bound`; construction refuses a
+    starter that fails validation, and refuses to start when the
+    certificate cannot be brought under tol.
     """
     if T <= 0.0:
         raise HorizonExceeded(f"horizon must be positive, got {T}")
@@ -122,13 +122,12 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     report = parametrix.report
     if report is None:
         report = validate(parametrix)
-    if not report.passed and not force:
+    if not report.passed:
         raise InvalidParametrix(
             f"starter family {parametrix.family!r} failed validation "
             f"({', '.join(report.failed_checks)}: dirac residual "
             f"{report.dirac_residual:.3g}, fitted order "
-            f"{report.fitted_order:.3g} vs declared {parametrix.order_k}); "
-            f"pass force=True to build on it anyway"
+            f"{report.fitted_order:.3g} vs declared {parametrix.order_k})"
         )
 
     C = float(parametrix.envelope["C"])
@@ -136,15 +135,6 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     norm1 = _row_mass_norm(f, weight, _sample_grid(T))
     rate = max(norm1, _operator_rate(parametrix.generator_matrix),
                float(parametrix.envelope.get("rate", 0.0)))
-    if quad is None:
-        # Charge the certificate a per-fold resampling slop scaled to the
-        # requested tolerance.  The grid is spectrally accurate and exact
-        # on polynomial folds, so tightening the budget costs nothing; the
-        # floor keeps the claim above roundoff.
-        target = min(DEFAULT_QUAD.target_tol, max(tol * 1e-3, 1e-15))
-        quad = QuadratureConfig(nodes_per_panel=DEFAULT_QUAD.nodes_per_panel,
-                                cheb_degree=DEFAULT_QUAD.cheb_degree,
-                                target_tol=target)
 
     # Base horizon: halve until both the series and the kernel are tame.
     # Each extra squaring doubles the error amplification but shrinks the
@@ -153,7 +143,11 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     squarings = 0
     if rate * T > THETA:
         squarings = math.ceil(math.log2(rate * T / THETA))
-    slop = quad.target_tol
+    # Charge the certificate a per-fold resampling slop scaled to the
+    # requested tolerance.  The grid is spectrally accurate and exact on
+    # polynomial folds, so tightening the budget costs nothing; the floor
+    # keeps the claim above roundoff.
+    slop = min(1e-13, max(tol * 1e-3, 1e-15))
     terms = None
 
     def certificate(L, slop_term):
@@ -177,8 +171,8 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             raise NoConvergenceBudget(
                 f"no certificate below tol={tol} within {max_terms} terms: "
                 f"base horizon {T_base:.3g}, row-mass norm {norm1:.3g}, "
-                f"{squarings} squarings amplify by {grow:.0f}; raise tol, "
-                f"raise max_terms, or tighten the quadrature target"
+                f"{squarings} squarings amplify by {grow:.0f}; raise tol "
+                f"or max_terms"
             )
         squarings += 1
 
@@ -192,16 +186,16 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             # Free the folds first: K's samples allocated above them would
             # pin the folds' heap pages until K itself is freed.
             del cache
-            return nodes, H.at_many(nodes) + H.convolve_samples(H.volterra(T_base, q), Fvals)
+            return H.at_many(nodes) + H.convolve_samples(H.volterra(T_base, q), Fvals)
         Fker = ChebKernel(parametrix.space, T_base, weight, Fvals)
         Kvals = np.empty_like(Fvals)
         Kvals[0] = H.at(0.0)
         for j in range(1, nodes.shape[0]):
             t = nodes[j]
             Kvals[j] = H.at(t) + convolve(H, Fker, t, q)
-        return nodes, Kvals
+        return Kvals
 
-    nodes, Kvals = assemble(quad)
+    Kvals = assemble(DEFAULT_QUAD)
     if not parametrix.analytic_in_time:
         # The charged per-fold slop assumes spectral quadrature accuracy.
         # Starters that are merely smooth at t = 0 converge only
@@ -209,24 +203,22 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         # assemble once more on a doubled grid, charge twice the observed
         # refinement delta (an upper bound for the finer grid's own
         # error), and keep the finer kernel.
-        fine_quad = QuadratureConfig(nodes_per_panel=2 * quad.nodes_per_panel,
-                                     cheb_degree=2 * quad.cheb_degree,
-                                     target_tol=quad.target_tol)
-        fnodes, fKvals = assemble(fine_quad)
+        fine = QuadratureConfig(nodes_per_panel=2 * DEFAULT_QUAD.nodes_per_panel,
+                                cheb_degree=2 * DEFAULT_QUAD.cheb_degree)
+        fKvals = assemble(fine)
         coarse = ChebKernel(parametrix.space, T_base, weight, Kvals)
         measured = max(
             float(np.max(np.abs(coarse.at(t) - fKvals[j])))
-            for j, t in enumerate(fnodes)
+            for j, t in enumerate(lobatto_nodes(fine.cheb_degree, T_base))
         )
         bound = certificate(terms, max(terms * slop, 2.0 * measured))
         if bound >= tol:
             raise NoConvergenceBudget(
                 f"measured quadrature error {measured:.3g} on the base grid "
                 f"lifts the certificate to {bound:.3g}, above tol={tol}; "
-                f"this starter family is not analytic at t=0, so tight "
-                f"tolerances need a finer QuadratureConfig"
+                f"this starter family is not analytic at t=0; raise tol"
             )
-        nodes, Kvals = fnodes, fKvals
+        Kvals = fKvals
     base = ChebKernel(parametrix.space, T_base, weight, Kvals)
 
     gram = parametrix.gram
@@ -241,29 +233,13 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     )
 
 
-def heat_residual(K, space: PointSpace | None = None,
-                  conductance: Conductance | None = None,
-                  kind: str = "combinatorial", n_check: int = 9) -> float:
-    """max |d/dt K + A K| over the kernel's grid, by spectral differentiation.
-
-    Accepts either a build result (which carries its own generator) or a
-    bare time kernel together with the space and conductance it lives on.
-    """
-    if isinstance(K, HeatKernelResult):
-        A = K.generator_matrix
-        K = K.K
-    else:
-        if space is None or conductance is None:
-            raise DimensionMismatch(
-                "a bare kernel needs the space and conductance it acts on"
-            )
-        A, _ = generator(space, conductance, kind)
-    base = K.base if isinstance(K, SemigroupKernel) else K
-    if not isinstance(base, ChebKernel):
-        base = ChebKernel.from_kernel(base, DEFAULT_QUAD.cheb_degree)
+def heat_residual(result: HeatKernelResult) -> float:
+    """max |d/dt K + A K| at nine nodes of the base grid, by spectral
+    differentiation, with the build's own generator A."""
+    A, base = result.generator_matrix, result.K.base
     dvals = base.dvalues
     worst = 0.0
-    idx = np.linspace(0, base.nodes.shape[0] - 1, n_check).astype(int)
+    idx = np.linspace(0, base.nodes.shape[0] - 1, 9).astype(int)
     for j in idx:
         worst = max(worst, float(np.max(np.abs(dvals[j] + A @ base.values[j]))))
     return worst
@@ -273,15 +249,16 @@ def cross_parametrix_build(result: HeatKernelResult,
                            conductance: Conductance | None = None,
                            lam: np.ndarray | None = None,
                            tol: float = 1e-8, T: float | None = None,
-                           max_terms: int = 64,
-                           quad: QuadratureConfig | None = None) -> HeatKernelResult:
+                           max_terms: int = 64) -> HeatKernelResult:
     """Rebuild the heat kernel after changing conductances or the measure.
 
     The previously built kernel, rescaled column-wise to the new measure,
     is itself an order-zero starter for the perturbed space: its heat
     image under the new generator is exactly (A_new - A_old) H, with no
     time-derivative error at all.  Small perturbations therefore converge
-    in very few terms.
+    in very few terms.  `build_heat_kernel` validates it and refuses it
+    when the two spaces are too far apart for the import to start the
+    series.
     """
     if result.weight.ndim != 1:
         raise InvalidParametrix(
@@ -323,15 +300,7 @@ def cross_parametrix_build(result: HeatKernelResult,
     Cimg = Cimg * (1.0 + 1e-6) + 1e-300
     # The imported starter varies on the old kernel's time scale even when
     # the perturbation (and hence the series norm) is tiny.
-    envelope = {"C": Cimg, "k": 0, "rate": _operator_rate(A_old)}
+    envelope = {"C": Cimg, "rate": _operator_rate(A_old)}
     p = Parametrix(H, image, 0, "imported", envelope,
                    new_space, cond, result.kind, A_new, mu_new)
-    rep = validate(p)
-    if not rep.passed:
-        raise InvalidParametrix(
-            f"imported starter failed validation after the perturbation "
-            f"({', '.join(rep.failed_checks)}: dirac residual "
-            f"{rep.dirac_residual:.3g}, fitted order {rep.fitted_order:.3g}); "
-            f"the two spaces are too far apart, build from a fresh starter instead"
-        )
-    return build_heat_kernel(p, horizon, tol=tol, max_terms=max_terms, quad=quad)
+    return build_heat_kernel(p, horizon, tol=tol, max_terms=max_terms)

@@ -59,10 +59,10 @@ class ParametrixReport:
 class Parametrix:
     """A starter kernel with its heat image and envelope certificate.
 
-    envelope is {'C': float, 'k': int} certifying |L_x H(x, y; t)| <= C t^k
-    on the horizon; an optional 'rate' declares the time scale 1/rate on
-    which the starter itself varies when the generator does not show it
-    (the imported starter of a rebuild).  weight is the convolution
+    envelope is {'C': float} certifying |L_x H(x, y; t)| <= C t^k on the
+    horizon, with k = order_k; an optional 'rate' declares the time scale
+    1/rate on which the starter itself varies when the generator does not
+    show it (the imported starter of a rebuild).  weight is the convolution
     pairing the starter expects: a measure vector, or the inverse Gram
     matrix for reproducing-kernel starters.  report caches the last
     validation.
@@ -100,7 +100,7 @@ def dirac_parametrix(space: PointSpace, conductance: Conductance,
     C = float(np.max(np.abs(LH)))
     H = constant_kernel(space, horizon, mu, H0, name="dirac")
     image = constant_kernel(space, horizon, mu, LH, name="dirac-image")
-    return Parametrix(H, image, 0, "dirac", {"C": C, "k": 0},
+    return Parametrix(H, image, 0, "dirac", {"C": C},
                       space, conductance, kind, A, mu)
 
 
@@ -137,41 +137,36 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
     if d.shape != (space.n, space.n):
         raise DimensionMismatch("distance matrix does not match the space")
     limit = np.diag(1.0 / mu)
-    zeros = np.zeros((space.n, space.n))
+
+    def shape(t):
+        # d/t, F(d/t) and the row normalizer S, shared by H and its image.
+        U = d / t
+        Fv = F(U)
+        S = Fv @ mu
+        if np.any(S <= 0.0):
+            x = space.points[int(np.argmin(S))]
+            raise ProfileUnnormalizable(
+                f"profile mass vanished on the row of point {x!r} at t={t}"
+            )
+        return U, Fv, S
 
     def H_at(t):
         if t <= 0.0:
             return limit
-        Fv = F(d / t)
-        S = Fv @ mu
-        if np.any(S <= 0.0):
-            x = space.points[int(np.argmin(S))]
-            raise ProfileUnnormalizable(
-                f"profile mass vanished on the row of point {x!r} at t={t}"
-            )
+        _, Fv, S = shape(t)
         return Fv / S[:, None]
 
-    def H_dt(t):
+    def image_at(t):
+        # d/dt H + A H, with d/dt H = F'/S - F S'/S^2 (0 at t = 0).
         if t <= 0.0:
-            return zeros
-        U = d / t
-        Fv = F(U)
+            return A @ limit
+        U, Fv, S = shape(t)
         Fd = Fp(U) * (-d / t ** 2)
-        S = Fv @ mu
-        if np.any(S <= 0.0):
-            x = space.points[int(np.argmin(S))]
-            raise ProfileUnnormalizable(
-                f"profile mass vanished on the row of point {x!r} at t={t}"
-            )
         Sd = Fd @ mu
-        return Fd / S[:, None] - Fv * (Sd / S ** 2)[:, None]
+        return (Fd / S[:, None] - Fv * (Sd / S ** 2)[:, None]) + A @ (Fv / S[:, None])
 
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"profile-{profile}")
-    image = ClosedFormKernel(
-        space, horizon, mu,
-        evaluator=lambda t: H_dt(t) + A @ H_at(t),
-        name=f"profile-{profile}-image",
-    )
+    image = ClosedFormKernel(space, horizon, mu, image_at, name=f"profile-{profile}-image")
     # Row masses must be exactly normalizable everywhere on the horizon.
     ts = np.geomspace(horizon * 1e-5, horizon, 160)
     sup = 0.0
@@ -181,7 +176,7 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
         sup = max(sup, val / ref)
     C = sup * 1.05 + 1e-300
     return Parametrix(H, image, order, f"profile-{profile}",
-                      {"C": C, "k": order},
+                      {"C": C},
                       space, conductance, kind, A, mu,
                       analytic_in_time=False)
 
@@ -212,7 +207,7 @@ def spectral_parametrix(space: PointSpace, conductance: Conductance, n_modes: in
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"spectral-{n_modes}")
     zero = np.zeros((space.n, space.n))
     image = constant_kernel(space, horizon, mu, zero, name="spectral-image")
-    return Parametrix(H, image, 0, "spectral", {"C": 0.0, "k": 0},
+    return Parametrix(H, image, 0, "spectral", {"C": 0.0},
                       space, conductance, kind, A, mu)
 
 
@@ -247,7 +242,7 @@ def rkhs_parametrix(space: PointSpace, gram: np.ndarray, conductance: Conductanc
     H = SeparableKernel(space, horizon, Ginv, lambda t: np.exp(-t), G, name="rkhs")
     image = SeparableKernel(space, horizon, Ginv, lambda t: np.exp(-t), B, name="rkhs-image")
     C = float(np.max(np.abs(B)))
-    return Parametrix(H, image, 0, "rkhs", {"C": C, "k": 0},
+    return Parametrix(H, image, 0, "rkhs", {"C": C},
                       space, conductance, kind, A, Ginv, gram=G)
 
 
@@ -271,17 +266,17 @@ def _monotone_to_zero(res: np.ndarray, tolerance: float) -> bool:
 
 
 def validate(parametrix: Parametrix, tolerance: float = 1e-6,
-             order_window=(1e-3, 1e-1), n_order: int = 20) -> ParametrixReport:
+             order_window=(1e-3, 1e-1)) -> ParametrixReport:
     """Measure the Dirac residual, fit the heat-image order, and judge.
 
     The Dirac residual max_{x,z} |(H(t) . pairing) - I| is evaluated on a
     decreasing time grid ending at t = 0; it must shrink monotonically and
     land below `tolerance`.  The order fit is the log-log slope of the
-    sup-norm of the heat image across `order_window`, or across the two
-    decades below 0.1/rate when the envelope declares a rate; it must
-    reach the declared order minus 0.1.  Both checks run under the sup,
-    L2, and Hilbert pairing flavors, and the starter passes if any flavor
-    does.  The report is cached on the parametrix.
+    sup-norm of the heat image at 20 times across `order_window`, or
+    across the two decades below 0.1/rate when the envelope declares a
+    rate; it must reach the declared order minus 0.1.  Both checks run
+    under the sup, L2, and Hilbert pairing flavors, and the starter passes
+    if any flavor does.  The report is cached on the parametrix.
     """
     H = parametrix.H
     horizon = H.horizon
@@ -306,7 +301,7 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
         # fit stays a decade below it.
         hi = min(hi, 0.1 / rate)
         lo = hi / 100.0
-    ts_fit = np.geomspace(lo, hi, n_order)
+    ts_fit = np.geomspace(lo, hi, 20)
     sup_vals = np.array([float(np.max(np.abs(parametrix.heat_image.at(t))))
                          for t in ts_fit])
     if np.max(sup_vals) < 1e-250:

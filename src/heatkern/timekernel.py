@@ -86,25 +86,23 @@ def diff_matrix(nodes: np.ndarray, bary: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for the time quadrature and sampled representations.
+    """Grid of the time quadrature and of sampled kernels.
 
     nodes_per_panel: Gauss-Legendre points per panel (two panels per
     convolution, split at t/2).  cheb_degree: degree of the sampled-kernel
-    grids.  target_tol is the error budgeted to each cached fold when a
-    series certificate is assembled.
+    grids.  `build_heat_kernel` builds on DEFAULT_QUAD, and on twice both
+    for starters not analytic in time; the error it charges each fold is
+    set by its tolerance, not here.
     """
 
     nodes_per_panel: int = 16
     cheb_degree: int = 32
-    target_tol: float = 1e-13
 
     def __post_init__(self):
         if self.nodes_per_panel < 4:
             raise DimensionMismatch("nodes_per_panel must be at least 4")
         if self.cheb_degree < 8:
             raise DimensionMismatch("cheb_degree must be at least 8")
-        if not self.target_tol > 0:
-            raise DimensionMismatch("target_tol must be positive")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -220,14 +218,6 @@ class ChebKernel(TimeKernel):
         self.nodes = lobatto_nodes(self.degree, self.horizon)
         self.bary = lobatto_bary_weights(self.degree)
         self._dvalues = None
-
-    @classmethod
-    def from_kernel(cls, kernel: TimeKernel, degree: int | None = None,
-                    horizon: float | None = None) -> "ChebKernel":
-        degree = degree if degree is not None else DEFAULT_QUAD.cheb_degree
-        horizon = horizon if horizon is not None else kernel.horizon
-        nodes = lobatto_nodes(degree, horizon)
-        return cls(kernel.space, horizon, kernel.weight, kernel.at_many(nodes))
 
     def at(self, t: float) -> np.ndarray:
         t = self._check_time(t)

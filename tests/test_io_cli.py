@@ -7,7 +7,9 @@ import pytest
 
 from heatkern import (
     ball_truncate,
+    build_heat_kernel,
     build_space,
+    dirac_parametrix,
     integer_line,
     load_edges,
     load_graph,
@@ -174,9 +176,6 @@ def test_config_parses_every_key():
         time.horizon = 4.0
         neumann.tol = 1e-6     # inline comment
         neumann.max_terms = 12
-        quad.nodes_per_panel = 8
-        quad.cheb_degree = 16
-        quad.target_tol = 1e-12
         validate.tolerance = 1e-5
         outputs.dir = somewhere
     """)
@@ -186,7 +185,6 @@ def test_config_parses_every_key():
     assert cfg.horizon == 4.0
     assert cfg.tol == 1e-6
     assert cfg.max_terms == 12
-    assert cfg.quadrature().cheb_degree == 16
     assert cfg.outputs_dir == "somewhere"
 
 
@@ -211,6 +209,15 @@ def test_config_rejections():
         parse_config_text("neumann.max_terms = 0")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("just some words")
+
+
+@pytest.mark.parametrize("line", ["quad.target_tol = 1e-30",
+                                  "quad.nodes_per_panel = 8",
+                                  "quad.cheb_degree = 16"])
+def test_config_has_no_quadrature_keys(line):
+    # the build grid and its charged slop follow from neumann.tol alone
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text(line)
 
 
 # -------------------------------------------------------------------- cli
@@ -247,6 +254,22 @@ def test_cli_build_writes_certified_report(two_point_file, tmp_path, capsys):
     assert set(mats) == {0.5, 1.0}
     want = (1.0 + np.exp(-2.0)) / 2.0
     assert abs(mats[1.0][0, 0] - want) < 1e-8
+
+
+@pytest.mark.parametrize("edges", ["a b 1.0\n", "a b 1.0\nb c 1.0\nc a 1.0\n"],
+                         ids=["two_point", "k3"])
+def test_cli_build_signs_what_the_library_signs(tmp_path, capsys, edges):
+    # a tolerance the default grid can certify is certified by both routes
+    path = _write(tmp_path, "g.edges", edges)
+    out = tmp_path / "art"
+    code = main(["build", "--edges", path, "--tol", "1e-11", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    sp, cond, _ = load_graph(path)
+    lib = build_heat_kernel(dirac_parametrix(sp, cond), T=RunConfig().horizon,
+                            tol=1e-11)
+    rep = _report(out)
+    assert rep["terms_used"] == lib.terms_used
+    assert rep["truncation_bound"] == lib.truncation_bound < 1e-11
 
 
 def test_cli_oracle_compare_passes_on_k3(k3_file, tmp_path):

@@ -53,7 +53,7 @@ def test_dirac_residual_grid_is_monotone(rng):
 def test_dirac_envelope_obeyed(rng, kind):
     sp, cond, _ = random_connected_graph(rng, random_measure=True)
     p = dirac_parametrix(sp, cond, kind=kind)
-    C, k = p.envelope["C"], p.envelope["k"]
+    C, k = p.envelope["C"], p.order_k
     for t in np.linspace(0.01, 10.0, 23):
         assert np.max(np.abs(p.heat_image.at(t))) <= C * t ** k + 1e-9
 
