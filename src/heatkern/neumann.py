@@ -38,10 +38,11 @@ from .timekernel import (
     FoldCache,
     QuadratureConfig,
     SemigroupKernel,
-    SeparableKernel,
+    TimeFactor,
     TimeKernel,
-    convolve,
+    convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
+    residual_fold_bound,
     series_tail_bound,
 )
 
@@ -150,20 +151,20 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     slop = min(1e-13, max(tol * 1e-3, 1e-15))
     terms = None
 
-    def certificate(L, slop_term):
-        # Series tail through the H * F assembly, plus the charged slop,
-        # amplified by the squarings; reads the current base horizon.
+    def certificate(L, slop_term, charge=0.0):
+        # Series tail through the H * F assembly, plus the charged slop and
+        # low-rank residual, amplified by the squarings; reads the current
+        # base horizon.
         tail = series_tail_bound(C, norm1, k, L, T_base)
-        return (tail * (1.0 + T_base * massH) + slop_term) * grow
+        return (tail * (1.0 + T_base * massH) + slop_term + charge) * grow
 
     while True:
         T_base = T / (2 ** squarings)
         grow = 2.0 ** squarings
         massH = _row_mass_norm(H, weight, _sample_grid(T_base))
         for L in range(1, max_terms + 1):
-            cert = certificate(L, L * slop)
-            if cert < tol:
-                terms, bound = L, cert
+            if certificate(L, L * slop) < tol:
+                terms = L
                 break
         if terms is not None:
             break
@@ -177,25 +178,26 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         squarings += 1
 
     def assemble(q):
-        nodes = lobatto_nodes(q.cheb_degree, T_base)
+        # K = H + H * F on the grid of q, and the residual it charges: F's
+        # (see residual_fold_bound) through H of row mass <= massH plus its
+        # residual's, plus H's residual against |F| <= C T^k e^(norm1 T) / k!.
         cache = FoldCache(f, q, horizon=T_base)
-        Fvals = np.zeros((nodes.shape[0], f.n, f.n))
+        Fvals = np.zeros((cache.nodes.shape[0], f.n, f.n))
         for ell in range(1, terms + 1):
-            Fvals += ((-1) ** ell) * (cache.fold(ell).values if ell > 1 else f.at_many(nodes))
-        if isinstance(H, SeparableKernel):
-            # Free the folds first: K's samples allocated above them would
-            # pin the folds' heap pages until K itself is freed.
-            del cache
-            return H.at_many(nodes) + H.convolve_samples(H.volterra(T_base, q), Fvals)
-        Fker = ChebKernel(parametrix.space, T_base, weight, Fvals)
-        Kvals = np.empty_like(Fvals)
-        Kvals[0] = H.at(0.0)
-        for j in range(1, nodes.shape[0]):
-            t = nodes[j]
-            Kvals[j] = H.at(t) + convolve(H, Fker, t, q)
-        return Kvals
+            Fvals += ((-1) ** ell) * (cache.fold(ell).values if ell > 1 else f.at_many(cache.nodes))
+        epsF = residual_fold_bound(cache.factor.residual, cache.factor.residual_mass,
+                                   C, norm1, k, T_base)
+        # Free the folds first: K's samples allocated above them would pin
+        # the folds' heap pages until K itself is freed.
+        del cache
+        Hf = TimeFactor(H, T_base, q)
+        Fmax = C * T_base ** k / math.factorial(k) * math.exp(norm1 * T_base)
+        charge = epsF * (1.0 + T_base * (massH + Hf.residual_mass)) \
+            + T_base * Hf.residual_mass * (Fmax + epsF)
+        return H.at_many(Hf.nodes) + Hf.convolve(Fvals), charge
 
-    Kvals = assemble(DEFAULT_QUAD)
+    Kvals, charge = assemble(DEFAULT_QUAD)
+    slop_term = terms * slop
     if not parametrix.analytic_in_time:
         # The charged per-fold slop assumes spectral quadrature accuracy.
         # Starters that are merely smooth at t = 0 converge only
@@ -205,20 +207,19 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         # error), and keep the finer kernel.
         fine = QuadratureConfig(nodes_per_panel=2 * DEFAULT_QUAD.nodes_per_panel,
                                 cheb_degree=2 * DEFAULT_QUAD.cheb_degree)
-        fKvals = assemble(fine)
+        fKvals, charge = assemble(fine)
         coarse = ChebKernel(parametrix.space, T_base, weight, Kvals)
-        measured = max(
-            float(np.max(np.abs(coarse.at(t) - fKvals[j])))
-            for j, t in enumerate(lobatto_nodes(fine.cheb_degree, T_base))
-        )
-        bound = certificate(terms, max(terms * slop, 2.0 * measured))
-        if bound >= tol:
-            raise NoConvergenceBudget(
-                f"measured quadrature error {measured:.3g} on the base grid "
-                f"lifts the certificate to {bound:.3g}, above tol={tol}; "
-                f"this starter family is not analytic at t=0; raise tol"
-            )
+        fine_nodes = lobatto_nodes(fine.cheb_degree, T_base)
+        measured = float(np.max(np.abs(coarse.at_many(fine_nodes) - fKvals)))
+        slop_term = max(slop_term, 2.0 * measured)
         Kvals = fKvals
+    bound = certificate(terms, slop_term, charge)
+    if bound >= tol:
+        raise NoConvergenceBudget(
+            f"charged quadrature error {slop_term:.3g} and low-rank residual "
+            f"{charge:.3g} on the base grid lift the certificate to "
+            f"{bound:.3g}, above tol={tol}; raise tol"
+        )
     base = ChebKernel(parametrix.space, T_base, weight, Kvals)
 
     gram = parametrix.gram

@@ -15,11 +15,9 @@ Iterated self-convolutions ("folds") are cached as sampled kernels, and
 a factorial-decay majorant bounds everything beyond a truncation point,
 which is what certifies series built from these folds.
 
-Kernels separable in time, phi(t) M (constant and rkhs starters), take a
-second path chosen by their type: on a sampled grid their convolution is
-one scalar Volterra matrix on the samples, with the same panels and
-resampling, then one product with M W (after Hale & Townsend, SIAM J.
-Sci. Comput. 36, 2014).  Every other kernel is convolved node by node.
+On a sampled grid every kernel is folded as a short sum in time,
+sum_r phi_r(t) M_r (see TimeFactor); `convolve`, one time at a time, is
+the reference for that path.
 """
 
 from __future__ import annotations
@@ -177,30 +175,22 @@ class ClosedFormKernel(TimeKernel):
 
 
 class SeparableKernel(ClosedFormKernel):
-    """Kernel phi(t) M: a scalar time profile (taking arrays) times one matrix."""
+    """Kernel sum_r phi_r(t) M_r: scalar time profiles times matrices.
+
+    phi maps an array of times to the (r,) + times.shape profiles, or to
+    times.shape when r = 1; matrix is the (r, n, n) stack of the M_r, or
+    the single M_1.
+    """
 
     def __init__(self, space, horizon, weight, phi, matrix, name=""):
-        matrix = np.asarray(matrix, dtype=float)
-        super().__init__(space, horizon, weight, lambda t: phi(t) * matrix, name)
-        self.phi, self.matrix = phi, matrix
-
-    def volterra(self, horizon: float, quad: QuadratureConfig) -> np.ndarray:
-        """S[j, i] = sum_q gw_jq phi(t_j - tau_jq) l_i(tau_jq): the panels of
-        `convolve` at node t_j of the grid of [0, horizon], resampled from the
-        grid, so that (self * g)(t_j) = M W sum_i S[j, i] g(t_i)."""
-        self._check_time(horizon)
-        nodes = lobatto_nodes(quad.cheb_degree, horizon)
-        bary = lobatto_bary_weights(quad.cheb_degree)
-        S = np.zeros((nodes.shape[0], nodes.shape[0]))
-        for j in range(1, nodes.shape[0]):
-            taus, gw = _panel_points(nodes[j], quad.nodes_per_panel)
-            S[j] = (gw * self.phi(nodes[j] - taus)) @ interp_matrix(nodes, bary, taus)
-        return S
-
-    def convolve_samples(self, S: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """self * g at the grid nodes of S, from g's (m+1, n, n) samples there."""
-        m1, n = samples.shape[0], self.n
-        return pair(self.matrix, self.weight) @ (S @ samples.reshape(m1, n * n)).reshape(m1, n, n)
+        self.phi, self.matrix = phi, np.asarray(matrix, dtype=float)
+        shape = self.matrix.shape[-2:]
+        self.terms = self.matrix.reshape((-1,) + shape)
+        flat = self.terms.reshape(self.terms.shape[0], -1)
+        # The evaluator must not refer to self: a reference cycle would keep
+        # every kernel alive until the cyclic collector runs.
+        super().__init__(space, horizon, weight, lambda t: np.dot(
+            np.reshape(phi(t), -1), flat).reshape(shape), name)
 
 
 class ChebKernel(TimeKernel):
@@ -279,24 +269,12 @@ def constant_kernel(space, horizon, weight, matrix, name="constant") -> Separabl
 
 # ------------------------------------------------------------ convolution
 
-def _weighted_chain(A: np.ndarray, weight: np.ndarray, B: np.ndarray,
-                    gw: np.ndarray) -> np.ndarray:
-    """sum_q gw[q] * A[q] @ diag-or-matrix(weight) @ B[q]."""
-    if weight.ndim == 1:
-        return np.einsum("qxz,z,qzy,q->xy", A, weight, B, gw, optimize=True)
-    return np.einsum("qxz,zw,qwy,q->xy", A, weight, B, gw, optimize=True)
-
-
 def _panel_points(t: float, npts: int):
     """Gauss-Legendre nodes and weights on [0, t/2] and [t/2, t], merged."""
     x, w = gauss_legendre(npts)
-    taus = []
-    wts = []
-    for a, b in ((0.0, t / 2.0), (t / 2.0, t)):
-        half = (b - a) / 2.0
-        taus.append(a + half * (x + 1.0))
-        wts.append(half * w)
-    return np.concatenate(taus), np.concatenate(wts)
+    quarter = t / 4.0
+    taus = quarter * (x + 1.0)
+    return np.concatenate([taus, t / 2.0 + taus]), np.concatenate([quarter * w] * 2)
 
 
 def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
@@ -315,23 +293,118 @@ def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
     if t == 0.0:
         return np.zeros((F1.n, F1.n))
     taus, gw = _panel_points(t, quad.nodes_per_panel)
-    A = F1.at_many(t - taus)
+    # sum_q gw_q F1(t - tau_q) W F2(tau_q)
+    A = pair((F1.at_many(t - taus) * gw[:, None, None]).reshape(-1, F1.n), F1.weight)
     B = F2.at_many(taus)
-    return _weighted_chain(A, F1.weight, B, gw)
+    return np.einsum("qxz,qzy->xy", A.reshape(B.shape), B, optimize=True)
 
 
 # ------------------------------------------------------------------ folds
+
+# Sketch singular values below RANK_CUT of the largest are dropped: they
+# sit at the roundoff of the samples.  The fixed seed gives every kernel
+# the same factor on every run.
+RANK_CUT = 1e-14
+SKETCH_WIDTH = 32
+SKETCH_SEED = 2011
+
+
+class TimeFactor:
+    """A kernel f as sum_r phi_r(t) M_r at the times the folds of one grid read.
+
+    On the Chebyshev grid t_0 < ... < t_m of [0, horizon] a fold reads f
+    only at t_j - tau_jq, tau_jq the 2p panel points of `convolve` at t_j.
+    values[r, j-1, q] = phi_r(t_j - tau_jq), matrices[r] = M_r; residual
+    and residual_mass are the largest entry and row mass (against |W|) of
+    f - sum_r phi_r M_r over those times.
+
+    A SeparableKernel gives its own terms and no residual.  Any other
+    kernel is factored by a randomized range finder (Halko, Martinsson &
+    Tropp, SIAM Review 53, 2011) streamed node by node: a sketch pass sums
+    fixed-seed Gaussian combinations of the samples and keeps the span of
+    the sum above RANK_CUT as orthonormal M_r; a projection pass takes
+    phi_r = <M_r, f> and the exact residual.  The sketch doubles until the
+    residual is within RANK_CUT of the largest sample, or it keeps a column
+    to spare (it has seen every direction above the cut), or it spans all
+    n x n matrices or all sample times, where the factor is exact.  Each
+    term then convolves through one scalar Volterra matrix S_r.
+    """
+
+    def __init__(self, f: TimeKernel, horizon: float, quad: QuadratureConfig):
+        f._check_time(horizon)  # HorizonExceeded past the horizon of f
+        self.weight = f.weight
+        self.nodes = lobatto_nodes(quad.cheb_degree, horizon)
+        self.taus, self.gw = (np.array(a) for a in zip(
+            *(_panel_points(t, quad.nodes_per_panel) for t in self.nodes[1:])))
+        times = self.nodes[1:, None] - self.taus
+        if isinstance(f, SeparableKernel):
+            self.matrices = f.terms
+            self.values = np.reshape(f.phi(times), (len(f.terms),) + times.shape)
+            self.residual = self.residual_mass = 0.0
+        else:
+            self._sample(f, times)
+        # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq): the panels
+        # of `convolve` at node t_j, resampled from the grid
+        m1, bary = self.nodes.shape[0], lobatto_bary_weights(quad.cheb_degree)
+        self.S = np.zeros((self.values.shape[0], m1, m1))
+        for j, taus in enumerate(self.taus, start=1):
+            self.S[:, j] = (self.gw[j - 1] * self.values[:, j - 1]) \
+                @ interp_matrix(self.nodes, bary, taus)
+
+    def _sample(self, f: TimeKernel, times: np.ndarray) -> None:
+        absw, full = np.abs(f.weight), min(f.n ** 2, times.size)
+        width = min(SKETCH_WIDTH, full)
+        while True:
+            omega = np.random.default_rng(SKETCH_SEED).standard_normal(times.shape + (width,))
+            Y = sum(f.at_many(ts).reshape(len(ts), -1).T @ om for ts, om in zip(times, omega))
+            U, sv, _ = np.linalg.svd(Y, full_matrices=False)
+            Q = U[:, :int(np.sum(sv > RANK_CUT * sv[0]))]
+            self.values = np.empty((Q.shape[1],) + times.shape)
+            worst = np.zeros(3)  # residual, its row mass, largest sample
+            for j, ts in enumerate(times):
+                F = f.at_many(ts)
+                self.values[:, j] = Q.T @ F.reshape(len(ts), -1).T
+                R = np.abs(F - (self.values[:, j].T @ Q.T).reshape(F.shape))
+                mass = R @ absw if absw.ndim == 1 else np.sum(R @ absw, axis=2)
+                worst = np.maximum(worst, [R.max(), mass.max(), np.abs(F).max()])
+            self.residual, self.residual_mass = float(worst[0]), float(worst[1])
+            if worst[0] <= RANK_CUT * worst[2] or Q.shape[1] < width or width == full:
+                break
+            width = min(2 * width, full)
+        self.matrices = Q.T.reshape(-1, f.n, f.n)
+
+    def convolve(self, samples: np.ndarray) -> np.ndarray:
+        """f * g at the grid nodes from g's (m+1, n, n) samples there."""
+        return self._apply(self.S, samples)
+
+    def self_convolve(self) -> np.ndarray:
+        """f * f at the grid nodes, f(tau_jq) read from the factor too: the
+        panels mirror each other about t_j / 2, so tau_jq = t_j - tau_j(2p-1-q)."""
+        coef = np.zeros((self.values.shape[0], self.nodes.shape[0], self.values.shape[0]))
+        coef[:, 1:] = np.einsum("rjq,sjq->rjs", self.gw * self.values, self.values[:, :, ::-1])
+        return self._apply(coef, self.matrices)
+
+    def _apply(self, coef: np.ndarray, block: np.ndarray) -> np.ndarray:
+        # sum_r M_r W (coef_r @ block), one term at a time so that at most
+        # two (m+1, n, n) temporaries live beside the sum
+        m1, n = coef.shape[1], block.shape[-1]
+        flat = block.reshape(block.shape[0], n * n)
+        out = np.zeros((m1, n, n)) if coef.shape[0] == 0 else None
+        for M, c in zip(self.matrices, coef):
+            term = pair(M, self.weight) @ (c @ flat).reshape(m1, n, n)
+            out = term if out is None else np.add(out, term, out=out)
+        return out
+
 
 class FoldCache:
     """Iterated self-convolutions of a kernel, cached on a shared grid.
 
     fold(1) is the kernel itself; fold(l) samples f * fold(l-1) on the
-    Chebyshev grid of [0, horizon] so that higher folds interpolate their
-    predecessor instead of recursing.  A SeparableKernel f gets all nodes
-    of a fold at once as M W (S @ samples of fold(l-1)), S its Volterra
-    matrix built once per cache; any other f calls `convolve` per node.
-    Build sequentially; the cache only grows and is safe to share once
-    populated.
+    Chebyshev grid of [0, horizon] through the TimeFactor of f there:
+    fold(2) from the factor alone, later folds from their predecessor's
+    samples, so no fold recurses.  `residual_fold_bound` bounds what the
+    factor's residual moves them.  Build sequentially; the cache only
+    grows and is safe to share once populated.
     """
 
     def __init__(self, f: TimeKernel, quad: QuadratureConfig | None = None,
@@ -339,23 +412,17 @@ class FoldCache:
         self.f = f
         self.quad = quad or DEFAULT_QUAD
         self.horizon = horizon if horizon is not None else f.horizon
-        if self.horizon > f.horizon * (1 + 1e-9):
-            raise HorizonExceeded("fold horizon exceeds the kernel horizon")
-        self.nodes = lobatto_nodes(self.quad.cheb_degree, self.horizon)
+        self.factor = TimeFactor(f, self.horizon, self.quad)
+        self.nodes = self.factor.nodes
         self._folds = {1: f}
-        self._S = f.volterra(self.horizon, self.quad) if isinstance(f, SeparableKernel) else None
 
     def fold(self, ell: int) -> TimeKernel:
         if ell < 1:
             raise DimensionMismatch("fold count must be at least 1")
         top = max(self._folds)
         while top < ell:
-            prev = self._folds[top]
-            if self._S is not None:
-                samples = prev.values if top > 1 else prev.at_many(self.nodes)
-                values = self.f.convolve_samples(self._S, samples)
-            else:
-                values = np.stack([convolve(self.f, prev, t, self.quad) for t in self.nodes])
+            values = (self.factor.convolve(self._folds[top].values) if top > 1
+                      else self.factor.self_convolve())
             top += 1
             self._folds[top] = ChebKernel(self.f.space, self.horizon, self.f.weight, values)
         return self._folds[ell]
@@ -399,3 +466,20 @@ def series_tail_bound(C: float, norm1: float, k: int, L: int, t: float) -> float
         b *= ratio
         ell += 1
     return math.inf
+
+
+def residual_fold_bound(eps: float, eps_mass: float, C: float, norm1: float,
+                        k: int, t: float) -> float:
+    """Bound on sum_{l>=1} |g^{*l} - f^{*l}| at time t when g - f = E.
+
+    Let |E| <= eps entrywise with row mass <= eps_mass (a TimeFactor's
+    residual and residual_mass), so g has row mass <= nu = norm1 +
+    eps_mass.  From g^{*l} - f^{*l} = g * (g^{*(l-1)} - f^{*(l-1)}) +
+    E * f^{*(l-1)}, |A W B| <= (row mass of A) max|B| entrywise, and the
+    majorant `bound_ell_fold` of |f^{*m}|, the entry bound d_l obeys
+        d_l(t) <= nu int_0^t d_{l-1} + eps_mass C norm1^(l-2) t^(k+l-1) / (k+l-1)!
+    with d_1 = eps.  By induction d_l(t) <= eps (nu t)^(l-1) / (l-1)! +
+    (l-1) eps_mass C nu^(l-2) t^(k+l-1) / (k+l-1)!, and (l-1) / (k+l-1)!
+    <= 1 / (k! (l-2)!) sums this to e^(nu t) (eps + eps_mass C t^(k+1) / k!).
+    """
+    return math.exp((norm1 + eps_mass) * t) * (eps + eps_mass * C * t ** (k + 1) / math.factorial(k))

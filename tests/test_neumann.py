@@ -227,9 +227,9 @@ def test_rkhs_build_matches_operator_exponential(two_point):
 
 @pytest.mark.parametrize("family", ["dirac", "rkhs"])
 def test_separable_path_matches_generic_path(rng, family):
-    # the same starter built once as SeparableKernels (scalar Volterra
-    # folds and assembly) and once as plain closed forms (per-node
-    # convolution); the generic path is the reference
+    # the build from SeparableKernels (scalar Volterra folds and assembly)
+    # against the same series on the same base grid summed from per-node
+    # `convolve` calls, the reference
     sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
     if family == "dirac":
         p = dirac_parametrix(sp, cond, horizon=2.0)
@@ -238,15 +238,16 @@ def test_separable_path_matches_generic_path(rng, family):
         p = rkhs_parametrix(sp, X @ X.T / sp.n + np.eye(sp.n), cond, horizon=2.0)
     assert isinstance(p.H, SeparableKernel)
     assert isinstance(p.heat_image, SeparableKernel)
-    generic = dataclasses.replace(p, **{
-        name: ClosedFormKernel(sp, k.horizon, k.weight, k.evaluator, name=k.name)
-        for name, k in (("H", p.H), ("heat_image", p.heat_image))})
     fast = build_heat_kernel(p, T=2.0, tol=1e-8)
-    ref = build_heat_kernel(generic, T=2.0, tol=1e-8)
-    assert (fast.terms_used, fast.squarings, fast.truncation_bound) \
-        == (ref.terms_used, ref.squarings, ref.truncation_bound)
-    scale = np.max(np.abs(ref.K.base.values))
-    assert np.max(np.abs(fast.K.base.values - ref.K.base.values)) <= 1e-13 * scale
+    f, H, Tb = p.heat_image, p.H, fast.base_horizon
+    nodes = lobatto_nodes(fast.K.base.degree, Tb)
+    fold, Fvals = f, -f.at_many(nodes)
+    for ell in range(2, fast.terms_used + 1):
+        fold = ChebKernel(sp, Tb, p.weight, np.stack([convolve(f, fold, t) for t in nodes]))
+        Fvals += (-1) ** ell * fold.values
+    F = ChebKernel(sp, Tb, p.weight, Fvals)
+    ref = np.stack([H.at(t) + convolve(H, F, t) for t in nodes])
+    assert np.max(np.abs(fast.K.base.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("path", ["separable", "generic"])
@@ -267,6 +268,28 @@ def test_build_refuses_mixed_pairings(two_point, path, role):
         bad = ClosedFormKernel(sp, k.horizon, 2.0 * k.weight, k.evaluator)
     with pytest.raises(SpaceMismatch):
         build_heat_kernel(dataclasses.replace(p, **{role: bad}), T=2.0)
+
+
+def test_profile_certificates_hold_on_random_graphs(rng):
+    # seeded sweep: uneven measures, weights 0.1..10, both kinds and both
+    # profiles; a certified build sits within its bound of the oracle, and
+    # a starter can only be refused by validation, never by its build
+    certified = 0
+    for _ in range(2):
+        sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=12, random_measure=True)
+        for kind in ("combinatorial", "normalized"):
+            A, mu = generator(sp, cond, kind)
+            spec = eigh_weighted(A, mu)
+            for profile in ("epanechnikov", "exponential"):
+                p = profile_parametrix(sp, cond, profile, kind=kind, horizon=1.0)
+                if not validate(p).passed:
+                    continue
+                res = build_heat_kernel(p, T=1.0, tol=1e-5)
+                dev = max(float(np.max(np.abs(res.K.at(t) - spectral_heat(spec, t))))
+                          for t in np.linspace(0.0, 1.0, 11))
+                assert dev <= res.truncation_bound < 1e-5, (sp.n, kind, profile)
+                certified += 1
+    assert certified >= 6
 
 
 def test_certificate_bound_honored(rng):

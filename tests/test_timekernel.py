@@ -7,17 +7,29 @@ import pytest
 from heatkern import (
     ChebKernel,
     ClosedFormKernel,
+    Conductance,
     FoldCache,
+    PointSpace,
     QuadratureConfig,
     SemigroupKernel,
+    SeparableKernel,
     bound_ell_fold,
+    build_heat_kernel,
     build_space,
     convolve,
     dirac_parametrix,
+    generator,
+    profile_parametrix,
     rkhs_parametrix,
     series_tail_bound,
+    spectral_parametrix,
 )
-from heatkern.timekernel import lobatto_nodes
+from heatkern.timekernel import (
+    DEFAULT_QUAD,
+    TimeFactor,
+    lobatto_nodes,
+    residual_fold_bound,
+)
 from heatkern.errors import (
     DimensionMismatch,
     HorizonExceeded,
@@ -195,9 +207,9 @@ def _poly_eval(p, t):
     return vals
 
 
-def test_folds_match_exact_rational_convolution(rng):
-    # quadrature is polynomial-exact here, so every fold must agree with
-    # symbolic integration up to fold-cache resampling error
+def _rational_polynomial_kernel(rng):
+    """A degree-2 matrix polynomial in t with rational coefficients on a
+    3-point path with measure (1, 2, 1): (kernel, measure, coefficients)."""
     n = 3
     sp, _, _ = build_space(range(n), [1.0, 2.0, 1.0],
                            [(0, 1, 1.0), (1, 2, 1.0)])
@@ -208,6 +220,13 @@ def test_folds_match_exact_rational_convolution(rng):
         for _ in range(3)
     ]
     f = ClosedFormKernel(sp, 2.0, sp.lam, lambda t: _poly_eval(coeffs, t))
+    return f, mu, coeffs
+
+
+def test_folds_match_exact_rational_convolution(rng):
+    # quadrature is polynomial-exact here, so every fold must agree with
+    # symbolic integration up to fold-cache resampling error
+    f, mu, coeffs = _rational_polynomial_kernel(rng)
     cache = FoldCache(f)
     exact = coeffs
     for ell in range(2, 7):
@@ -261,6 +280,90 @@ def test_rkhs_folds_are_exact_closed_form(rng, kind):
                 * np.max(np.abs(B))
             err = np.max(np.abs(cache.fold(ell).at(t) - want))
             assert err <= 1e-13 * scale, (kind, ell, t, err / scale)
+
+
+def _lowrank_case(case, rng):
+    """(kernel, fold horizon) of a kernel that takes the sampled factor."""
+    if case == "polynomial":
+        return _rational_polynomial_kernel(rng)[0], 0.25
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.5, 2.0))
+    if case.startswith("profile"):
+        # a heavy measure slows the generator enough that edges shorter
+        # than the horizon put the epanechnikov support edge inside it
+        sp = PointSpace(sp.points, np.full(sp.n, 4.0))
+        p = profile_parametrix(sp, cond, case.split("-")[1], horizon=1.0)
+        return p.heat_image, 0.6
+    if case == "spectral":
+        return spectral_parametrix(sp, cond, n_modes=sp.n - 2, horizon=1.0).H, 0.3
+    # the image of a rebuild: (A_new - A_old) times the old kernel
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=1.0), T=1.0)
+    W = cond.matrix * np.exp(rng.uniform(-0.3, 0.3, size=cond.matrix.shape))
+    diff = generator(sp, Conductance((W + W.T) / 2.0))[0] - res.generator_matrix
+    return ClosedFormKernel(sp, 1.0, res.weight, lambda t: diff @ res.K.at(t)), 0.3
+
+
+def _sup_and_row_mass(f, horizon):
+    samples = f.at_many(np.linspace(0.0, horizon, 257))
+    mass = np.abs(samples) @ np.abs(f.weight)
+    return float(np.max(np.abs(samples))), float(np.max(mass))
+
+
+@pytest.mark.parametrize("case", ["profile-epanechnikov", "profile-exponential",
+                                  "imported", "spectral", "polynomial"])
+def test_lowrank_folds_match_convolve(rng, case):
+    # every grid node of folds 2-6 against one `convolve` call on the same
+    # kernel and the same previous fold; they may differ by the residual
+    # the factor charges plus roundoff
+    f, horizon = _lowrank_case(case, rng)
+    assert not isinstance(f, SeparableKernel)
+    cache = FoldCache(f, horizon=horizon)
+    if case == "polynomial":
+        assert cache.factor.values.shape[0] == 3
+    C, norm1 = _sup_and_row_mass(f, horizon)
+    charge = residual_fold_bound(cache.factor.residual, cache.factor.residual_mass,
+                                 C, norm1, 0, horizon)
+    for ell in range(2, 7):
+        prev = cache.fold(ell - 1)
+        want = np.stack([convolve(f, prev, t) for t in cache.nodes])
+        err = np.max(np.abs(cache.fold(ell).values - want))
+        assert err <= charge + 1e-13 * np.max(np.abs(want)), (case, ell, err)
+
+
+def test_two_term_separable_folds_match_convolve(two_point, rng):
+    # a SeparableKernel sum e^{-t} B + t C folds through its own two terms,
+    # with no residual, as one convolve call per node does
+    sp, _, _ = two_point
+    B, C = rng.standard_normal((2, 2, 2))
+    f = SeparableKernel(sp, 1.0, sp.lam, lambda t: np.stack([np.exp(-t), t]), [B, C])
+    assert np.max(np.abs(f.at(0.4) - (np.exp(-0.4) * B + 0.4 * C))) < 1e-15
+    cache = FoldCache(f)
+    assert cache.factor.residual == 0.0 and cache.factor.values.shape[0] == 2
+    for ell in range(2, 7):
+        prev = cache.fold(ell - 1)
+        want = np.stack([convolve(f, prev, t) for t in cache.nodes])
+        assert np.max(np.abs(cache.fold(ell).values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_lowrank_residual_is_exact_and_deterministic(rng):
+    # the residual a sampled factor reports is the largest entry (and row
+    # mass) of f - sum_r phi_r M_r over the times the folds read,
+    # recomputed here one time at a time; a second factor is identical
+    f, horizon = _lowrank_case("profile-exponential", rng)
+    factor = TimeFactor(f, horizon, DEFAULT_QUAD)
+    assert 1 < factor.values.shape[0] < f.n ** 2
+    worst = mass = scale = 0.0
+    for j, t in enumerate(factor.nodes[1:]):
+        for q, tau in enumerate(factor.taus[j]):
+            exact = f.at(t - tau)
+            err = np.abs(exact - np.tensordot(factor.values[:, j, q], factor.matrices, axes=1))
+            worst = max(worst, float(np.max(err)))
+            mass = max(mass, float(np.max(err @ f.weight)))
+            scale = max(scale, float(np.max(np.abs(exact))))
+    assert abs(factor.residual - worst) <= 1e-15 * scale
+    assert abs(factor.residual_mass - mass) <= 1e-15 * scale * np.sum(f.weight)
+    again = TimeFactor(f, horizon, DEFAULT_QUAD)
+    assert np.array_equal(again.values, factor.values)
+    assert np.array_equal(again.matrices, factor.matrices)
 
 
 # ---------------------------------------------------------------- bounds
