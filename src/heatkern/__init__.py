@@ -23,7 +23,6 @@ from .space import (
     energy_inner,
     generator,
     graph_distances,
-    is_connected,
 )
 from .spectral import SpectralData, eigh_weighted, expm_series, jacobi_eigh, spectral_heat
 from .timekernel import (

@@ -187,8 +187,8 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             Fvals += ((-1) ** ell) * (cache.fold(ell).values if ell > 1 else f.at_many(cache.nodes))
         epsF = residual_fold_bound(cache.factor.residual, cache.factor.residual_mass,
                                    C, norm1, k, T_base)
-        # Free the folds first: K's samples allocated above them would pin
-        # the folds' heap pages until K itself is freed.
+        # Free the last fold and the factor first: K's samples allocated
+        # above them would pin their heap pages until K itself is freed.
         del cache
         Hf = TimeFactor(H, T_base, q)
         Fmax = C * T_base ** k / math.factorial(k) * math.exp(norm1 * T_base)

@@ -276,7 +276,8 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
     across the two decades below 0.1/rate when the envelope declares a
     rate; it must reach the declared order minus 0.1.  Both checks run
     under the sup, L2, and Hilbert pairing flavors, and the starter passes
-    if any flavor does.  The report is cached on the parametrix.
+    if any flavor does and the heat image stays under its declared
+    envelope C t^k.  The report is cached on the parametrix.
     """
     H = parametrix.H
     horizon = H.horizon
@@ -333,7 +334,9 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
         "2-2": bool(dirac_l2 and order_ok),
         "hilbert": bool(dirac_hil and order_ok),
     }
-    passed = any(flavors.values())
+    # The envelope is what the series certificate is built on, so no flavor
+    # passes a starter that violates it.
+    passed = env_ok and any(flavors.values())
     checks = (("dirac limit", dirac_sup or dirac_l2 or dirac_hil),
               ("order fit", order_ok), ("envelope", env_ok))
     report = ParametrixReport(

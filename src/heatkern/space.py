@@ -61,9 +61,6 @@ class Conductance:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
-    def weight(self, i: int, j: int) -> float:
-        return float(self.matrix[i, j])
-
 
 @dataclass(frozen=True, eq=False)
 class DegreeVector:
@@ -231,10 +228,6 @@ def connected_components(space: PointSpace, conductance: Conductance):
                     comp.append(j)
         comps.append(sorted(comp))
     return comps
-
-
-def is_connected(space: PointSpace, conductance: Conductance) -> bool:
-    return len(connected_components(space, conductance)) == 1
 
 
 def graph_distances(space: PointSpace, conductance: Conductance) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSelfAdjoint
+from .errors import DimensionMismatch, NotSelfAdjoint
 
 
 def jacobi_eigh(S, tol: float = 1e-14, max_sweeps: int = 60):
@@ -103,13 +103,20 @@ class SpectralData:
 def eigh_weighted(operator, mu) -> SpectralData:
     """Eigendecomposition of an operator self-adjoint in L^2(mu).
 
-    Symmetrizes as S = D^{1/2} A D^{-1/2} with D = diag(mu), rejects
-    operators whose symmetrized form is not symmetric (NotSelfAdjoint),
-    runs the Jacobi solver, and maps eigenvectors back to mu-orthonormal
-    functions phi = D^{-1/2} v.
+    mu is a measure vector, one entry per row of the operator
+    (DimensionMismatch otherwise, as for a matrix pairing).  Symmetrizes
+    as S = D^{1/2} A D^{-1/2} with D = diag(mu), rejects operators whose
+    symmetrized form is not symmetric (NotSelfAdjoint), runs the Jacobi
+    solver, and maps eigenvectors back to mu-orthonormal functions
+    phi = D^{-1/2} v.
     """
     A = np.asarray(operator, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    if mu.shape != A.shape[:1]:
+        raise DimensionMismatch(
+            f"eigh_weighted needs a measure vector of length {A.shape[0]}, "
+            f"got shape {mu.shape}"
+        )
     root = np.sqrt(mu)
     S = (A * root[:, None]) / root[None, :]
     scale = float(np.max(np.abs(S))) or 1.0

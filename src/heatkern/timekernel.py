@@ -11,9 +11,9 @@ the time variable with composite Gauss-Legendre panels split at t/2:
 
     (F * G)(x, y; t) = int_0^t sum_z F(x, z; t - tau) w(z) G(z, y; tau) dtau.
 
-Iterated self-convolutions ("folds") are cached as sampled kernels, and
-a factorial-decay majorant bounds everything beyond a truncation point,
-which is what certifies series built from these folds.
+Iterated self-convolutions ("folds") are streamed, each sampled from the
+one before, and a factorial-decay majorant bounds everything beyond a
+truncation point, which is what certifies series built from these folds.
 
 On a sampled grid every kernel is folded as a short sum in time,
 sum_r phi_r(t) M_r (see TimeFactor); `convolve`, one time at a time, is
@@ -175,22 +175,17 @@ class ClosedFormKernel(TimeKernel):
 
 
 class SeparableKernel(ClosedFormKernel):
-    """Kernel sum_r phi_r(t) M_r: scalar time profiles times matrices.
+    """Kernel phi(t) M: a scalar time profile times one matrix.
 
-    phi maps an array of times to the (r,) + times.shape profiles, or to
-    times.shape when r = 1; matrix is the (r, n, n) stack of the M_r, or
-    the single M_1.
+    phi maps an array of times to an array of the same shape.
     """
 
     def __init__(self, space, horizon, weight, phi, matrix, name=""):
-        self.phi, self.matrix = phi, np.asarray(matrix, dtype=float)
-        shape = self.matrix.shape[-2:]
-        self.terms = self.matrix.reshape((-1,) + shape)
-        flat = self.terms.reshape(self.terms.shape[0], -1)
+        self.phi = phi
+        self.matrix = M = np.asarray(matrix, dtype=float)
         # The evaluator must not refer to self: a reference cycle would keep
         # every kernel alive until the cyclic collector runs.
-        super().__init__(space, horizon, weight, lambda t: np.dot(
-            np.reshape(phi(t), -1), flat).reshape(shape), name)
+        super().__init__(space, horizon, weight, lambda t: phi(t) * M, name)
 
 
 class ChebKernel(TimeKernel):
@@ -318,7 +313,7 @@ class TimeFactor:
     and residual_mass are the largest entry and row mass (against |W|) of
     f - sum_r phi_r M_r over those times.
 
-    A SeparableKernel gives its own terms and no residual.  Any other
+    A SeparableKernel is its own single term, with no residual.  Any other
     kernel is factored by a randomized range finder (Halko, Martinsson &
     Tropp, SIAM Review 53, 2011) streamed node by node: a sketch pass sums
     fixed-seed Gaussian combinations of the samples and keeps the span of
@@ -338,8 +333,8 @@ class TimeFactor:
             *(_panel_points(t, quad.nodes_per_panel) for t in self.nodes[1:])))
         times = self.nodes[1:, None] - self.taus
         if isinstance(f, SeparableKernel):
-            self.matrices = f.terms
-            self.values = np.reshape(f.phi(times), (len(f.terms),) + times.shape)
+            self.matrices = f.matrix[None]
+            self.values = f.phi(times)[None]
             self.residual = self.residual_mass = 0.0
         else:
             self._sample(f, times)
@@ -397,14 +392,15 @@ class TimeFactor:
 
 
 class FoldCache:
-    """Iterated self-convolutions of a kernel, cached on a shared grid.
+    """Iterated self-convolutions of a kernel, streamed forward on one grid.
 
     fold(1) is the kernel itself; fold(l) samples f * fold(l-1) on the
     Chebyshev grid of [0, horizon] through the TimeFactor of f there:
     fold(2) from the factor alone, later folds from their predecessor's
-    samples, so no fold recurses.  `residual_fold_bound` bounds what the
-    factor's residual moves them.  Build sequentially; the cache only
-    grows and is safe to share once populated.
+    samples, so no fold recurses.  Only f and the newest fold are held:
+    fold(l) returns either of them or advances to a later l, dropping the
+    fold it leaves behind, and raises for a level in between.
+    `residual_fold_bound` bounds what the factor's residual moves them.
     """
 
     def __init__(self, f: TimeKernel, quad: QuadratureConfig | None = None,
@@ -417,11 +413,12 @@ class FoldCache:
         self._folds = {1: f}
 
     def fold(self, ell: int) -> TimeKernel:
-        if ell < 1:
-            raise DimensionMismatch("fold count must be at least 1")
         top = max(self._folds)
+        if ell < 1 or 1 < ell < top:
+            raise DimensionMismatch(
+                f"fold {ell} is not held: the cache holds 1 and {top} and only advances")
         while top < ell:
-            values = (self.factor.convolve(self._folds[top].values) if top > 1
+            values = (self.factor.convolve(self._folds.pop(top).values) if top > 1
                       else self.factor.self_convolve())
             top += 1
             self._folds[top] = ChebKernel(self.f.space, self.horizon, self.f.weight, values)

@@ -96,7 +96,7 @@ def test_integer_line_shape():
     sp, cond, deg = integer_line(3)
     assert sp.points == tuple(range(-3, 4))
     assert sp.n == 7
-    assert cond.weight(0, 1) == 1.0
+    assert cond.matrix[0, 1] == 1.0
     assert deg.c[0] == 1.0 and deg.c[3] == 2.0
 
 
@@ -106,7 +106,7 @@ def test_ball_truncate_line():
     assert sub.points == (-2, -1, 0, 1, 2)
     # boundary edges to +-3 are dropped, so the rim degree shrinks to 1
     assert subdeg.c[0] == 1.0 and subdeg.c[2] == 2.0
-    assert subcond.weight(0, 1) == 1.0
+    assert subcond.matrix[0, 1] == 1.0
 
 
 def test_ball_truncate_k3_radius_one_is_identity(k3):
@@ -362,6 +362,21 @@ def test_cli_rkhs_reports_semigroup_defect(k3_file, tmp_path, capsys, command):
     assert list(rep["defects"]) == ["semigroup_defect"]
     assert 0.0 <= rep["defects"]["semigroup_defect"] < RunConfig().tol
     assert rep["exit_reason"] == "ok"
+
+
+@pytest.mark.parametrize("command", ["oracle-compare", "green", "poisson"])
+def test_cli_rkhs_spectral_commands_report_input_error(k3_file, tmp_path, capsys,
+                                                       command):
+    # the spectral oracle diagonalizes in a measure; a Gram-paired build
+    # has none, so these commands refuse it as an input error
+    gram = _write(tmp_path, "gram.csv", "2,1,1\n1,2,1\n1,1,2\n")
+    cfg = _write(tmp_path, "rkhs.cfg", "parametrix.kind = rkhs\n")
+    out = tmp_path / "art"
+    code = main([command, "--edges", k3_file, "--config", cfg, "--gram", gram,
+                 "--out", str(out)])
+    assert code == 1
+    assert "DimensionMismatch" in capsys.readouterr().err
+    assert _report(out)["exit_reason"].startswith("input error: DimensionMismatch")
 
 
 def test_cli_bad_usage_exits_one(two_point_file, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heatkern import (
+    build_heat_kernel,
     build_space,
     dirac_parametrix,
     generator,
@@ -13,6 +14,7 @@ from heatkern import (
 from heatkern.errors import (
     BadTruncation,
     DimensionMismatch,
+    InvalidParametrix,
     NotPositiveDefinite,
     ProfileUnnormalizable,
 )
@@ -56,6 +58,20 @@ def test_dirac_envelope_obeyed(rng, kind):
     C, k = p.envelope["C"], p.order_k
     for t in np.linspace(0.01, 10.0, 23):
         assert np.max(np.abs(p.heat_image.at(t))) <= C * t ** k + 1e-9
+
+
+def test_violated_envelope_fails_validation(rng):
+    # every flavor's dirac and order checks pass here; the declared
+    # envelope is 1e12 times too small, so the certificate built on it
+    # would be unsound and the starter must be refused
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=6)
+    p = dirac_parametrix(sp, cond)
+    p.envelope["C"] *= 1e-12
+    rep = validate(p)
+    assert not rep.passed
+    assert rep.failed_checks == ("envelope",)
+    with pytest.raises(InvalidParametrix, match="envelope"):
+        build_heat_kernel(p, 2.0, tol=1e-4)
 
 
 def test_profile_exponential_ratio(two_point):

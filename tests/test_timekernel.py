@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -138,10 +139,10 @@ def test_ell_fold_single_point():
     sp, _, _ = build_space(["o"], None, [("o", "o", 1.0)])
     f = const_kernel(sp, np.ones((1, 1)))
     cache = FoldCache(f)
-    assert cache.fold(3).at(1.0)[0, 0] == pytest.approx(0.5, abs=1e-13)
-    for ell in (1, 2, 4, 6):
+    for ell in (1, 2, 3, 4, 6):
         want = 1.0 ** (ell - 1) / math.factorial(ell - 1)
-        assert cache.fold(ell).at(1.0)[0, 0] == pytest.approx(want, abs=1e-11)
+        tol = 1e-13 if ell == 3 else 1e-11
+        assert cache.fold(ell).at(1.0)[0, 0] == pytest.approx(want, abs=tol)
 
 
 def test_ell_fold_base_case(two_point, rng):
@@ -166,13 +167,38 @@ def test_ell_fold_rejects_bad_count(two_point):
         FoldCache(f).fold(0)
 
 
-def test_fold_cache_reuses_entries(two_point):
+def test_fold_cache_streams_forward(two_point):
+    # the series reads its folds in ascending order, so the cache holds the
+    # kernel and the newest fold only; a fold it has left behind raises
     sp, _, _ = two_point
     f = const_kernel(sp, np.ones((2, 2)))
     cache = FoldCache(f)
-    k3_ = cache.fold(3)
-    assert cache.fold(2) is cache._folds[2]
-    assert cache.fold(3) is k3_
+    top = cache.fold(5)
+    assert set(cache._folds) == {1, 5}
+    assert cache.fold(5) is top and cache.fold(1) is f
+    for ell in (2, 4):
+        with pytest.raises(DimensionMismatch):
+            cache.fold(ell)
+    want = 2.0 ** 5 / math.factorial(5)  # f = J, J J = 2 J: fold 6 is (2t)^5 / 5! J
+    assert cache.fold(6).at(1.0)[0, 0] == pytest.approx(want, abs=1e-12)
+    assert set(cache._folds) == {1, 6}
+
+
+def test_dirac_build_peak_memory_is_a_few_fold_blocks():
+    # holding every fold put one (m+1, n, n) block per term on the traced
+    # peak (27 blocks here); streaming them holds the build to a handful
+    rng = np.random.default_rng(60)
+    sp, cond, _ = random_connected_graph(rng, n_min=60, n_max=60)
+    p = dirac_parametrix(sp, cond, horizon=10.0)
+    tracemalloc.start()
+    try:
+        res = build_heat_kernel(p, T=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (DEFAULT_QUAD.cheb_degree + 1) * sp.n ** 2 * 8
+    assert res.terms_used >= 20
+    assert peak <= 8 * block, peak / block
 
 
 # ---------------------------------------------------------------- exact folds
@@ -327,21 +353,6 @@ def test_lowrank_folds_match_convolve(rng, case):
         want = np.stack([convolve(f, prev, t) for t in cache.nodes])
         err = np.max(np.abs(cache.fold(ell).values - want))
         assert err <= charge + 1e-13 * np.max(np.abs(want)), (case, ell, err)
-
-
-def test_two_term_separable_folds_match_convolve(two_point, rng):
-    # a SeparableKernel sum e^{-t} B + t C folds through its own two terms,
-    # with no residual, as one convolve call per node does
-    sp, _, _ = two_point
-    B, C = rng.standard_normal((2, 2, 2))
-    f = SeparableKernel(sp, 1.0, sp.lam, lambda t: np.stack([np.exp(-t), t]), [B, C])
-    assert np.max(np.abs(f.at(0.4) - (np.exp(-0.4) * B + 0.4 * C))) < 1e-15
-    cache = FoldCache(f)
-    assert cache.factor.residual == 0.0 and cache.factor.values.shape[0] == 2
-    for ell in range(2, 7):
-        prev = cache.fold(ell - 1)
-        want = np.stack([convolve(f, prev, t) for t in cache.nodes])
-        assert np.max(np.abs(cache.fold(ell).values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_lowrank_residual_is_exact_and_deterministic(rng):
