@@ -1,11 +1,14 @@
 """Spectral ground truth, independent of the series construction.
 
-The eigensolver is a cyclic Jacobi iteration on the measure-symmetrized
-generator.  It shares no code with the series engine or with any external
-eigensolver, so agreement between the engine's kernels and the spectral
-expansion is a meaningful cross-check.  A Taylor-core scaling-and-squaring
-matrix exponential gives a second, basis-free oracle: the two oracles work
-from the same matrix but through unrelated algorithms.
+The eigensolver is a Jacobi iteration on the measure-symmetrized
+generator, in the round-robin parallel ordering of Brent & Luk (SIAM J.
+Sci. Stat. Comput. 6, 1985), so each round's disjoint rotations run as
+array operations.  It shares no code with the series engine or with any
+external eigensolver, so agreement between the engine's kernels and the
+spectral expansion is a meaningful cross-check.  A Taylor-core
+scaling-and-squaring matrix exponential gives a second, basis-free oracle:
+the two oracles work from the same matrix but through unrelated
+algorithms.
 """
 
 from __future__ import annotations
@@ -15,53 +18,85 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSelfAdjoint
+from .errors import (
+    DimensionMismatch,
+    NoConvergenceBudget,
+    NonpositiveMeasure,
+    NotSelfAdjoint,
+)
+
+
+def _round_robin(n: int):
+    """Pairs (P, Q), P < Q, of each round of one round-robin sweep over n.
+
+    An odd n gets one phantom index so that m = n + 1 is even; the pair
+    holding it has no couplings and is dropped, so that round leaves one
+    real index untouched.  Every real pair appears in exactly one of the
+    m - 1 rounds, and the pairs of a round are disjoint.
+    """
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(np.arange(1, m), r)))
+        a, b = order[: m // 2], order[: m // 2 - 1 : -1]
+        P, Q = np.minimum(a, b), np.maximum(a, b)
+        keep = Q < n
+        rounds.append((P[keep], Q[keep]))
+    return rounds
 
 
 def jacobi_eigh(S, tol: float = 1e-14, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by parallel-ordered Jacobi.
 
-    Sweeps zero out every off-diagonal pair in turn until the off-diagonal
-    Frobenius norm falls below tol times the matrix scale.  Returns
+    Each sweep visits every off-diagonal pair once, in the round-robin
+    parallel ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6,
+    1985): m - 1 rounds of disjoint pairs, m = n rounded up to even.
+    Disjoint rotations commute and leave each other's 2x2 blocks alone,
+    so a round takes all its angles from the matrix it starts from and
+    applies them as whole-array operations.  Sweeps continue until the
+    off-diagonal Frobenius norm falls below tol times the matrix scale;
+    NoConvergenceBudget if max_sweeps sweeps do not get there.  Returns
     (eigenvalues ascending, orthonormal eigenvectors as columns).
     """
     A = np.array(S, dtype=float)
     n = A.shape[0]
     V = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), V
     scale = math.sqrt(float(np.sum(A * A))) or 1.0
     skip = tol * scale * 1e-2
     mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
+    rounds = _round_robin(n)
+    for sweep in range(max_sweeps + 1):
         # Summing the squared off-diagonal entries directly; the textbook
         # ||A||_F^2 - ||diag||^2 form cancels catastrophically once the
         # off part is small and can report zero while entries sit at
         # sqrt(eps) scale.
-        off2 = float(np.sum(A[mask] ** 2))
-        if math.sqrt(max(off2, 0.0)) <= tol * scale:
+        off = math.sqrt(max(float(np.sum(A[mask] ** 2)), 0.0))
+        if off <= tol * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                cs = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * cs
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = cs * col_p - sn * col_q
-                A[:, q] = sn * col_p + cs * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = cs * row_p - sn * row_q
-                A[q, :] = sn * row_p + cs * row_q
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = cs * vp - sn * vq
-                V[:, q] = sn * vp + cs * vq
+        if sweep == max_sweeps:
+            raise NoConvergenceBudget(
+                f"Jacobi eigensolver left off-diagonal norm {off:.3e} above "
+                f"{tol * scale:.3e} after {max_sweeps} sweeps"
+            )
+        for P, Q in rounds:
+            apq = A[P, Q]
+            live = np.abs(apq) > skip
+            if not live.any():
+                continue
+            p, q, apq = P[live], Q[live], apq[live]
+            theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            cs = 1.0 / np.sqrt(t * t + 1.0)
+            sn = t * cs
+            col_p, col_q = A[:, p], A[:, q]
+            A[:, p] = cs * col_p - sn * col_q
+            A[:, q] = sn * col_p + cs * col_q
+            row_p, row_q = A[p, :], A[q, :]
+            A[p, :] = cs[:, None] * row_p - sn[:, None] * row_q
+            A[q, :] = sn[:, None] * row_p + cs[:, None] * row_q
+            vp, vq = V[:, p], V[:, q]
+            V[:, p] = cs * vp - sn * vq
+            V[:, q] = sn * vp + cs * vq
     lam = np.diag(A).copy()
     order = np.argsort(lam, kind="stable")
     return lam[order], V[:, order]
@@ -104,11 +139,12 @@ def eigh_weighted(operator, mu) -> SpectralData:
     """Eigendecomposition of an operator self-adjoint in L^2(mu).
 
     mu is a measure vector, one entry per row of the operator
-    (DimensionMismatch otherwise, as for a matrix pairing).  Symmetrizes
+    (DimensionMismatch otherwise, as for a matrix pairing) with every
+    entry finite and positive (NonpositiveMeasure otherwise).  Symmetrizes
     as S = D^{1/2} A D^{-1/2} with D = diag(mu), rejects operators whose
-    symmetrized form is not symmetric (NotSelfAdjoint), runs the Jacobi
-    solver, and maps eigenvectors back to mu-orthonormal functions
-    phi = D^{-1/2} v.
+    symmetrized form is not symmetric or not finite (NotSelfAdjoint), runs
+    the Jacobi solver, and maps eigenvectors back to mu-orthonormal
+    functions phi = D^{-1/2} v.
     """
     A = np.asarray(operator, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -117,11 +153,19 @@ def eigh_weighted(operator, mu) -> SpectralData:
             f"eigh_weighted needs a measure vector of length {A.shape[0]}, "
             f"got shape {mu.shape}"
         )
+    bad = ~(np.isfinite(mu) & (mu > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonpositiveMeasure(
+            f"eigh_weighted needs a finite positive measure, "
+            f"got mu[{i}] = {float(mu[i])!r}"
+        )
     root = np.sqrt(mu)
     S = (A * root[:, None]) / root[None, :]
     scale = float(np.max(np.abs(S))) or 1.0
     defect = float(np.max(np.abs(S - S.T)))
-    if defect > 1e-10 * scale:
+    # Written so that a NaN defect or scale (a non-finite operator) fails.
+    if not defect <= 1e-10 * scale:
         raise NotSelfAdjoint(
             f"operator is not self-adjoint in the given measure "
             f"(symmetrization defect {defect:.3e} at scale {scale:.3e})"

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from heatkern import (
     expm_series,
     generator,
     jacobi_eigh,
+    spectral,
     spectral_heat,
 )
+from heatkern.errors import NoConvergenceBudget, NonpositiveMeasure, NotSelfAdjoint
 
 from _graphs import random_connected_graph
 
@@ -35,6 +39,56 @@ def test_jacobi_off_diagonal_is_annihilated(rng):
     D = vecs.T @ S @ vecs
     off = D - np.diag(np.diag(D))
     assert np.max(np.abs(off)) < 1e-13 * max(1.0, np.max(np.abs(vals)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 41])
+def test_jacobi_odd_sizes_and_padding(rng, n):
+    # an odd n pairs one index with a phantom in every round; that index
+    # must still be rotated against every other one within a sweep
+    S = rng.standard_normal((n, n))
+    S = (S + S.T) / 2.0
+    vals, vecs = jacobi_eigh(S)
+    ref = np.linalg.eigvalsh(S)
+    scale = max(1.0, np.max(np.abs(ref)))
+    assert vals.shape == (n,) and vecs.shape == (n, n)
+    assert np.max(np.abs(vals - ref)) < 1e-12 * scale
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) < 1e-13
+    assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - S)) < 1e-12 * scale
+
+
+def test_jacobi_diagonal_input_is_returned_unchanged():
+    d = np.array([-2.0, 0.5, 1.0, 3.0, 7.0])
+    vals, vecs = jacobi_eigh(np.diag(d))
+    assert np.array_equal(vals, d)
+    assert np.array_equal(vecs, np.eye(5))
+
+
+def test_jacobi_sweep_budget_is_typed(rng):
+    S = rng.standard_normal((30, 30))
+    S = (S + S.T) / 2.0
+    with pytest.raises(NoConvergenceBudget):
+        jacobi_eigh(S, max_sweeps=1)
+
+
+def test_spectral_module_uses_no_linalg():
+    # the oracle is only independent while it shares no code with LAPACK
+    assert "linalg" not in inspect.getsource(spectral)
+
+
+def test_eigh_weighted_rejects_non_finite_operator(k3):
+    sp, cond, _ = k3
+    A, mu = generator(sp, cond, "combinatorial")
+    A[0, 1] = A[1, 0] = np.nan
+    with pytest.raises(NotSelfAdjoint):
+        eigh_weighted(A, mu)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_eigh_weighted_rejects_nonpositive_measure(k3, bad):
+    sp, cond, _ = k3
+    A, _ = generator(sp, cond, "combinatorial")
+    with pytest.raises(NonpositiveMeasure):
+        eigh_weighted(A, np.array([1.0, bad, 1.0]))
 
 
 def test_eigh_weighted_two_point(two_point):
@@ -123,6 +177,20 @@ def test_degenerate_modes_compared_as_kernels(k3):
     off = (1.0 - np.exp(-3.0 * t)) / 3.0
     want = np.full((3, 3), off) + np.diag(np.full(3, diag - off))
     assert np.max(np.abs(K - want)) < 1e-13
+
+
+def test_degenerate_k6_compared_as_kernels():
+    # eigenvalue 6 of the unit K6 has multiplicity five
+    names = list("abcdef")
+    edges = [(a, b, 1.0) for i, a in enumerate(names) for b in names[i + 1:]]
+    sp, cond, _ = build_space(names, None, edges)
+    A, mu = generator(sp, cond, "combinatorial")
+    spec = eigh_weighted(A, mu)
+    assert np.allclose(spec.eigenvalues, [0.0] + [6.0] * 5, atol=1e-12)
+    t = 0.3
+    decay = np.exp(-6.0 * t)
+    want = np.full((6, 6), (1.0 - decay) / 6.0) + np.eye(6) * decay
+    assert np.max(np.abs(spectral_heat(spec, t) - want)) < 1e-13
 
 
 def test_expm_series_diagonal():
