@@ -44,6 +44,7 @@ from .timekernel import (
     lobatto_nodes,
     residual_fold_bound,
     series_tail_bound,
+    sup_norms,
 )
 
 # Largest admissible (stiffness) x (base horizon) before the series is
@@ -81,13 +82,13 @@ def _operator_rate(A: np.ndarray) -> float:
 
 def _row_mass_norm(f: TimeKernel, weight: np.ndarray, ts: np.ndarray) -> float:
     """sup_t max_x sum_z |f(x, z; t)| paired against the weight."""
-    worst = 0.0
     absw = np.abs(weight)
-    for t in ts:
-        M = np.abs(f.at(t))
-        mass = M @ absw if absw.ndim == 1 else np.max(np.sum(M @ absw, axis=1))
-        worst = max(worst, float(np.max(mass)))
-    return worst
+
+    def mass(M):
+        np.abs(M, out=M)
+        return np.max(M @ absw if absw.ndim == 1 else np.sum(M @ absw, axis=2), axis=1)
+
+    return float(np.max(f.per_time(ts, mass)))
 
 
 def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
@@ -238,12 +239,8 @@ def heat_residual(result: HeatKernelResult) -> float:
     """max |d/dt K + A K| at nine nodes of the base grid, by spectral
     differentiation, with the build's own generator A."""
     A, base = result.generator_matrix, result.K.base
-    dvals = base.dvalues
-    worst = 0.0
     idx = np.linspace(0, base.nodes.shape[0] - 1, 9).astype(int)
-    for j in idx:
-        worst = max(worst, float(np.max(np.abs(dvals[j] + A @ base.values[j]))))
-    return worst
+    return float(np.max(np.abs(base.dvalues[idx] + A @ base.values[idx])))
 
 
 def cross_parametrix_build(result: HeatKernelResult,
@@ -289,15 +286,11 @@ def cross_parametrix_build(result: HeatKernelResult,
         raise HorizonExceeded("previous kernel does not reach the new horizon")
     diff = A_new - A_old
 
-    def H_at(t):
-        return Kp.at(t) * scale[None, :]
-
-    H = ClosedFormKernel(new_space, horizon, mu_new, H_at, name="imported")
-    image = ClosedFormKernel(new_space, horizon, mu_new,
-                             evaluator=lambda t: diff @ H_at(t),
+    H = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: Kp.at_many(ts) * scale,
+                         name="imported")
+    image = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: diff @ H.at_many(ts),
                              name="imported-image")
-    ts = _sample_grid(horizon)
-    Cimg = max(float(np.max(np.abs(image.at(t)))) for t in ts)
+    Cimg = float(np.max(image.per_time(_sample_grid(horizon), sup_norms)))
     Cimg = Cimg * (1.0 + 1e-6) + 1e-300
     # The imported starter varies on the old kernel's time scale even when
     # the perturbation (and hence the series norm) is tiny.

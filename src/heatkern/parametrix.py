@@ -35,7 +35,7 @@ from .space import (
     graph_distances,
 )
 from .spectral import SpectralData, eigh_weighted
-from .timekernel import ClosedFormKernel, SeparableKernel, TimeKernel, constant_kernel, pair
+from .timekernel import ClosedFormKernel, SeparableKernel, TimeKernel, constant_kernel, pair, sup_norms
 
 
 @dataclass
@@ -104,16 +104,23 @@ def dirac_parametrix(space: PointSpace, conductance: Conductance,
                       space, conductance, kind, A, mu)
 
 
-_PROFILES = {
-    "epanechnikov": (
-        lambda u: np.where(u < 1.0, 0.75 * (1.0 - u * u), 0.0),
-        lambda u: np.where(u < 1.0, -1.5 * u, 0.0),
-    ),
-    "exponential": (
-        lambda u: np.exp(-u),
-        lambda u: -np.exp(-u),
-    ),
-}
+def _epanechnikov(u):
+    inside = u < 1.0
+    Fd = np.multiply(-1.5, u, out=np.zeros_like(u), where=inside)
+    u *= u
+    np.subtract(1.0, u, out=u)
+    u *= 0.75
+    u[~inside] = 0.0
+    return u, Fd
+
+
+def _exponential(u):
+    F = np.exp(np.negative(u, out=u), out=u)
+    return F, -F
+
+
+# Each profile maps a block u = d / t, which it overwrites, to (F(u), F'(u)).
+_PROFILES = {"epanechnikov": _epanechnikov, "exponential": _exponential}
 
 
 def profile_parametrix(space: PointSpace, conductance: Conductance,
@@ -131,50 +138,56 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
         raise DimensionMismatch(
             f"unknown profile {profile!r}; expected one of {tuple(_PROFILES)}"
         )
-    F, Fp = _PROFILES[profile]
+    profile_fn = _PROFILES[profile]
     A, mu = generator(space, conductance, kind)
     d = graph_distances(space, conductance) if distances is None else np.asarray(distances, dtype=float)
     if d.shape != (space.n, space.n):
         raise DimensionMismatch("distance matrix does not match the space")
     limit = np.diag(1.0 / mu)
+    image_limit = A @ limit
 
-    def shape(t):
-        # d/t, F(d/t) and the row normalizer S, shared by H and its image.
-        U = d / t
-        Fv = F(U)
+    def shape(ts):
+        # F(d/t), F'(d/t) and the row normalizer S, shared by H and its image;
+        # rows at t = 0 are taken at the horizon, then set to their limit.
+        zero = ts <= 0.0
+        t = np.where(zero, horizon, ts)[:, None, None]
+        Fv, Fd = profile_fn(d / t)
         S = Fv @ mu
-        if np.any(S <= 0.0):
-            x = space.points[int(np.argmin(S))]
+        bad = np.any(S <= 0.0, axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            x = space.points[int(np.argmin(S[i]))]
             raise ProfileUnnormalizable(
-                f"profile mass vanished on the row of point {x!r} at t={t}"
+                f"profile mass vanished on the row of point {x!r} at t={ts[i]}"
             )
-        return U, Fv, S
+        return zero, t, Fv, Fd, S[:, :, None]
 
-    def H_at(t):
-        if t <= 0.0:
-            return limit
-        _, Fv, S = shape(t)
-        return Fv / S[:, None]
+    def H_at(ts):
+        zero, _, Fv, _, S = shape(ts)
+        Fv /= S
+        Fv[zero] = limit
+        return Fv
 
-    def image_at(t):
+    def image_at(ts):
         # d/dt H + A H, with d/dt H = F'/S - F S'/S^2 (0 at t = 0).
-        if t <= 0.0:
-            return A @ limit
-        U, Fv, S = shape(t)
-        Fd = Fp(U) * (-d / t ** 2)
+        zero, t, Fv, Fd, S = shape(ts)
+        w = np.divide(-d, t ** 2)
+        Fd *= w
         Sd = Fd @ mu
-        return (Fd / S[:, None] - Fv * (Sd / S ** 2)[:, None]) + A @ (Fv / S[:, None])
+        Fd /= S
+        H = np.divide(Fv, S, out=w)
+        Fv *= Sd[:, :, None] / S ** 2
+        Fd -= Fv
+        Fd += np.matmul(A, H, out=Fv)
+        Fd[zero] = image_limit
+        return Fd
 
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"profile-{profile}")
     image = ClosedFormKernel(space, horizon, mu, image_at, name=f"profile-{profile}-image")
     # Row masses must be exactly normalizable everywhere on the horizon.
     ts = np.geomspace(horizon * 1e-5, horizon, 160)
-    sup = 0.0
-    for t in ts:
-        val = float(np.max(np.abs(image.at(t))))
-        ref = t ** order if order else 1.0
-        sup = max(sup, val / ref)
-    C = sup * 1.05 + 1e-300
+    sup = np.max(image.per_time(ts, sup_norms) / (ts ** order if order else 1.0))
+    C = float(sup) * 1.05 + 1e-300
     return Parametrix(H, image, order, f"profile-{profile}",
                       {"C": C},
                       space, conductance, kind, A, mu,
@@ -201,8 +214,8 @@ def spectral_parametrix(space: PointSpace, conductance: Conductance, n_modes: in
     lam = spec.eigenvalues[:n_modes]
     phi = spec.eigenvectors[:, :n_modes]
 
-    def H_at(t):
-        return (phi * np.exp(-lam * t)) @ phi.T
+    def H_at(ts):
+        return (phi * np.exp(np.outer(ts, -lam))[:, None, :]) @ phi.T
 
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"spectral-{n_modes}")
     zero = np.zeros((space.n, space.n))
@@ -250,11 +263,7 @@ def rkhs_parametrix(space: PointSpace, gram: np.ndarray, conductance: Conductanc
 
 def _dirac_residuals(H: TimeKernel, pairing: np.ndarray, ts: np.ndarray) -> np.ndarray:
     eye = np.eye(H.n)
-    out = np.empty(ts.shape[0])
-    for i, t in enumerate(ts):
-        M = H.at(t)
-        out[i] = float(np.max(np.abs(pair(M, pairing) - eye)))
-    return out
+    return H.per_time(ts, lambda M: sup_norms(pair(M, pairing) - eye))
 
 
 def _monotone_to_zero(res: np.ndarray, tolerance: float) -> bool:
@@ -303,8 +312,7 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
         hi = min(hi, 0.1 / rate)
         lo = hi / 100.0
     ts_fit = np.geomspace(lo, hi, 20)
-    sup_vals = np.array([float(np.max(np.abs(parametrix.heat_image.at(t))))
-                         for t in ts_fit])
+    sup_vals = parametrix.heat_image.per_time(ts_fit, sup_norms)
     if np.max(sup_vals) < 1e-250:
         fitted = np.inf
         order_note = "heat image vanishes identically; order fit skipped"
@@ -323,10 +331,8 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
 
     # L2 flavor: same limit, measured in mu-weighted row 2-norms.
     eye = np.eye(H.n)
-    res_l2 = np.empty(ts_desc.shape[0])
-    for i, t in enumerate(ts_desc):
-        M = H.at(t) * measure[None, :] - eye
-        res_l2[i] = float(np.max(np.sqrt((M * M) @ measure)))
+    res_l2 = H.per_time(ts_desc, lambda M: np.max(
+        np.sqrt(np.square(pair(M, measure) - eye) @ measure), axis=1))
     dirac_l2 = _monotone_to_zero(res_l2, tolerance * np.sqrt(float(measure.sum())))
 
     flavors = {

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    HorizonExceeded,
     NoConvergenceBudget,
     NonpositiveMeasure,
     NotSelfAdjoint,
@@ -178,8 +179,8 @@ def eigh_weighted(operator, mu) -> SpectralData:
 
 def spectral_heat(spec: SpectralData, t: float) -> np.ndarray:
     """Heat kernel K(x, y; t) = sum_n exp(-lambda_n t) phi_n(x) phi_n(y)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise HorizonExceeded(f"time must be finite and nonnegative, got {t}")
     phi = spec.eigenvectors
     return (phi * np.exp(-spec.eigenvalues * t)) @ phi.T
 
@@ -189,9 +190,15 @@ def expm_series(A, t: float, tol: float = 1e-13) -> np.ndarray:
 
     Scales so the Taylor argument has 1-norm at most 1/2, sums terms until
     they fall below the (squaring-adjusted) tolerance, then squares back.
-    Independent of the eigensolver path.
+    Independent of the eigensolver path.  A time or an operator entry that
+    is not finite raises HorizonExceeded or NotSelfAdjoint.
     """
-    B = -t * np.asarray(A, dtype=float)
+    if not math.isfinite(t):
+        raise HorizonExceeded(f"time must be finite, got {t}")
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise NotSelfAdjoint("operator has entries that are not finite")
+    B = -t * A
     n = B.shape[0]
     norm = float(np.max(np.sum(np.abs(B), axis=0))) if n else 0.0
     s = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))

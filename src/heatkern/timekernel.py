@@ -2,8 +2,12 @@
 
 A kernel maps (x, y, t) to a real value for points x, y of a finite space
 and t on a closed horizon [0, T].  Two representations are supported:
-closed forms (an evaluator of t) and Chebyshev-Lobatto samples with
-barycentric interpolation.
+closed forms and Chebyshev-Lobatto samples with barycentric interpolation.
+A closed form is a batched evaluator from a 1-D array of k <= BLOCK times
+in [0, T] to a new (k, n, n) array of the kernel at those times: `at_many`
+calls it once per block of BLOCK times, and `at(t)` is `at_many` of one
+time.  `per_time` reduces a long time grid block by block, so that a
+caller holds one block of samples beyond its output.
 
 The convolution pairs the space variable through a weight (a measure
 vector, or a full symmetric matrix for Hilbert pairings) and integrates
@@ -35,6 +39,9 @@ from .errors import (
 from .space import PointSpace
 
 _leggauss_cache = {}
+# Most times per evaluator call and reduction block: one node's panel times on
+# the default grid.  Larger blocks gain no speed and raise peak RSS at n = 100.
+BLOCK = 32
 
 
 def gauss_legendre(npts: int):
@@ -111,6 +118,11 @@ def pair(M: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return M * weight[None, :] if weight.ndim == 1 else M @ weight
 
 
+def sup_norms(block: np.ndarray) -> np.ndarray:
+    """max |M| of each matrix M of a (k, n, n) block, overwriting the block."""
+    return np.abs(block, out=block).max(axis=(1, 2))
+
+
 class TimeKernel:
     """Base class: a kernel on space x space x [0, horizon].
 
@@ -132,20 +144,28 @@ class TimeKernel:
     def n(self) -> int:
         return self.space.n
 
-    def _check_time(self, t: float) -> float:
-        t = float(t)
+    def _check_times(self, ts) -> np.ndarray:
+        """ts flat and clipped to [0, horizon]; HorizonExceeded (NaN too) beyond roundoff."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         slack = 1e-9 * self.horizon
-        if t < -slack or t > self.horizon + slack:
+        bad = ~((ts >= -slack) & (ts <= self.horizon + slack))
+        if bad.any():
             raise HorizonExceeded(
-                f"time {t} outside the kernel horizon [0, {self.horizon}]"
+                f"time {ts[bad][0]} outside the kernel horizon [0, {self.horizon}]"
             )
-        return min(max(t, 0.0), self.horizon)
+        return np.clip(ts, 0.0, self.horizon)
 
     def at(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
     def at_many(self, ts) -> np.ndarray:
         return np.stack([self.at(t) for t in np.atleast_1d(ts)])
+
+    def per_time(self, ts, reduce) -> np.ndarray:
+        """reduce(at_many(block)), one value per time, over blocks of BLOCK
+        times of ts; reduce may overwrite the block it is given."""
+        return np.concatenate([reduce(self.at_many(ts[i:i + BLOCK]))
+                               for i in range(0, ts.shape[0], BLOCK)])
 
     def same_space(self, other: "TimeKernel") -> bool:
         return self.space is other.space or self.space.points == other.space.points
@@ -157,7 +177,13 @@ class TimeKernel:
 
 
 class ClosedFormKernel(TimeKernel):
-    """Kernel given by an evaluator t -> matrix, valid on [0, horizon]."""
+    """Kernel given by a batched evaluator, valid on [0, horizon].
+
+    evaluator maps a 1-D array of k <= BLOCK times, already checked and
+    clipped to [0, horizon], to a new (k, n, n) array (DimensionMismatch
+    otherwise) that callers may overwrite.  at_many calls it once per
+    block of BLOCK times, and at(t) is at_many of one time.
+    """
 
     def __init__(self, space, horizon, weight, evaluator, name=""):
         super().__init__(space, horizon, weight)
@@ -165,12 +191,22 @@ class ClosedFormKernel(TimeKernel):
         self.name = name
 
     def at(self, t: float) -> np.ndarray:
-        t = self._check_time(t)
-        out = np.asarray(self.evaluator(t), dtype=float)
-        if out.shape != (self.n, self.n):
-            raise DimensionMismatch(
-                f"evaluator returned shape {out.shape}, expected {(self.n, self.n)}"
-            )
+        return self.at_many(t)[0]
+
+    def at_many(self, ts) -> np.ndarray:
+        ts = self._check_times(ts)
+        if ts.shape[0] <= BLOCK:
+            return self._evaluate(ts)
+        out = np.empty((ts.shape[0], self.n, self.n))
+        for i in range(0, ts.shape[0], BLOCK):
+            out[i:i + BLOCK] = self._evaluate(ts[i:i + BLOCK])
+        return out
+
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.evaluator(ts), dtype=float)
+        if out.shape != (ts.shape[0], self.n, self.n):
+            raise DimensionMismatch(f"evaluator returned shape {out.shape}, "
+                                    f"expected {(ts.shape[0], self.n, self.n)}")
         return out
 
 
@@ -185,7 +221,7 @@ class SeparableKernel(ClosedFormKernel):
         self.matrix = M = np.asarray(matrix, dtype=float)
         # The evaluator must not refer to self: a reference cycle would keep
         # every kernel alive until the cyclic collector runs.
-        super().__init__(space, horizon, weight, lambda t: phi(t) * M, name)
+        super().__init__(space, horizon, weight, lambda ts: phi(ts)[:, None, None] * M, name)
 
 
 class ChebKernel(TimeKernel):
@@ -205,13 +241,11 @@ class ChebKernel(TimeKernel):
         self._dvalues = None
 
     def at(self, t: float) -> np.ndarray:
-        t = self._check_time(t)
-        M = interp_matrix(self.nodes, self.bary, np.array([t]))
-        return np.einsum("j,jxy->xy", M[0], self.values)
+        M = interp_matrix(self.nodes, self.bary, self._check_times(t))
+        return (M[0] @ self.values.reshape(self.degree + 1, -1)).reshape(self.n, self.n)
 
     def at_many(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ts = np.array([self._check_time(t) for t in ts])
+        ts = self._check_times(ts)
         M = interp_matrix(self.nodes, self.bary, ts)
         return np.einsum("kj,jxy->kxy", M, self.values)
 
@@ -245,8 +279,8 @@ class SemigroupKernel(TimeKernel):
 
     def at(self, t: float) -> np.ndarray:
         t = float(t)
-        if t < 0:
-            raise HorizonExceeded(f"time {t} is negative")
+        if not 0.0 <= t < math.inf:
+            raise HorizonExceeded(f"time {t} is negative or not finite")
         Tb = self.base.horizon
         if t <= Tb:
             return self.base.at(t)
@@ -282,7 +316,7 @@ def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
         raise SpaceMismatch("kernels carry different convolution pairings")
     t = float(t)
     horizon = min(F1.horizon, F2.horizon)
-    if t < 0 or t > horizon * (1 + 1e-9):
+    if not 0.0 <= t <= horizon * (1 + 1e-9):
         raise HorizonExceeded(f"time {t} outside the shared horizon [0, {horizon}]")
     t = min(t, horizon)
     if t == 0.0:
@@ -326,7 +360,7 @@ class TimeFactor:
     """
 
     def __init__(self, f: TimeKernel, horizon: float, quad: QuadratureConfig):
-        f._check_time(horizon)  # HorizonExceeded past the horizon of f
+        f._check_times(horizon)  # HorizonExceeded past the horizon of f
         self.weight = f.weight
         self.nodes = lobatto_nodes(quad.cheb_degree, horizon)
         self.taus, self.gw = (np.array(a) for a in zip(

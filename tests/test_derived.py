@@ -8,6 +8,7 @@ import pytest
 
 from heatkern import (
     ClosedFormKernel,
+    SeparableKernel,
     build_heat_kernel,
     build_space,
     diagnostics,
@@ -249,7 +250,7 @@ def test_entropy_requires_unit_mass(two_point):
     sp, cond, _ = two_point
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=5.0, tol=1e-10)
     leaky = ClosedFormKernel(sp, 5.0, res.weight,
-                             lambda t: 0.9 * res.K.at(t))
+                             lambda ts: 0.9 * res.K.at_many(ts))
     with pytest.raises(NotStochasticallyComplete):
         entropy(dataclasses.replace(res, K=leaky), "a", 1.0)
 
@@ -257,7 +258,7 @@ def test_entropy_requires_unit_mass(two_point):
 def test_entropy_rejects_vanished_entries(two_point):
     sp, cond, _ = two_point
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=5.0, tol=1e-10)
-    frozen = ClosedFormKernel(sp, 5.0, res.weight, lambda t: np.eye(2))
+    frozen = SeparableKernel(sp, 5.0, res.weight, np.ones_like, np.eye(2))
     broken = dataclasses.replace(res, K=frozen)
     with pytest.raises(NonpositiveEntry):
         entropy(broken, "a", 1.0)
@@ -346,7 +347,7 @@ def test_diagnostics_clean_on_oracle_kernel(k3):
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=5.0, tol=1e-8)
     spec = eigh_weighted(res.generator_matrix, res.weight)
     oracle = ClosedFormKernel(sp, 5.0, res.weight,
-                              lambda t: spectral_heat(spec, t))
+                              lambda ts: np.stack([spectral_heat(spec, t) for t in ts]))
     diag = diagnostics(dataclasses.replace(res, K=oracle))
     assert diag.semigroup_defect < 1e-10
     assert diag.symmetry_defect < 1e-10

@@ -145,8 +145,10 @@ def test_duhamel_identity(two_point, rng):
     p = dirac_parametrix(sp, cond, horizon=2.0)
     B = rng.standard_normal((2, 2))
     C = rng.standard_normal((2, 2))
-    f = ClosedFormKernel(sp, 2.0, mu, lambda t: np.exp(-0.4 * t) * B + t * C)
-    conv = ClosedFormKernel(sp, 2.0, mu, lambda t: convolve(p.H, f, t))
+    f = ClosedFormKernel(sp, 2.0, mu, lambda ts: np.exp(-0.4 * ts)[:, None, None] * B
+                         + ts[:, None, None] * C)
+    conv = ClosedFormKernel(sp, 2.0, mu,
+                            lambda ts: np.stack([convolve(p.H, f, t) for t in ts]))
     g = ChebKernel(sp, 2.0, mu, conv.at_many(lobatto_nodes(32, 2.0)))
     dg = ChebKernel(sp, 2.0, mu, g.dvalues)
     for t in (0.3, 0.9, 1.6):

@@ -12,7 +12,12 @@ from heatkern import (
     spectral,
     spectral_heat,
 )
-from heatkern.errors import NoConvergenceBudget, NonpositiveMeasure, NotSelfAdjoint
+from heatkern.errors import (
+    HorizonExceeded,
+    NoConvergenceBudget,
+    NonpositiveMeasure,
+    NotSelfAdjoint,
+)
 
 from _graphs import random_connected_graph
 
@@ -210,3 +215,21 @@ def test_zero_multiplicity_counts_components():
     A, mu = generator(sp, cond, "combinatorial")
     spec = eigh_weighted(A, mu)
     assert spec.zero_multiplicity == 2
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.5])
+def test_spectral_heat_refuses_bad_times(t):
+    spec = eigh_weighted(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(2))
+    with pytest.raises(HorizonExceeded):
+        spectral_heat(spec, t)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_expm_series_refuses_non_finite_time(t):
+    with pytest.raises(HorizonExceeded):
+        expm_series(np.eye(2), t)
+
+
+def test_expm_series_refuses_non_finite_operator():
+    with pytest.raises(NotSelfAdjoint):
+        expm_series(np.array([[float("nan"), 0.0], [0.0, 1.0]]), 1.0)

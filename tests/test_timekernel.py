@@ -34,6 +34,7 @@ from heatkern.timekernel import (
 from heatkern.errors import (
     DimensionMismatch,
     HorizonExceeded,
+    ProfileUnnormalizable,
     SpaceMismatch,
 )
 
@@ -43,7 +44,7 @@ from _graphs import random_connected_graph
 def const_kernel(space, M, weight=None, horizon=10.0):
     M = np.asarray(M, dtype=float)
     w = space.lam if weight is None else weight
-    return ClosedFormKernel(space, horizon, w, lambda t: M, name="const")
+    return SeparableKernel(space, horizon, w, np.ones_like, M, name="const")
 
 
 def test_convolve_constant_ones(two_point):
@@ -86,7 +87,7 @@ def test_convolve_bilinear(two_point, rng):
 def test_convolve_quadrature_converged(two_point, rng):
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
-    f = ClosedFormKernel(sp, 10.0, sp.lam, lambda t: np.exp(-0.7 * t) * B)
+    f = SeparableKernel(sp, 10.0, sp.lam, lambda t: np.exp(-0.7 * t), B)
     base = convolve(f, f, 2.0)
     fine = convolve(f, f, 2.0, quad=QuadratureConfig(nodes_per_panel=32, cheb_degree=64))
     assert np.max(np.abs(base - fine)) < 1e-13
@@ -98,8 +99,8 @@ def test_convolve_envelope_bound(two_point, rng):
     for k, l in ((0, 0), (1, 0), (2, 1)):
         B = rng.standard_normal((2, 2))
         C = rng.standard_normal((2, 2))
-        f1 = ClosedFormKernel(sp, 10.0, sp.lam, lambda t, B=B, k=k: (t ** k) * B)
-        f2 = ClosedFormKernel(sp, 10.0, sp.lam, lambda t, C=C, l=l: (t ** l) * C)
+        f1 = SeparableKernel(sp, 10.0, sp.lam, lambda t, k=k: t ** k, B)
+        f2 = SeparableKernel(sp, 10.0, sp.lam, lambda t, l=l: t ** l, C)
         C2 = np.max(np.abs(C))
         h = np.max(np.abs(B), axis=1) * 2.0  # row sums dominate |row|_1 here
         for t in (0.5, 1.0, 3.0):
@@ -148,7 +149,7 @@ def test_ell_fold_single_point():
 def test_ell_fold_base_case(two_point, rng):
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
-    f = ClosedFormKernel(sp, 10.0, sp.lam, lambda t: np.exp(-t) * B)
+    f = SeparableKernel(sp, 10.0, sp.lam, lambda t: np.exp(-t), B)
     assert np.array_equal(FoldCache(f).fold(1).at(0.7), f.at(0.7))
 
 
@@ -226,11 +227,10 @@ def _poly_convolve_exact(p, q, mu):
 
 
 def _poly_eval(p, t):
-    n = len(p[0])
-    vals = np.zeros((n, n))
-    for a, M in enumerate(p):
-        vals += float(t) ** a * np.array([[float(e) for e in row] for row in M])
-    return vals
+    """sum_a t^a p_a at a time t, or at each time of a 1-D array."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return sum(t ** a * np.array([[float(e) for e in row] for row in M])
+               for a, M in enumerate(p))
 
 
 def _rational_polynomial_kernel(rng):
@@ -245,7 +245,7 @@ def _rational_polynomial_kernel(rng):
          for _ in range(n)]
         for _ in range(3)
     ]
-    f = ClosedFormKernel(sp, 2.0, sp.lam, lambda t: _poly_eval(coeffs, t))
+    f = ClosedFormKernel(sp, 2.0, sp.lam, lambda ts: _poly_eval(coeffs, ts))
     return f, mu, coeffs
 
 
@@ -325,7 +325,7 @@ def _lowrank_case(case, rng):
     res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=1.0), T=1.0)
     W = cond.matrix * np.exp(rng.uniform(-0.3, 0.3, size=cond.matrix.shape))
     diff = generator(sp, Conductance((W + W.T) / 2.0))[0] - res.generator_matrix
-    return ClosedFormKernel(sp, 1.0, res.weight, lambda t: diff @ res.K.at(t)), 0.3
+    return ClosedFormKernel(sp, 1.0, res.weight, lambda ts: diff @ res.K.at_many(ts)), 0.3
 
 
 def _sup_and_row_mass(f, horizon):
@@ -406,7 +406,7 @@ def test_series_tail_bound_dominates_true_tail():
 def test_cheb_kernel_interpolates_exactly_at_nodes(two_point, rng):
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
-    f = ClosedFormKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t) * B)
+    f = SeparableKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t), B)
     cheb = ChebKernel(sp, 4.0, sp.lam, f.at_many(lobatto_nodes(32, 4.0)))
     for t in cheb.nodes:
         assert np.max(np.abs(cheb.at(t) - f.at(t))) < 1e-14
@@ -417,7 +417,7 @@ def test_cheb_kernel_interpolates_exactly_at_nodes(two_point, rng):
 def test_cheb_kernel_derivative(two_point, rng):
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
-    f = ClosedFormKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t) * B)
+    f = SeparableKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t), B)
     cheb = ChebKernel(sp, 4.0, sp.lam, f.at_many(lobatto_nodes(32, 4.0)))
     deriv = ChebKernel(sp, 4.0, sp.lam, cheb.dvalues)
     for t in (0.2, 1.0, 3.0):
@@ -429,6 +429,79 @@ def test_closed_form_horizon_guard(two_point):
     f = const_kernel(sp, np.ones((2, 2)), horizon=1.0)
     with pytest.raises(HorizonExceeded):
         f.at(1.5)
+
+
+def _starter(case, rng, monkeypatch):
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.5, 2.0))
+    if case == "dirac":
+        return dirac_parametrix(sp, cond, horizon=2.0)
+    if case.startswith("profile"):
+        return profile_parametrix(sp, cond, case.split("-")[1], horizon=2.0)
+    if case == "spectral":
+        return spectral_parametrix(sp, cond, n_modes=sp.n - 2, horizon=2.0)
+    if case == "rkhs":
+        return rkhs_parametrix(sp, np.eye(sp.n) + 0.1, cond, horizon=2.0)
+    # the imported starter of a rebuild, caught before its build
+    from heatkern import neumann
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0)
+    monkeypatch.setattr(neumann, "build_heat_kernel", lambda p, *args, **kw: p)
+    return neumann.cross_parametrix_build(res, lam=sp.lam * 1.01)
+
+
+@pytest.mark.parametrize("case", ["dirac", "profile-epanechnikov", "profile-exponential",
+                                  "spectral", "rkhs", "imported"])
+def test_at_many_is_stacked_at_bitwise(rng, monkeypatch, case):
+    # one block and more than one, with t = 0 and the horizon in both
+    p = _starter(case, rng, monkeypatch)
+    for f in (p.H, p.heat_image):
+        for ts in (np.array([0.0, 0.3, 2.0]),
+                   np.concatenate([[2.0], np.linspace(0.0, 2.0, 70)])):
+            want = np.stack([f.at(t) for t in ts])
+            assert np.array_equal(f.at_many(ts), want)
+        assert np.all(np.isfinite(want))
+
+
+def test_closed_form_refuses_wrong_evaluator_shape(two_point):
+    sp, _, _ = two_point
+    scalar = ClosedFormKernel(sp, 1.0, sp.lam, lambda ts: np.eye(2))
+    short = ClosedFormKernel(sp, 1.0, sp.lam, lambda ts: np.zeros((1, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        scalar.at(0.5)
+    with pytest.raises(DimensionMismatch):
+        short.at_many([0.1, 0.5])
+
+
+def test_profile_block_with_unnormalizable_time(two_point):
+    # distances with a diagonal of 1e-5 leave every row empty for t below
+    # it, under the times the envelope samples; the first such time of a
+    # block is named
+    sp, cond, _ = two_point
+    p = profile_parametrix(sp, cond, distances=np.full((2, 2), 1e-5), horizon=10.0)
+    with pytest.raises(ProfileUnnormalizable, match=r"point 'a' at t=5e-06"):
+        p.H.at_many([1.0, 5e-6, 2e-6, 2.0])
+    with pytest.raises(ProfileUnnormalizable):
+        p.heat_image.at(5e-6)
+
+
+def test_closed_forms_refuse_nan_times(two_point):
+    sp, cond, _ = two_point
+    for p in (dirac_parametrix(sp, cond), profile_parametrix(sp, cond)):
+        with pytest.raises(HorizonExceeded):
+            p.H.at(float("nan"))
+        with pytest.raises(HorizonExceeded):
+            p.heat_image.at_many([0.1, float("nan")])
+
+
+def test_sampled_kernels_refuse_bad_times(two_point):
+    sp, cond, _ = two_point
+    K = build_heat_kernel(dirac_parametrix(sp, cond), T=2.0).K
+    for t in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(HorizonExceeded):
+            K.at(t)
+    with pytest.raises(HorizonExceeded):
+        K.base.at(float("nan"))
+    with pytest.raises(HorizonExceeded):
+        K.base.at_many([0.1, float("nan")])
 
 
 def test_semigroup_kernel_extends_past_horizon(two_point):
