@@ -25,12 +25,16 @@ from .errors import (
 )
 from .space import Conductance, PointSpace, connected_components, generator
 from .spectral import SpectralData, eigh_weighted, spectral_heat
-from .timekernel import SemigroupKernel, TimeKernel, gauss_legendre, pair
+from .timekernel import gauss_legendre, pair
 from .neumann import HeatKernelResult
 
 
-def _kernel_of(K) -> TimeKernel:
-    return K.K if isinstance(K, HeatKernelResult) else K
+def _require_connected(space: PointSpace, conductance: Conductance, what: str) -> None:
+    comps = connected_components(space, conductance)
+    if len(comps) != 1:
+        raise DisconnectedSpace(
+            f"{what} needs a connected space; found {len(comps)} components"
+        )
 
 
 def _ground_projector(spec: SpectralData) -> np.ndarray:
@@ -52,7 +56,13 @@ def _green_spectral(spec: SpectralData) -> np.ndarray:
 
 @dataclass
 class GreenResult:
-    """Regularized inverse of the generator, by both routes."""
+    """Regularized inverse of the generator, by both routes.
+
+    horizon is the cutoff of the time integral.  budget is what the two
+    routes may differ by: the spectral tail, the quadrature refinement
+    error, the kernel's certified error integrated over [0, horizon] (0
+    for the spectral integrand), and 1e-10 of roundoff.
+    """
 
     G_star: np.ndarray
     quadrature: np.ndarray
@@ -60,26 +70,36 @@ class GreenResult:
     tail_bound: float
     quad_error: float
     horizon: float
+    budget: float
+
+
+def _kernel_error_integral(K: HeatKernelResult, T_cut: float) -> float:
+    """int_0^T_cut of K's certified error: truncation_bound up to the build
+    horizon T, doubled by each squaring past it (up to 2T, 4T, ...)."""
+    span, a, b, grow = 0.0, 0.0, K.horizon, 1.0
+    while a < T_cut:
+        span += grow * (min(b, T_cut) - a)
+        a, b, grow = b, 2.0 * b, 2.0 * grow
+    return K.truncation_bound * span
 
 
 def green_regularized(space: PointSpace, conductance: Conductance,
-                      spec: SpectralData | None = None, K=None,
-                      kind: str = "combinatorial", tol: float = 1e-8) -> GreenResult:
+                      spec: SpectralData | None = None,
+                      K: HeatKernelResult | None = None, tol: float = 1e-8) -> GreenResult:
     """G* = sum over nonzero modes of phi phi^T / lambda, cross-checked.
 
     The quadrature route integrates K(t) - Pi_0 from 0 out to a cutoff
     where the spectral gap has damped every nonzero mode below tol/10,
     on geometrically growing panels of 16 and then 32 Gauss-Legendre
-    points.  The certified pieces are the spectral tail beyond the cutoff
-    and the observed quadrature refinement error between the two.
+    points, with K a build's kernel or, when K is None, the spectral heat
+    kernel; spec defaults to the combinatorial generator's.  The certified
+    pieces are the spectral tail beyond the cutoff, the observed
+    quadrature refinement error between the two, and the build's error
+    integrated to the cutoff; they sum to `budget`.
     """
-    comps = connected_components(space, conductance)
-    if len(comps) != 1:
-        raise DisconnectedSpace(
-            f"regularization needs a connected space; found {len(comps)} components"
-        )
+    _require_connected(space, conductance, "regularization")
     if spec is None:
-        A, mu = generator(space, conductance, kind)
+        A, mu = generator(space, conductance)
         spec = eigh_weighted(A, mu)
     if spec.gap <= 1e-8:
         raise TailUncontrolled(
@@ -91,10 +111,9 @@ def green_regularized(space: PointSpace, conductance: Conductance,
 
     eps = tol / 10.0
     T_cut = math.log(1.0 / eps) / spec.gap
-    kernel = None if K is None else _kernel_of(K)
 
     def integrand(t):
-        M = spectral_heat(spec, t) if kernel is None else kernel.at(t)
+        M = spectral_heat(spec, t) if K is None else K.K.at(t)
         return M - Pi0
 
     lam_max = max(float(spec.eigenvalues[-1]), spec.gap)
@@ -121,11 +140,13 @@ def green_regularized(space: PointSpace, conductance: Conductance,
     phi = spec.eigenvectors[:, live]
     phimax2 = float(np.max(np.abs(phi))) ** 2
     tail = float(np.sum(np.exp(-lam * T_cut))) * phimax2 / spec.gap
+    kernel_error = 0.0 if K is None else _kernel_error_integral(K, T_cut)
 
     return GreenResult(
         G_star=G, quadrature=fine,
         agreement=float(np.max(np.abs(fine - G))),
         tail_bound=tail, quad_error=quad_error, horizon=T_cut,
+        budget=tail + quad_error + kernel_error + 1e-10,
     )
 
 
@@ -139,11 +160,7 @@ def resolvent(spec: SpectralData, s: float) -> np.ndarray:
 def resistance(space: PointSpace, conductance: Conductance,
                spec: SpectralData | None = None) -> np.ndarray:
     """Effective resistance R(x, y) = G*(x,x) + G*(y,y) - 2 G*(x,y)."""
-    comps = connected_components(space, conductance)
-    if len(comps) != 1:
-        raise DisconnectedSpace(
-            f"resistance needs a connected space; found {len(comps)} components"
-        )
+    _require_connected(space, conductance, "resistance")
     if spec is None:
         A, mu = generator(space, conductance, "combinatorial")
         spec = eigh_weighted(A, mu)
@@ -160,11 +177,7 @@ def resistance_by_current(space: PointSpace, conductance: Conductance,
     form and reads off v(x) - v(y); an independent route used to check the
     Green's-function formula.
     """
-    comps = connected_components(space, conductance)
-    if len(comps) != 1:
-        raise DisconnectedSpace(
-            f"resistance needs a connected space; found {len(comps)} components"
-        )
+    _require_connected(space, conductance, "resistance")
     i, j = space.index(x), space.index(y)
     A, mu = generator(space, conductance, "combinatorial")
     rhs = np.zeros(space.n)
@@ -209,7 +222,7 @@ class PoissonResult:
     window: tuple
 
 
-def poisson_kernel(spec: SpectralData, K=None, w: float = 1.0,
+def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: float = 1.0,
                    tol: float = 1e-8) -> PoissonResult:
     """exp(-w sqrt(A)) via the square-root subordination of the heat flow.
 
@@ -221,7 +234,9 @@ def poisson_kernel(spec: SpectralData, K=None, w: float = 1.0,
 
     over a window chosen so both Gaussian-type tails sit below tol/10;
     the trapezoid rule on this doubly exponentially decaying integrand
-    converges geometrically under halving, at most nine times.
+    converges geometrically under halving, at most nine times.  K is a
+    build, whose kernel the time route integrates, or None for the
+    spectral heat kernel.
     """
     if w <= 0.0:
         raise NonpositiveTime(f"subordination parameter must be positive, got {w}")
@@ -243,11 +258,9 @@ def poisson_kernel(spec: SpectralData, K=None, w: float = 1.0,
             deviation=float(np.max(np.abs(Pi0 - P_spec))),
             levels=0, window=(0.0, 0.0),
         )
-    kernel = None if K is None else _kernel_of(K)
-
     def integrand(u):
         t = math.exp(u)
-        M = spectral_heat(spec, t) if kernel is None else kernel.at(t)
+        M = spectral_heat(spec, t) if K is None else K.K.at(t)
         damp = math.exp(-w * w / (4.0 * t) - u / 2.0)
         return (M - Pi0) * damp
 
@@ -313,8 +326,6 @@ def semigroup_defect(result: HeatKernelResult, mats=None) -> float:
     defect = 0.0
     for i, ti in enumerate(ts):
         for tj in ts[i:]:
-            if ti + tj > result.horizon * (1.0 + 1e-9) and not isinstance(K, SemigroupKernel):
-                continue
             rhs = pair(mats[ti], W) @ mats[tj]
             defect = max(defect, float(np.max(np.abs(K.at(ti + tj) - rhs))))
     return defect
@@ -327,8 +338,8 @@ def diagnostics(result: HeatKernelResult) -> HeatDiagnostics:
     nonnegativity, conservation and drift of total mass, symmetry of
     K(x, y; t) mu(y) in its arguments, and monotone decay of the
     mu-weighted L2 norm of each row, at the times 0.05, 0.2, 0.5, 1, 2 and
-    5 that fall within the horizon (or at T/4, T/2 and T when none does).
-    The result is cached on the build.
+    5 that fall within the horizon (or at T/4, T/2 and T when none does),
+    each K(t) evaluated once.  The result is returned, not stored.
     """
     if result.weight.ndim != 1:
         raise DimensionMismatch("diagnostics need a measure-paired kernel")
@@ -350,20 +361,16 @@ def diagnostics(result: HeatKernelResult) -> HeatDiagnostics:
     defect = semigroup_defect(result, mats=mats)
 
     # mu-weighted L2 norm of t -> K(x, ., t) never grows in t.
-    ts_sorted = (0.0,) + tuple(sorted(t_grid))
     l2_ok = True
     prev_en = None
-    for t in ts_sorted:
-        M = K.at(t)
+    for M in [K.at(0.0), *mats.values()]:  # t_grid ascends
         en = (M * M) @ mu
         if prev_en is not None and np.any(en > prev_en * (1.0 + 1e-10) + 1e-12):
             l2_ok = False
         prev_en = en
 
-    diag = HeatDiagnostics(
+    return HeatDiagnostics(
         semigroup_defect=defect, min_value=min_value, max_mass=max_mass,
         min_mass=min_mass, symmetry_defect=symmetry, mass_drift=drift,
         l2_monotone=l2_ok, t_grid=t_grid,
     )
-    result.diagnostics = diag
-    return diag

@@ -17,14 +17,13 @@ File conventions are deliberately plain:
 
 from __future__ import annotations
 
-from collections import deque
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CenterNotFound, ParseError
-from .space import Conductance, PointSpace, build_space
+from .space import Conductance, PointSpace, build_space, hop_distances
 
 REPORT_KEYS = ("command", "n_points", "terms_used", "truncation_bound",
                "max_oracle_dev", "defects", "exit_reason")
@@ -49,35 +48,35 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def _fields(line: str):
-    return line.replace(",", " ").split()
+def _records(path, form: str):
+    """(line number, fields) of each data line of path, split at whitespace
+    and commas into as many fields as `form` names; a first line whose last
+    field is not a number is a header row and skipped."""
+    for k, (lineno, line) in enumerate(_data_lines(path)):
+        parts = line.replace(",", " ").split()
+        if len(parts) != len(form.split()):
+            raise ParseError(
+                f"{path}:{lineno}: expected '{form}', got {line!r}"
+            )
+        if k or _is_float(parts[-1]):
+            yield lineno, parts
 
 
 def load_edges(path):
     """Parse an edge-list file into (x, y, w) triples, keeping label order."""
     triples = []
-    first = True
-    for lineno, line in _data_lines(path):
-        parts = _fields(line)
-        if len(parts) != 3:
-            raise ParseError(
-                f"{path}:{lineno}: expected 'x y w', got {line!r}"
-            )
-        if first and not _is_float(parts[2]):
-            first = False
-            continue  # header row
-        first = False
+    for lineno, (x, y, weight) in _records(path, "x y w"):
         try:
-            w = float(parts[2])
+            w = float(weight)
         except ValueError:
             raise ParseError(
-                f"{path}:{lineno}: weight {parts[2]!r} is not a number"
+                f"{path}:{lineno}: weight {weight!r} is not a number"
             ) from None
         if not w > 0.0:
             raise ParseError(
-                f"{path}:{lineno}: weight must be positive, got {parts[2]}"
+                f"{path}:{lineno}: weight must be positive, got {weight}"
             )
-        triples.append((parts[0], parts[1], w))
+        triples.append((x, y, w))
     if not triples:
         raise ParseError(f"{path}: no edges found")
     return triples
@@ -87,27 +86,17 @@ def load_measure(path, points):
     """Parse a measure CSV into a vector aligned with `points` (default 1)."""
     index = {p: i for i, p in enumerate(points)}
     lam = np.ones(len(points))
-    first = True
-    for lineno, line in _data_lines(path):
-        parts = _fields(line)
-        if len(parts) != 2:
+    for lineno, (x, value) in _records(path, "x lambda"):
+        if x not in index:
             raise ParseError(
-                f"{path}:{lineno}: expected 'x lambda', got {line!r}"
-            )
-        if first and not _is_float(parts[1]):
-            first = False
-            continue
-        first = False
-        if parts[0] not in index:
-            raise ParseError(
-                f"{path}:{lineno}: point {parts[0]!r} does not occur in the "
+                f"{path}:{lineno}: point {x!r} does not occur in the "
                 f"edge list"
             )
         try:
-            lam[index[parts[0]]] = float(parts[1])
+            lam[index[x]] = float(value)
         except ValueError:
             raise ParseError(
-                f"{path}:{lineno}: measure {parts[1]!r} is not a number"
+                f"{path}:{lineno}: measure {value!r} is not a number"
             ) from None
     return lam
 
@@ -126,16 +115,12 @@ def load_graph(edges_path, measure_path=None):
             if p not in seen:
                 seen.add(p)
                 points.append(p)
-    acc = {}
-    order = []
+    acc = {}  # in order of first mention
     for x, y, w in triples:
         key = (x, y) if (x, y) in acc or (y, x) not in acc else (y, x)
-        if key not in acc:
-            order.append(key)
-            acc[key] = 0.0
-        acc[key] += w
+        acc[key] = acc.get(key, 0.0) + w
     lam = load_measure(measure_path, points) if measure_path else None
-    return build_space(points, lam, [(x, y, acc[(x, y)]) for x, y in order])
+    return build_space(points, lam, [(x, y, w) for (x, y), w in acc.items()])
 
 
 # -------------------------------------------------------------- subgraphs
@@ -150,32 +135,14 @@ def ball_truncate(space: PointSpace, conductance: Conductance, center,
     """
     try:
         c0 = space.index(center)
-    except Exception:
+    except KeyError:
         raise CenterNotFound(f"center {center!r} is not a point of the space") \
             from None
-    W = conductance.matrix
-    dist = np.full(space.n, -1, dtype=int)
-    dist[c0] = 0
-    q = deque([c0])
-    while q:
-        i = q.popleft()
-        if dist[i] >= radius:
-            continue
-        for j in np.nonzero(W[i] > 0.0)[0]:
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                q.append(int(j))
-    keep = np.nonzero(dist >= 0)[0]
+    keep = np.nonzero(hop_distances(conductance, c0, radius) >= 0)[0]
     points = [space.points[i] for i in keep]
-    lam = space.lam[keep]
-    edges = []
-    kept = set(int(i) for i in keep)
-    for i in kept:
-        for j in np.nonzero(W[i] > 0.0)[0]:
-            j = int(j)
-            if j in kept and j >= i:
-                edges.append((space.points[i], space.points[j], float(W[i, j])))
-    return build_space(points, lam, edges)
+    W = conductance.matrix[np.ix_(keep, keep)]
+    edges = [(points[i], points[j], float(W[i, j])) for i, j in zip(*np.nonzero(np.triu(W) > 0.0))]
+    return build_space(points, space.lam[keep], edges)
 
 
 def integer_line(radius: int, weight: float = 1.0):

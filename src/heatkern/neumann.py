@@ -43,6 +43,7 @@ from .timekernel import (
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
     residual_fold_bound,
+    row_masses,
     series_tail_bound,
     sup_norms,
 )
@@ -57,7 +58,8 @@ THETA = 4.0
 
 @dataclass
 class HeatKernelResult:
-    """A constructed heat kernel with its convergence certificate."""
+    """A constructed heat kernel with its convergence certificate and the
+    validation report of the build that made it."""
 
     K: TimeKernel
     terms_used: int
@@ -73,7 +75,6 @@ class HeatKernelResult:
     squarings: int
     tol: float
     report: ParametrixReport | None = field(default=None, repr=False)
-    diagnostics: object = field(default=None, repr=False)
 
 
 def _operator_rate(A: np.ndarray) -> float:
@@ -82,13 +83,7 @@ def _operator_rate(A: np.ndarray) -> float:
 
 def _row_mass_norm(f: TimeKernel, weight: np.ndarray, ts: np.ndarray) -> float:
     """sup_t max_x sum_z |f(x, z; t)| paired against the weight."""
-    absw = np.abs(weight)
-
-    def mass(M):
-        np.abs(M, out=M)
-        return np.max(M @ absw if absw.ndim == 1 else np.sum(M @ absw, axis=2), axis=1)
-
-    return float(np.max(f.per_time(ts, mass)))
+    return float(np.max(f.per_time(ts, lambda M: row_masses(M, weight))))
 
 
 def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
@@ -101,14 +96,16 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
                       max_terms: int = 64) -> HeatKernelResult:
     """Construct the heat kernel on [0, T] from a validated starter.
 
-    Validates the starter first (unless a cached report already passed),
-    picks a base horizon short enough for the alternating series to stay
-    well scaled, sums the folds on the DEFAULT_QUAD Chebyshev grid,
-    assembles K = H + H * F there, and wraps the grid in a semigroup
-    extension that reaches T by repeated squaring.  The certified sup
-    error at T is stored as `truncation_bound`; construction refuses a
-    starter that fails validation, and refuses to start when the
-    certificate cannot be brought under tol.
+    Validates the starter first, always and with `validate`'s defaults,
+    so no earlier or looser validation can reach the series (the report
+    lands on the result).  Then picks a base horizon short enough for the
+    alternating series to stay well scaled, sums the folds on the
+    DEFAULT_QUAD Chebyshev grid, assembles K = H + H * F there, and wraps
+    the grid in a semigroup extension that reaches T by repeated
+    squaring.  The certified sup error at T is stored as
+    `truncation_bound`; construction refuses a starter that fails
+    validation, and refuses to start when the certificate cannot be
+    brought under tol.
     """
     if T <= 0.0:
         raise HorizonExceeded(f"horizon must be positive, got {T}")
@@ -121,9 +118,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     # The folds, the certificate and H * F all pair under this one weight.
     if not (H.same_space(f) and H.same_pairing(f) and np.array_equal(H.weight, weight)):
         raise SpaceMismatch("starter and heat image must share one space and the starter's weight")
-    report = parametrix.report
-    if report is None:
-        report = validate(parametrix)
+    report = validate(parametrix)
     if not report.passed:
         raise InvalidParametrix(
             f"starter family {parametrix.family!r} failed validation "
@@ -281,9 +276,6 @@ def cross_parametrix_build(result: HeatKernelResult,
     scale = mu_old / mu_new
     Kp = result.K
     horizon = Kp.horizon if T is None else float(T)
-    if T is not None and not isinstance(Kp, SemigroupKernel) \
-            and T > Kp.horizon * (1.0 + 1e-9):
-        raise HorizonExceeded("previous kernel does not reach the new horizon")
     diff = A_new - A_old
 
     H = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: Kp.at_many(ts) * scale,

@@ -17,7 +17,7 @@ pairing flavors pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .space import (
     generator,
     graph_distances,
 )
-from .spectral import SpectralData, eigh_weighted
+from .spectral import eigh_weighted
 from .timekernel import ClosedFormKernel, SeparableKernel, TimeKernel, constant_kernel, pair, sup_norms
 
 
@@ -64,8 +64,8 @@ class Parametrix:
     1/rate on which the starter itself varies when the generator does not
     show it (the imported starter of a rebuild).  weight is the convolution
     pairing the starter expects: a measure vector, or the inverse Gram
-    matrix for reproducing-kernel starters.  report caches the last
-    validation.
+    matrix for reproducing-kernel starters.  A parametrix holds no
+    validation outcome: `build_heat_kernel` validates it on every build.
     """
 
     H: TimeKernel
@@ -79,7 +79,6 @@ class Parametrix:
     generator_matrix: np.ndarray
     weight: np.ndarray
     gram: np.ndarray | None = None
-    report: ParametrixReport | None = field(default=None, repr=False)
     # Whether H(x, y; t) is analytic in t on [0, horizon].  Spectral-grade
     # quadrature claims hold only then; families that are merely smooth at
     # t = 0 (distance profiles decay like exp(-d/t)) must have their
@@ -195,8 +194,7 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
 
 
 def spectral_parametrix(space: PointSpace, conductance: Conductance, n_modes: int,
-                        kind: str = "combinatorial", horizon: float = 10.0,
-                        spec: SpectralData | None = None) -> Parametrix:
+                        kind: str = "combinatorial", horizon: float = 10.0) -> Parametrix:
     """Starter from the lowest n_modes eigenpairs of the generator.
 
     Every retained mode solves the heat equation, so the heat image is
@@ -209,8 +207,7 @@ def spectral_parametrix(space: PointSpace, conductance: Conductance, n_modes: in
         )
     n_modes = int(n_modes)
     A, mu = generator(space, conductance, kind)
-    if spec is None:
-        spec = eigh_weighted(A, mu)
+    spec = eigh_weighted(A, mu)
     lam = spec.eigenvalues[:n_modes]
     phi = spec.eigenvectors[:, :n_modes]
 
@@ -274,19 +271,20 @@ def _monotone_to_zero(res: np.ndarray, tolerance: float) -> bool:
     return res[-1] <= tolerance
 
 
-def validate(parametrix: Parametrix, tolerance: float = 1e-6,
-             order_window=(1e-3, 1e-1)) -> ParametrixReport:
+def validate(parametrix: Parametrix, tolerance: float = 1e-6) -> ParametrixReport:
     """Measure the Dirac residual, fit the heat-image order, and judge.
 
     The Dirac residual max_{x,z} |(H(t) . pairing) - I| is evaluated on a
     decreasing time grid ending at t = 0; it must shrink monotonically and
     land below `tolerance`.  The order fit is the log-log slope of the
-    sup-norm of the heat image at 20 times across `order_window`, or
-    across the two decades below 0.1/rate when the envelope declares a
-    rate; it must reach the declared order minus 0.1.  Both checks run
-    under the sup, L2, and Hilbert pairing flavors, and the starter passes
-    if any flavor does and the heat image stays under its declared
-    envelope C t^k.  The report is cached on the parametrix.
+    sup-norm of the heat image at 20 times across [1e-3, 1e-1] (clipped
+    to the horizon), or across the two decades below 0.1/rate when the
+    envelope declares a rate; it must reach the declared order minus 0.1.
+    Both checks run under the sup, L2, and Hilbert pairing flavors, and
+    the starter passes if any flavor does and the heat image stays under
+    its declared envelope C t^k.  The report is returned and kept nowhere:
+    `build_heat_kernel` runs its own validation at the default tolerance,
+    so `tolerance` shapes only this report.
     """
     H = parametrix.H
     horizon = H.horizon
@@ -302,8 +300,8 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
     else:
         res_hilbert = res_measure
 
-    lo = min(order_window[0], horizon / 100.0)
-    hi = min(order_window[1], horizon / 2.0)
+    lo = min(1e-3, horizon / 100.0)
+    hi = min(0.1, horizon / 2.0)
     rate = parametrix.envelope.get("rate")
     if rate:
         # The starter relaxes on the time scale 1/rate.  A window reaching
@@ -345,13 +343,12 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
     passed = env_ok and any(flavors.values())
     checks = (("dirac limit", dirac_sup or dirac_l2 or dirac_hil),
               ("order fit", order_ok), ("envelope", env_ok))
-    report = ParametrixReport(
+    return ParametrixReport(
         family=parametrix.family,
         order_k=k,
-        dirac_residual=float(res_measure[-1] if parametrix.weight.ndim == 1
-                             else res_hilbert[-1]),
+        dirac_residual=float(res_hilbert[-1]),  # res_measure for a measure pairing
         residual_ts=ts_desc,
-        residual_values=res_measure if parametrix.weight.ndim == 1 else res_hilbert,
+        residual_values=res_hilbert,
         fitted_order=fitted,
         order_note=order_note,
         envelope_constant=measured_C if not np.isinf(fitted) else 0.0,
@@ -359,5 +356,3 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6,
         passed=passed,
         failed_checks=() if passed else tuple(name for name, ok in checks if not ok),
     )
-    parametrix.report = report
-    return report

@@ -101,10 +101,10 @@ def build_space(points, lambda_weights=None, edge_weights=()):
     ``points`` is an ordered iterable of hashable identifiers.
     ``lambda_weights`` may be None (counting measure), a scalar, a mapping
     from point to weight (missing points default to 1), or a vector.
-    ``edge_weights`` is a mapping from point pairs to weights or an
-    iterable of (u, v, w) triples; either orientation of a pair is
-    accepted, but giving both orientations with unequal values is
-    rejected.  Self-pairs are allowed and contribute to the degree.
+    ``edge_weights`` is an iterable of (u, v, w) triples; either
+    orientation of a pair is accepted, but giving both orientations with
+    unequal values is rejected.  Self-pairs are allowed and contribute to
+    the degree.
     """
     points = tuple(points)
     seen_ids = set()
@@ -118,13 +118,8 @@ def build_space(points, lambda_weights=None, edge_weights=()):
     lam = _parse_lambda(points, lambda_weights)
     index = {p: i for i, p in enumerate(points)}
 
-    if isinstance(edge_weights, dict):
-        items = [(u, v, w) for (u, v), w in edge_weights.items()]
-    else:
-        items = [(u, v, w) for u, v, w in edge_weights]
-
     pair_weight = {}
-    for u, v, w in items:
+    for u, v, w in edge_weights:
         try:
             i, j = index[u], index[v]
         except KeyError as exc:
@@ -148,16 +143,15 @@ def build_space(points, lambda_weights=None, edge_weights=()):
         W[i, j] = w
         W[j, i] = w
 
-    # c = W @ 1 rather than W.sum(axis=1): bitwise identical to
-    # degree_vector, which the generator uses, so both see the same c.
-    c = W @ np.ones(n)
+    cond = Conductance(W)
+    c = degree_vector(cond)
     bad = np.nonzero(c <= 0)[0]
     if bad.size:
         p = points[bad[0]]
         raise ZeroDegreePoint(
             f"Assumption C violated at point {p!r}: total conductance is zero"
         )
-    return PointSpace(points, lam), Conductance(W), DegreeVector(c)
+    return PointSpace(points, lam), cond, DegreeVector(c)
 
 
 def _as_function(space: PointSpace, f) -> np.ndarray:
@@ -207,26 +201,29 @@ def generator(space: PointSpace, conductance: Conductance, kind: str = "combinat
 
 # ----------------------------------------------------------- connectivity
 
+def hop_distances(conductance: Conductance, start: int, radius: float = np.inf) -> np.ndarray:
+    """Hops from point index `start` along positive weights, out to
+    `radius` hops; -1 where the walk does not reach."""
+    linked = conductance.matrix > 0
+    dist = np.full(linked.shape[0], -1)
+    dist[start] = 0
+    frontier, hops = [start], 0
+    while len(frontier) and hops < radius:
+        hops += 1
+        frontier = np.nonzero(linked[frontier].any(axis=0) & (dist < 0))[0]
+        dist[frontier] = hops
+    return dist
+
+
 def connected_components(space: PointSpace, conductance: Conductance):
-    """List of components (each a list of indices), positive weights only."""
-    n = space.n
-    W = conductance.matrix
-    unvisited = set(range(n))
+    """List of components (each an ascending list of indices), positive
+    weights only, ordered by their smallest index."""
+    seen = np.zeros(space.n, dtype=bool)
     comps = []
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        unvisited.discard(start)
-        comp = [start]
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(W[i] > 0)[0]:
-                j = int(j)
-                if j in unvisited:
-                    unvisited.discard(j)
-                    stack.append(j)
-                    comp.append(j)
-        comps.append(sorted(comp))
+    while not seen.all():
+        comp = np.nonzero(hop_distances(conductance, int(np.argmin(seen))) >= 0)[0]
+        seen[comp] = True
+        comps.append([int(i) for i in comp])
     return comps
 
 

@@ -71,9 +71,8 @@ def interp_matrix(nodes: np.ndarray, bary: np.ndarray, targets: np.ndarray) -> n
     with np.errstate(divide="ignore", invalid="ignore"):
         C = bary[None, :] / diff
         M = C / np.sum(C, axis=1)[:, None]
-    for r, c in zip(exact_row, exact_col):
-        M[r, :] = 0.0
-        M[r, c] = 1.0
+    M[exact_row] = 0.0
+    M[exact_row, exact_col] = 1.0
     return M
 
 
@@ -123,12 +122,20 @@ def sup_norms(block: np.ndarray) -> np.ndarray:
     return np.abs(block, out=block).max(axis=(1, 2))
 
 
+def row_masses(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """max_x of the row mass of |M| against |W| for each matrix M of a
+    (k, n, n) block, W the pairing; overwrites the block with |M|."""
+    absw = np.abs(weight)
+    np.abs(block, out=block)
+    return np.max(block @ absw if absw.ndim == 1 else np.sum(block @ absw, axis=2), axis=1)
+
+
 class TimeKernel:
     """Base class: a kernel on space x space x [0, horizon].
 
     weight is the convolution pairing: a vector (per-point measure) or a
     symmetric matrix (Hilbert pairing).  Subclasses implement at().
-    Instances are immutable after construction; caches fill monotonically.
+    Instances are immutable after construction.
     """
 
     def __init__(self, space: PointSpace, horizon: float, weight: np.ndarray):
@@ -171,9 +178,7 @@ class TimeKernel:
         return self.space is other.space or self.space.points == other.space.points
 
     def same_pairing(self, other: "TimeKernel") -> bool:
-        return self.weight.shape == other.weight.shape and np.array_equal(
-            self.weight, other.weight
-        )
+        return np.array_equal(self.weight, other.weight)
 
 
 class ClosedFormKernel(TimeKernel):
@@ -238,7 +243,6 @@ class ChebKernel(TimeKernel):
         self.degree = values.shape[0] - 1
         self.nodes = lobatto_nodes(self.degree, self.horizon)
         self.bary = lobatto_bary_weights(self.degree)
-        self._dvalues = None
 
     def at(self, t: float) -> np.ndarray:
         M = interp_matrix(self.nodes, self.bary, self._check_times(t))
@@ -251,10 +255,8 @@ class ChebKernel(TimeKernel):
 
     @property
     def dvalues(self) -> np.ndarray:
-        if self._dvalues is None:
-            D = diff_matrix(self.nodes, self.bary)
-            self._dvalues = np.einsum("ij,jxy->ixy", D, self.values)
-        return self._dvalues
+        """d/dt of the kernel on its nodes, by spectral differentiation."""
+        return np.einsum("ij,jxy->ixy", diff_matrix(self.nodes, self.bary), self.values)
 
 
 class SemigroupKernel(TimeKernel):
@@ -265,17 +267,14 @@ class SemigroupKernel(TimeKernel):
     K(2t) = K(t) W K(t) with W the pairing.  This keeps stiff kernels
     accurate at every time without resolving their initial layer on one
     global polynomial grid; it also evaluates past `horizon`, which is the
-    declared build interval rather than a hard limit.
+    declared build interval rather than a hard limit.  weight_inv is the
+    inverse of a matrix pairing (its Gram matrix), None for a measure.
     """
 
-    def __init__(self, base: ChebKernel, horizon: float,
-                 weight_inv: np.ndarray | None = None):
+    def __init__(self, base: ChebKernel, horizon: float, weight_inv: np.ndarray | None):
         super().__init__(base.space, horizon, base.weight)
         self.base = base
-        if self.weight.ndim == 1:
-            self._winv = None
-        else:
-            self._winv = weight_inv if weight_inv is not None else np.linalg.inv(self.weight)
+        self._winv = weight_inv
 
     def at(self, t: float) -> np.ndarray:
         t = float(t)
@@ -307,9 +306,8 @@ def _panel_points(t: float, npts: int):
 
 
 def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
-             quad: QuadratureConfig | None = None) -> np.ndarray:
+             quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
     """Time convolution of two kernels under their shared pairing."""
-    quad = quad or DEFAULT_QUAD
     if not F1.same_space(F2):
         raise SpaceMismatch("kernels live on different point spaces")
     if not F1.same_pairing(F2):
@@ -381,7 +379,7 @@ class TimeFactor:
                 @ interp_matrix(self.nodes, bary, taus)
 
     def _sample(self, f: TimeKernel, times: np.ndarray) -> None:
-        absw, full = np.abs(f.weight), min(f.n ** 2, times.size)
+        full = min(f.n ** 2, times.size)
         width = min(SKETCH_WIDTH, full)
         while True:
             omega = np.random.default_rng(SKETCH_SEED).standard_normal(times.shape + (width,))
@@ -393,8 +391,8 @@ class TimeFactor:
             for j, ts in enumerate(times):
                 F = f.at_many(ts)
                 self.values[:, j] = Q.T @ F.reshape(len(ts), -1).T
-                R = np.abs(F - (self.values[:, j].T @ Q.T).reshape(F.shape))
-                mass = R @ absw if absw.ndim == 1 else np.sum(R @ absw, axis=2)
+                R = F - (self.values[:, j].T @ Q.T).reshape(F.shape)
+                mass = row_masses(R, f.weight)
                 worst = np.maximum(worst, [R.max(), mass.max(), np.abs(F).max()])
             self.residual, self.residual_mass = float(worst[0]), float(worst[1])
             if worst[0] <= RANK_CUT * worst[2] or Q.shape[1] < width or width == full:

@@ -90,6 +90,24 @@ def test_green_quadrature_route_uses_built_kernel(k3):
     assert g.agreement <= budget
 
 
+def test_green_budget_integrates_the_bound_past_the_horizon(path3):
+    # on the unit path the cutoff ln(1e9) / gap = 20.7 lies past T = 10,
+    # where K(t) is certified to bound * 2^ceil(log2(t / T)): the kernel's
+    # share of the budget is bound * (10 + 2 * 10 + 4 * (T_cut - 20)), not
+    # bound * T_cut; without a kernel it is 0
+    sp, cond, _ = path3
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+    spec = eigh_weighted(res.generator_matrix, res.weight)
+    g = green_regularized(sp, cond, spec, K=res)
+    assert 20.0 < g.horizon < 40.0
+    kernel = res.truncation_bound * (10.0 + 2.0 * 10.0 + 4.0 * (g.horizon - 20.0))
+    assert g.budget == pytest.approx(g.tail_bound + g.quad_error + kernel + 1e-10,
+                                     rel=1e-14)
+    assert g.agreement <= g.budget
+    spectral = green_regularized(sp, cond, spec)
+    assert spectral.budget == spectral.tail_bound + spectral.quad_error + 1e-10
+
+
 def test_green_two_route_agreement_random(rng):
     for _ in range(10):
         sp, cond, _ = random_connected_graph(rng, n_max=10)
@@ -346,7 +364,8 @@ def test_diagnostics_clean_on_oracle_kernel(k3):
     sp, cond, _ = k3
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=5.0, tol=1e-8)
     spec = eigh_weighted(res.generator_matrix, res.weight)
-    oracle = ClosedFormKernel(sp, 5.0, res.weight,
+    # the semigroup pairs of the T = 5 grid reach 2T
+    oracle = ClosedFormKernel(sp, 10.0, res.weight,
                               lambda ts: np.stack([spectral_heat(spec, t) for t in ts]))
     diag = diagnostics(dataclasses.replace(res, K=oracle))
     assert diag.semigroup_defect < 1e-10
@@ -364,7 +383,6 @@ def test_diagnostics_on_built_kernel(k3):
     assert diag.min_value >= -1e-9
     assert diag.mass_drift < 1e-8
     assert diag.worst() >= diag.semigroup_defect
-    assert res.diagnostics is diag
 
 
 def test_diagnostics_normalized_mass_is_conserved(rng):

@@ -1,20 +1,29 @@
 """Graph files, result artifacts, run configuration, command surface."""
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import heatkern
 from heatkern import (
     ball_truncate,
     build_heat_kernel,
     build_space,
     dirac_parametrix,
+    eigh_weighted,
+    green_regularized,
     integer_line,
     load_edges,
     load_graph,
     load_measure,
+    profile_parametrix,
     read_matrix_csv,
+    resistance,
     write_matrix_csv,
 )
 from heatkern.config import RunConfig, parse_config_text
@@ -299,24 +308,42 @@ def test_cli_validate_rejects_truncated_spectral(k3_file, tmp_path, capsys):
     assert "InvalidParametrix" in capsys.readouterr().err
 
 
-def test_cli_validate_accepts_dirac(two_point_file, capsys):
-    assert main(["validate-parametrix", "--edges", two_point_file]) == 0
+def test_cli_validate_accepts_dirac(two_point_file, tmp_path, capsys):
+    out = tmp_path / "art"
+    assert main(["validate-parametrix", "--edges", two_point_file, "--out", str(out)]) == 0
     assert "passed" in capsys.readouterr().out
+    # the residual curve: 12 times down to 1e-3 of the top, then t = 0
+    lines = (out / "plot.tsv").read_text().splitlines()
+    assert lines[0] == "t\tdirac_residual"
+    assert len(lines) == 14 and lines[-1] == "0\t0"
 
 
-def test_cli_green(two_point_file, tmp_path):
+def test_cli_green(two_point_file, tmp_path, capsys):
     out = tmp_path / "art"
     code = main(["green", "--edges", two_point_file, "--out", str(out)])
     assert code == 0
-    sp, _, _ = build_space("ab", None, [("a", "b", 1.0)])
+    sp, cond, _ = load_graph(two_point_file)
     G = read_matrix_csv(out / "matrices.csv", sp)[None]
     assert abs(G[0, 0] - 0.25) < 1e-8
+    # the printed budget is the library's (the cutoff 10.4 lies past T = 10)
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=RunConfig().horizon)
+    g = green_regularized(sp, cond, eigh_weighted(res.generator_matrix, res.weight), K=res)
+    assert f"(certified budget {g.budget:.3e})" in capsys.readouterr().out
 
 
 def test_cli_resistance_pair(k3_file, capsys):
     code = main(["resistance", "--edges", k3_file, "--pair", "a,c"])
     assert code == 0
     assert "R(a, c)" in capsys.readouterr().out
+
+
+def test_cli_resistance_matrix(k3_file, tmp_path, capsys):
+    out = tmp_path / "art"
+    assert main(["resistance", "--edges", k3_file, "--out", str(out)]) == 0
+    assert "resistance matrix on 3 points" in capsys.readouterr().out
+    sp, cond, _ = load_graph(k3_file)
+    R = read_matrix_csv(out / "matrices.csv", sp)[None]
+    assert np.array_equal(R, resistance(sp, cond))
 
 
 def test_cli_resistance_disconnected_exits_two(tmp_path, capsys):
@@ -336,10 +363,16 @@ def test_cli_entropy_writes_curve(two_point_file, tmp_path):
     assert len(lines) == 4
 
 
-def test_cli_poisson(two_point_file, capsys):
-    code = main(["poisson", "--edges", two_point_file, "--w", "1.0"])
+def test_cli_poisson(two_point_file, tmp_path, capsys):
+    out = tmp_path / "art"
+    code = main(["poisson", "--edges", two_point_file, "--w", "1.0", "--out", str(out)])
     assert code == 0
     assert "poisson kernel" in capsys.readouterr().out
+    # exp(-sqrt(A)) on the unit edge: modes 0 and 2 under the counting measure
+    sp, _, _ = load_graph(two_point_file)
+    P = read_matrix_csv(out / "matrices.csv", sp)[None]
+    want = (1.0 + np.exp(-np.sqrt(2.0))) / 2.0
+    assert abs(P[0, 0] - want) < 1e-6
 
 
 def test_cli_diagnostics(k3_file, capsys):
@@ -377,6 +410,34 @@ def test_cli_rkhs_spectral_commands_report_input_error(k3_file, tmp_path, capsys
     assert code == 1
     assert "DimensionMismatch" in capsys.readouterr().err
     assert _report(out)["exit_reason"].startswith("input error: DimensionMismatch")
+
+
+def test_cli_build_profile_signs_what_the_library_signs(k3_file, tmp_path, capsys):
+    cfg = _write(tmp_path, "profile.cfg",
+                 "parametrix.kind = profile-exponential\nneumann.tol = 1e-5\n")
+    out = tmp_path / "art"
+    code = main(["build", "--edges", k3_file, "--config", cfg, "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    sp, cond, _ = load_graph(k3_file)
+    lib = build_heat_kernel(profile_parametrix(sp, cond, "exponential"),
+                            T=RunConfig().horizon, tol=1e-5)
+    rep = _report(out)
+    assert rep["terms_used"] == lib.terms_used
+    assert rep["truncation_bound"] == lib.truncation_bound < 1e-5
+
+
+def test_cli_module_exit_codes(two_point_file, k3_file, tmp_path):
+    # python -m heatkern.cli exits with main's status: 0 on success, 1 on
+    # unusable input, 2 on a failed certificate
+    env = dict(os.environ, PYTHONPATH=str(Path(heatkern.__file__).parent.parent))
+    trunc = _write(tmp_path, "trunc.cfg",
+                   "parametrix.kind = spectral\nparametrix.n_modes = 1\n")
+    for argv, want in ((["validate-parametrix", "--edges", two_point_file], 0),
+                       (["build", "--edges", str(tmp_path / "nope.edges")], 1),
+                       (["validate-parametrix", "--edges", k3_file, "--config", trunc], 2)):
+        run = subprocess.run([sys.executable, "-m", "heatkern.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == want, (argv, run.stderr)
 
 
 def test_cli_bad_usage_exits_one(two_point_file, capsys):

@@ -20,6 +20,7 @@ from heatkern import (
     convolve,
     dirac_parametrix,
     generator,
+    integer_line,
     profile_parametrix,
     rkhs_parametrix,
     series_tail_bound,
@@ -312,6 +313,13 @@ def _lowrank_case(case, rng):
     """(kernel, fold horizon) of a kernel that takes the sampled factor."""
     if case == "polynomial":
         return _rational_polynomial_kernel(rng)[0], 0.25
+    if case == "chebyshev-40":
+        # sum_d T_d(2t/T - 1) M_d over 40 degrees on the 7-point path, T = 1:
+        # time rank 40, more than the first sketch sees
+        sp, _, _ = integer_line(3)
+        M = rng.standard_normal((40, sp.n, sp.n))
+        return ClosedFormKernel(sp, 1.0, sp.lam, lambda ts: np.tensordot(
+            np.polynomial.chebyshev.chebvander(2.0 * ts - 1.0, 39), M, axes=1)), 1.0
     sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.5, 2.0))
     if case.startswith("profile"):
         # a heavy measure slows the generator enough that edges shorter
@@ -335,7 +343,7 @@ def _sup_and_row_mass(f, horizon):
 
 
 @pytest.mark.parametrize("case", ["profile-epanechnikov", "profile-exponential",
-                                  "imported", "spectral", "polynomial"])
+                                  "imported", "spectral", "polynomial", "chebyshev-40"])
 def test_lowrank_folds_match_convolve(rng, case):
     # every grid node of folds 2-6 against one `convolve` call on the same
     # kernel and the same previous fold; they may differ by the residual
@@ -345,6 +353,9 @@ def test_lowrank_folds_match_convolve(rng, case):
     cache = FoldCache(f, horizon=horizon)
     if case == "polynomial":
         assert cache.factor.values.shape[0] == 3
+    if case == "chebyshev-40":
+        # the sketch doubled past its first width to find every term
+        assert cache.factor.values.shape[0] == 40
     C, norm1 = _sup_and_row_mass(f, horizon)
     charge = residual_fold_bound(cache.factor.residual, cache.factor.residual_mass,
                                  C, norm1, 0, horizon)
