@@ -82,10 +82,6 @@ class DisconnectedSpace(CertificateError):
     """Zero eigenvalue with multiplicity above one."""
 
 
-class ProfileUnnormalizable(CertificateError):
-    pass
-
-
 class NotPositiveDefinite(CertificateError):
     pass
 

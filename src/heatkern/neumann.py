@@ -9,10 +9,8 @@ the row-mass norm of f.
 
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
-the series is built on a short base horizon and the result is extended by
-semigroup squaring K(2t) = K(t) . W . K(t).  Squaring doubles the sup
-error at each level (kernel mass stays near one), which the certificate
-accounts for before construction starts.
+the series is built on a short base horizon and extended by the semigroup
+(SemigroupKernel); the certificate doubles per doubling of the horizon.
 """
 
 from __future__ import annotations
@@ -101,8 +99,8 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     lands on the result).  Then picks a base horizon short enough for the
     alternating series to stay well scaled, sums the folds on the
     DEFAULT_QUAD Chebyshev grid, assembles K = H + H * F there, and wraps
-    the grid in a semigroup extension that reaches T by repeated
-    squaring.  The certified sup error at T is stored as
+    the grid in a SemigroupKernel, which reaches T from binary
+    checkpoints.  The certified sup error at T is stored as
     `truncation_bound`; construction refuses a starter that fails
     validation, and refuses to start when the certificate cannot be
     brought under tol.

@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     NotReproducing,
-    ProfileUnnormalizable,
 )
 from .space import (
     Conductance,
@@ -124,13 +123,12 @@ _PROFILES = {"epanechnikov": _epanechnikov, "exponential": _exponential}
 
 def profile_parametrix(space: PointSpace, conductance: Conductance,
                        profile: str = "epanechnikov", order: int = 0,
-                       kind: str = "combinatorial", horizon: float = 10.0,
-                       distances: np.ndarray | None = None) -> Parametrix:
+                       kind: str = "combinatorial", horizon: float = 10.0) -> Parametrix:
     """Starter H(x, y; t) = F(d(x, y) / t) / S(x, t), unit row mass in mu.
 
     F is the named profile shape; d is the shortest-path distance with
-    edge length 1/weight (or a caller-supplied matrix); S(x, t) is the row
-    normalizer sum_y F(d(x,y)/t) mu(y).  The declared order is recorded
+    edge length 1/weight; S(x, t) = sum_y F(d(x,y)/t) mu(y) normalizes the
+    row, >= F(0) mu(x) > 0 as d(x, x) = 0.  The declared order is recorded
     as given; the empirical order lands in the validation report.
     """
     if profile not in _PROFILES:
@@ -139,9 +137,7 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
         )
     profile_fn = _PROFILES[profile]
     A, mu = generator(space, conductance, kind)
-    d = graph_distances(space, conductance) if distances is None else np.asarray(distances, dtype=float)
-    if d.shape != (space.n, space.n):
-        raise DimensionMismatch("distance matrix does not match the space")
+    d = graph_distances(space, conductance)
     limit = np.diag(1.0 / mu)
     image_limit = A @ limit
 
@@ -151,15 +147,7 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
         zero = ts <= 0.0
         t = np.where(zero, horizon, ts)[:, None, None]
         Fv, Fd = profile_fn(d / t)
-        S = Fv @ mu
-        bad = np.any(S <= 0.0, axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            x = space.points[int(np.argmin(S[i]))]
-            raise ProfileUnnormalizable(
-                f"profile mass vanished on the row of point {x!r} at t={ts[i]}"
-            )
-        return zero, t, Fv, Fd, S[:, :, None]
+        return zero, t, Fv, Fd, (Fv @ mu)[:, :, None]
 
     def H_at(ts):
         zero, _, Fv, _, S = shape(ts)
@@ -183,7 +171,6 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
 
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"profile-{profile}")
     image = ClosedFormKernel(space, horizon, mu, image_at, name=f"profile-{profile}-image")
-    # Row masses must be exactly normalizable everywhere on the horizon.
     ts = np.geomspace(horizon * 1e-5, horizon, 160)
     sup = np.max(image.per_time(ts, sup_norms) / (ts ** order if order else 1.0))
     C = float(sup) * 1.05 + 1e-300

@@ -123,11 +123,11 @@ def sup_norms(block: np.ndarray) -> np.ndarray:
 
 
 def row_masses(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """max_x of the row mass of |M| against |W| for each matrix M of a
-    (k, n, n) block, W the pairing; overwrites the block with |M|."""
-    absw = np.abs(weight)
+    """max_x sum_z |(M W)(x, z)| per M of a (k, n, n) block, overwritten with |M|;
+    callers use it only through |A W B| <= (row mass of A W) max|B| entrywise."""
+    paired = np.abs(block @ weight) if weight.ndim == 2 else None
     np.abs(block, out=block)
-    return np.max(block @ absw if absw.ndim == 1 else np.sum(block @ absw, axis=2), axis=1)
+    return np.max(block @ weight, axis=1) if paired is None else np.max(paired.sum(axis=2), axis=1)
 
 
 class TimeKernel:
@@ -260,33 +260,52 @@ class ChebKernel(TimeKernel):
 
 
 class SemigroupKernel(TimeKernel):
-    """A heat kernel stored on a base horizon and extended by its semigroup.
+    """A heat kernel stored on a base horizon T_b, extended by its semigroup.
 
-    Evaluation at t beyond the base horizon halves t until it lands on the
-    base grid, then squares the weighted matrix back up:
-    K(2t) = K(t) W K(t) with W the pairing.  This keeps stiff kernels
-    accurate at every time without resolving their initial layer on one
-    global polynomial grid; it also evaluates past `horizon`, which is the
-    declared build interval rather than a hard limit.  weight_inv is the
-    inverse of a matrix pairing (its Gram matrix), None for a measure.
+    Past T_b, t = r + q T_b with q = ceil(t/T_b) - 1 and r in (0, T_b], and
+    K(t) W = K(r) W prod_{bit k of q} P_k, W the pairing: one interpolation
+    and popcount(q) products of P_k = K(2^k T_b) W, a chain (P_0 from the
+    base grid, P_{k+1} = P_k P_k) grown one whole tuple per assignment as
+    queries need levels, so readers see whole chains whose bits do not
+    depend on query order.  `horizon` is the build interval, not a limit;
+    weight_inv inverts a matrix pairing (its Gram), None for a measure.
+
+    Error.  For a measure pairing the exact K W is stochastic and K is
+    symmetric, so |Ã W B̃ - A W B| <= a (1 + mu(X) b) + b if |Ã - A| <= a,
+    |B̃ - B| <= b: (Ã - A) W B is within a (the columns of W B sum to one),
+    A W (B̃ - B) within b, (Ã - A) W (B̃ - B) within a b mu(X).  To first
+    order the errors of the 1 + q = ceil(t/T_b) base pieces add, each within
+    eps_b = truncation_bound / 2^squarings, and ceil(t/T_b) <= 2^ceil(log2(t/T_b)):
+    the rule the build charges to its horizon and `GreenResult.budget` past
+    it.  r in (0, T_b], not [0, T_b), keeps t = 2^j T_b at 2^j pieces, and
+    q < 2^ceil(log2(t/T_b)) keeps popcount(q) within the squarings of
+    halving t onto T_b.  A matrix pairing's K W is not stochastic: unproven.
     """
 
     def __init__(self, base: ChebKernel, horizon: float, weight_inv: np.ndarray | None):
         super().__init__(base.space, horizon, base.weight)
         self.base = base
         self._winv = weight_inv
+        self._chain = ()
 
     def at(self, t: float) -> np.ndarray:
         t = float(t)
         if not 0.0 <= t < math.inf:
             raise HorizonExceeded(f"time {t} is negative or not finite")
         Tb = self.base.horizon
-        if t <= Tb:
-            return self.base.at(t)
-        j = max(1, int(math.ceil(math.log2(t / Tb))))
-        M = pair(self.base.at(t / 2.0 ** j), self.weight)
-        for _ in range(j):
-            M = M @ M
+        # fmod is exact, so r + q Tb is t to the last bit; r = 0 moves to Tb
+        r = math.fmod(t, Tb) or min(t, Tb)
+        q = round((t - r) / Tb)
+        if q == 0:
+            return self.base.at(r)
+        chain = self._chain
+        while len(chain) < q.bit_length():
+            self._chain = chain = (chain + (chain[-1] @ chain[-1],) if chain
+                                   else (pair(self.base.at(Tb), self.weight),))
+        M = pair(self.base.at(r), self.weight)
+        for k, P in enumerate(chain):
+            if q >> k & 1:
+                M = M @ P
         return M / self.weight[None, :] if self.weight.ndim == 1 else M @ self._winv
 
 

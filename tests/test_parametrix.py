@@ -16,7 +16,6 @@ from heatkern.errors import (
     DimensionMismatch,
     InvalidParametrix,
     NotPositiveDefinite,
-    ProfileUnnormalizable,
 )
 
 from _graphs import random_connected_graph
@@ -120,13 +119,6 @@ def test_profile_unknown_name(two_point):
     sp, cond, _ = two_point
     with pytest.raises(DimensionMismatch):
         profile_parametrix(sp, cond, profile="gaussian")
-
-
-def test_profile_unnormalizable_distances(two_point):
-    sp, cond, _ = two_point
-    far = np.full((2, 2), 5.0)
-    with pytest.raises(ProfileUnnormalizable):
-        profile_parametrix(sp, cond, profile="epanechnikov", distances=far)
 
 
 def test_profile_overdeclared_order_fails_validation(two_point):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -19,23 +21,27 @@ from heatkern import (
     build_space,
     convolve,
     dirac_parametrix,
+    eigh_weighted,
+    expm_series,
     generator,
     integer_line,
     profile_parametrix,
     rkhs_parametrix,
     series_tail_bound,
+    spectral_heat,
     spectral_parametrix,
 )
 from heatkern.timekernel import (
     DEFAULT_QUAD,
     TimeFactor,
     lobatto_nodes,
+    pair,
     residual_fold_bound,
+    row_masses,
 )
 from heatkern.errors import (
     DimensionMismatch,
     HorizonExceeded,
-    ProfileUnnormalizable,
     SpaceMismatch,
 )
 
@@ -482,18 +488,6 @@ def test_closed_form_refuses_wrong_evaluator_shape(two_point):
         short.at_many([0.1, 0.5])
 
 
-def test_profile_block_with_unnormalizable_time(two_point):
-    # distances with a diagonal of 1e-5 leave every row empty for t below
-    # it, under the times the envelope samples; the first such time of a
-    # block is named
-    sp, cond, _ = two_point
-    p = profile_parametrix(sp, cond, distances=np.full((2, 2), 1e-5), horizon=10.0)
-    with pytest.raises(ProfileUnnormalizable, match=r"point 'a' at t=5e-06"):
-        p.H.at_many([1.0, 5e-6, 2e-6, 2.0])
-    with pytest.raises(ProfileUnnormalizable):
-        p.heat_image.at(5e-6)
-
-
 def test_closed_forms_refuse_nan_times(two_point):
     sp, cond, _ = two_point
     for p in (dirac_parametrix(sp, cond), profile_parametrix(sp, cond)):
@@ -525,3 +519,141 @@ def test_semigroup_kernel_extends_past_horizon(two_point):
         [(1 - np.exp(-2 * t)) / 2, (1 + np.exp(-2 * t)) / 2]])
     for t in (0.5, 2.0, 6.0, 11.0):
         assert np.max(np.abs(K.at(t) - want(t))) < 1e-9
+
+
+def _checkpoint_build(rng, case):
+    # a stiff random graph, so the base horizon sits several halvings under
+    # T = 2, with the oracle of its kernel and the inverse of its pairing
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
+    kind = "normalized" if case == "dirac-normalized" else "combinatorial"
+    A, mu = generator(sp, cond, kind)
+    if case == "rkhs":
+        X = rng.standard_normal((sp.n, sp.n))
+        G = X @ X.T / sp.n + np.eye(sp.n)
+        res = build_heat_kernel(rkhs_parametrix(sp, G, cond, kind, horizon=2.0), T=2.0)
+        return res, (lambda t: expm_series(A, t) @ G), G
+    res = build_heat_kernel(dirac_parametrix(sp, cond, kind, horizon=2.0), T=2.0)
+    spec = eigh_weighted(A, mu)
+    return res, (lambda t: spectral_heat(spec, t)), np.diag(1.0 / mu)
+
+
+def _checkpoint_times(res):
+    Tb, T = res.base_horizon, res.horizon
+    return sorted({np.nextafter(Tb, 0.0), Tb, np.nextafter(Tb, np.inf), 8.0 * T,
+                   *(q * Tb for q in (2, 3, 5, 7, 11, 2 ** res.squarings - 1)),
+                   *(2.0 ** k * Tb for k in range(res.squarings + 2))})
+
+
+def _halving_squares(K, t, weight_inv):
+    # the semigroup by halving t onto the base grid and squaring back up
+    Tb = K.base.horizon
+    if t <= Tb:
+        return K.base.at(t)
+    j = math.ceil(math.log2(t / Tb))
+    M = pair(K.base.at(t / 2.0 ** j), K.weight)
+    for _ in range(j):
+        M = M @ M
+    return M @ weight_inv
+
+
+@pytest.mark.parametrize("case", ["dirac-combinatorial", "dirac-normalized", "rkhs"])
+def test_semigroup_checkpoints_within_certificate(rng, case):
+    # exact multiples of T_b, powers of two, one ulp either side of T_b and
+    # 8T, past the chain the horizon needs: within the certificate doubled
+    # per doubling past T, and equal to halving-and-squaring to roundoff
+    res, oracle, weight_inv = _checkpoint_build(rng, case)
+    K, T = res.K, res.horizon
+    assert res.squarings >= 2
+    for t in _checkpoint_times(res):
+        M = K.at(t)
+        bound = res.truncation_bound * 2.0 ** max(0, math.ceil(math.log2(t / T)))
+        assert np.max(np.abs(M - oracle(t))) <= bound, (t, bound)
+        ref = _halving_squares(K, t, weight_inv)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref)), t
+
+
+class _CountedProduct:
+    # `M @ P` on a plain array defers to P.__rmatmul__: numpy steps aside
+    # for operands whose __array_ufunc__ is None
+    __array_ufunc__ = None
+
+    def __init__(self, P, calls):
+        self.P, self.calls = P, calls
+
+    def __rmatmul__(self, M):
+        self.calls.append(1)
+        return M @ self.P
+
+
+def test_semigroup_products_are_the_set_bits(rng):
+    # popcount(ceil(t / T_b) - 1) products of checkpoints, never more than
+    # the ceil(log2(t / T_b)) squarings of halving t onto the base grid
+    res, _, _ = _checkpoint_build(rng, "dirac-combinatorial")
+    K, Tb = res.K, res.base_horizon
+    times = _checkpoint_times(res) + list(rng.uniform(0.0, 8.0 * res.horizon, 200))
+    # the largest time first grows the whole chain before it is wrapped
+    want = {t: K.at(t) for t in [max(times)] + times}
+    calls = []
+    K._chain = tuple(_CountedProduct(P, calls) for P in K._chain)
+    for t in times:
+        calls.clear()
+        assert np.array_equal(K.at(t), want[t])
+        q = math.ceil(t / Tb) - 1
+        assert len(calls) == bin(q).count("1"), t
+        assert len(calls) <= (math.ceil(math.log2(t / Tb)) if t > Tb else 0), t
+
+
+def test_semigroup_query_order_does_not_move_bits(rng):
+    # a chain grown by one large query or level by level holds the same bits
+    res, _, gram = _checkpoint_build(rng, "rkhs")
+    times = _checkpoint_times(res)
+    up, down = (SemigroupKernel(res.K.base, res.horizon, gram) for _ in range(2))
+    ascending = {t: up.at(t) for t in times}
+    descending = {t: down.at(t) for t in reversed(times)}
+    assert all(np.array_equal(ascending[t], descending[t]) for t in times)
+
+
+def test_semigroup_chain_shared_between_threads(rng):
+    # threads that race to grow one chain each read a whole chain: every
+    # result equals the serial one, bit for bit, on a fresh kernel per round
+    res, _, _ = _checkpoint_build(rng, "dirac-combinatorial")
+    times = _checkpoint_times(res)
+    want = {t: res.K.at(t) for t in times}
+    orders = [rng.permutation(times) for _ in range(6)]
+    wrong = []
+
+    def query(K, start, order):
+        start.wait(timeout=60.0)
+        for t in order:
+            if not np.array_equal(K.at(t), want[t]):
+                wrong.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            K = SemigroupKernel(res.K.base, res.horizon, None)
+            start = threading.Barrier(len(orders))
+            threads = [threading.Thread(target=query, args=(K, start, order)) for order in orders]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+
+
+def test_row_masses_pair_first(rng):
+    # a matrix pairing's row mass is that of |M W|, at most that of |M| |W|;
+    # a measure's is that of |M| against it, as before
+    M = rng.standard_normal((3, 5, 5))
+    X = rng.standard_normal((5, 5))
+    W, mu = X @ X.T + np.eye(5), rng.uniform(0.2, 5.0, 5)
+    assert np.array_equal(row_masses(M.copy(), W), np.abs(M @ W).sum(axis=2).max(axis=1))
+    assert np.all(row_masses(M.copy(), W) <= (np.abs(M) @ np.abs(W)).sum(axis=2).max(axis=1))
+    assert np.array_equal(row_masses(M.copy(), mu), (np.abs(M) @ mu).max(axis=1))
+    block = M.copy()
+    row_masses(block, W)
+    assert np.array_equal(block, np.abs(M))
