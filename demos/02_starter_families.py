@@ -46,8 +46,9 @@ print("family     valid  terms  certificate     dev from oracle at t=1")
 print("-" * 64)
 for name, par in starters:
     report = validate(par)
-    # profile starters are not analytic in time, so the certificate is
-    # honest but coarser; ask for what each family can actually deliver
+    # a profile starter is not analytic at t = 0, so one default grid
+    # resolves it more coarsely; the certificate shows what the built
+    # kernel misses, so ask each family for what it can deliver
     tol = 1e-5 if name == "profile" else 1e-9
     res = build_heat_kernel(par, T=2.0, tol=tol)
     # the Hilbert-paired family converges to exp(-tA) G, the semigroup

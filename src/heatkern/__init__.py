@@ -50,7 +50,6 @@ from .neumann import (
     HeatKernelResult,
     build_heat_kernel,
     cross_parametrix_build,
-    heat_residual,
 )
 from .derived import (
     GreenResult,

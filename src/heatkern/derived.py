@@ -158,12 +158,9 @@ def resolvent(spec: SpectralData, s: float) -> np.ndarray:
 
 
 def resistance(space: PointSpace, conductance: Conductance,
-               spec: SpectralData | None = None) -> np.ndarray:
-    """Effective resistance R(x, y) = G*(x,x) + G*(y,y) - 2 G*(x,y)."""
+               spec: SpectralData) -> np.ndarray:
+    """R(x, y) = G*(x,x) + G*(y,y) - 2 G*(x,y), spec of the combinatorial generator."""
     _require_connected(space, conductance, "resistance")
-    if spec is None:
-        A, mu = generator(space, conductance, "combinatorial")
-        spec = eigh_weighted(A, mu)
     G = _green_spectral(spec)
     d = np.diag(G)
     return d[:, None] + d[None, :] - G - G.T

@@ -4,8 +4,9 @@ Writing f = L_x H for the heat image of a validated starter, the exact
 kernel is K = H + H * F with F = sum_{l>=1} (-1)^l f^{*l}, the alternating
 sum of time-convolution powers.  Each fold picks up a factor t/l from the
 time integral, so the series converges factorially once enough terms are
-taken; the tail is certified a priori from the envelope |f| <= C t^k and
-the row-mass norm of f.
+taken; the a-priori tail from the envelope |f| <= C t^k and the row-mass
+norm of f predicts how many.  The certificate is the defect of the kernel
+actually built (`_defect_bound`), whatever the starter.
 
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
@@ -30,17 +31,15 @@ from .errors import (
 from .space import Conductance, PointSpace, generator
 from .parametrix import Parametrix, ParametrixReport, validate
 from .timekernel import (
-    ChebKernel,
+    ChebSeries,
     ClosedFormKernel,
     DEFAULT_QUAD,
     FoldCache,
-    QuadratureConfig,
     SemigroupKernel,
     TimeFactor,
     TimeKernel,
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
-    residual_fold_bound,
     row_masses,
     series_tail_bound,
     sup_norms,
@@ -50,8 +49,9 @@ from .timekernel import (
 # rebuilt on a halved horizon.  Stiffness is the larger of the series
 # row-mass scale and the generator's row-sum rate: the first keeps the
 # alternating partial sums near unit scale, the second keeps e^{-tA}
-# resolvable by the base Chebyshev grid.
+# resolvable by the base Chebyshev grid.  So T_base |A|_inf <= THETA.
 THETA = 4.0
+U = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass
@@ -90,20 +90,68 @@ def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
     return np.unique(np.concatenate([dense, small]))
 
 
+def _allowance(m, n, h, V0, S0, Z, E0, rho) -> float:
+    """Floating-point allowance of one base piece (see `_defect_bound`)."""
+    return U * (E0 + (m + 1) * S0 + V0 + Z + (n + 2) * V0
+                + (1.0 + h) * ((m + 1) * rho + (2.0 + h * (n + 4)) * S0))
+
+
+def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
+    """(E0, rho, allowance): K.at is within E0 + (1 + h) rho + allowance of
+    the exact kernel on [0, T_b], h = T_b |A|_inf <= THETA.
+
+    The base is K~(t) = sum_k c_k T_k(2t/T_b - 1), c = base.coeffs; the
+    exact kernel e^{-tA} K(0), K(0) = diag(1/mu) or the Gram, with A a
+    Markov generator, so |e^{-sA} X| <= max|X|.  With r(t) = K~(t) - K~(0)
+    + int_0^t A K~ (the defect correction principle, H. J. Stetter, Numer.
+    Math. 29, 1978), E = K~ - K solves (E - r)' = -A (E - r) - A r, so
+    max|E(t)| <= max|E(0)| + (1 + h) sup|r|.  r = q(t) - q(0), q = K~ +
+    A sum_{k>=1} I_k T_k with I_k = (T_b/4)(c'_{k-1} - c_{k+1})/k (c'_0 =
+    2 c_0) the antiderivative's coefficients, so sup|r| <= 2 max_xy
+    sum_{k>=1} |c_k + A I_k| = rho, as |T_k| <= 1 (L. N. Trefethen,
+    Approximation Theory and Approximation Practice, 2013).
+
+    Allowance, to first order in u, with S0 = max_xy sum_k |c_k| = S, so
+    sum_{k>=1} |I_k| <= T_b S / 2: |E(0)| <= E0 + u (E0 + (m + 1) S + V0),
+    V0 = max|K(0)|.  The I_k round within 3u T_b S / 2, A I within (n + 3)
+    u h S / 2, adding c_k within u (h / 2 + 1) S and rho within (m + 1) u
+    rho: sup|r| <= rho + u ((m + 1) rho + (2 + h (n + 4)) S).  `base.at`
+    rounds row k within 1.5 k^2 u (errors follow the recurrence through
+    U_{k-j}, |U_i| <= i + 1, 3u a step), x = 2t/T_b - 1 within 3u moves
+    T_k by 3 k^2 u, and the product adds (m + 1) u S: u Z in all, Z =
+    max_xy sum_k (m + 1 + 4.5 k^2) |c_k|.  Past T_b a piece carries
+    (n + 2) u V0 of product rounding (`SemigroupKernel`).
+    """
+    m, n, Tb = base.degree, base.n, base.horizon
+    weights = np.stack([np.ones(m + 1), m + 1 + 4.5 * np.arange(m + 1) ** 2])
+    S0, Z = map(float, (weights @ np.abs(base.coeffs).reshape(m + 1, -1)).max(axis=1))
+    E0 = float(np.max(np.abs(base.at(0.0) - K0)))
+    cc = base.coeffs.transpose(1, 0, 2)
+    # I_1 .. I_{m+1} laid out (n, m + 1, n): one GEMM applies A to them all
+    I = np.empty((n, m + 1, n))
+    np.subtract(cc[:, :m - 1], cc[:, 2:], out=I[:, :m - 1])
+    I[:, 0] = 2.0 * cc[:, 0] - cc[:, 2]
+    I[:, m - 1:] = cc[:, m - 1:]
+    I *= (Tb / 4.0 / np.arange(1, m + 2))[:, None]
+    Q = (A @ I.reshape(n, -1)).reshape(n, m + 1, n)
+    Q[:, :m] += cc[:, 1:]
+    rho = 2.0 * float(np.abs(Q, out=Q).sum(axis=1).max())
+    V0 = float(np.max(np.abs(K0)))
+    return E0, rho, _allowance(m, n, Tb * _operator_rate(A), V0, S0, Z, E0, rho)
+
+
 def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
                       max_terms: int = 64) -> HeatKernelResult:
     """Construct the heat kernel on [0, T] from a validated starter.
 
-    Validates the starter first, always and with `validate`'s defaults,
-    so no earlier or looser validation can reach the series (the report
-    lands on the result).  Then picks a base horizon short enough for the
-    alternating series to stay well scaled, sums the folds on the
-    DEFAULT_QUAD Chebyshev grid, assembles K = H + H * F there, and wraps
-    the grid in a SemigroupKernel, which reaches T from binary
-    checkpoints.  The certified sup error at T is stored as
-    `truncation_bound`; construction refuses a starter that fails
-    validation, and refuses to start when the certificate cannot be
-    brought under tol.
+    Validates the starter first, with `validate`'s defaults (the report
+    lands on the result).  The a-priori series tail picks T_b = T /
+    2^squarings and the term count; K = H + H * F is assembled once on the
+    DEFAULT_QUAD grid of T_b, and a SemigroupKernel reaches T.
+    `truncation_bound` is 2^squarings times what `_defect_bound` proves
+    (unproven past T_b for a Hilbert pairing).  Refuses a tol the allowance
+    alone reaches, and a kernel that misses tol after one reassembly with
+    max_terms terms.
     """
     if T <= 0.0:
         raise HorizonExceeded(f"horizon must be positive, got {T}")
@@ -127,113 +175,76 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
 
     C = float(parametrix.envelope["C"])
     k = int(parametrix.order_k)
+    A, a = parametrix.generator_matrix, _operator_rate(parametrix.generator_matrix)
     norm1 = _row_mass_norm(f, weight, _sample_grid(T))
-    rate = max(norm1, _operator_rate(parametrix.generator_matrix),
-               float(parametrix.envelope.get("rate", 0.0)))
+    rate = max(norm1, a, float(parametrix.envelope.get("rate", 0.0)))
+    K0 = np.diag(1.0 / weight) if weight.ndim == 1 else parametrix.gram
+    V0, m = float(np.max(np.abs(K0))), DEFAULT_QUAD.cheb_degree
 
-    # Base horizon: halve until both the series and the kernel are tame.
-    # Each extra squaring doubles the error amplification but shrinks the
-    # series tail superexponentially, so keep halving while the tolerance
-    # is out of reach and the amplified slop still leaves room.
+    # Halve T_b while tol is out of reach and the doubled allowance (for
+    # coefficients the size of K(0)) still leaves room: a squaring doubles
+    # the amplification but shrinks the tail superexponentially.
     squarings = 0
     if rate * T > THETA:
         squarings = math.ceil(math.log2(rate * T / THETA))
-    # Charge the certificate a per-fold resampling slop scaled to the
-    # requested tolerance.  The grid is spectrally accurate and exact on
-    # polynomial folds, so tightening the budget costs nothing; the floor
-    # keeps the claim above roundoff.
-    slop = min(1e-13, max(tol * 1e-3, 1e-15))
     terms = None
-
-    def certificate(L, slop_term, charge=0.0):
-        # Series tail through the H * F assembly, plus the charged slop and
-        # low-rank residual, amplified by the squarings; reads the current
-        # base horizon.
-        tail = series_tail_bound(C, norm1, k, L, T_base)
-        return (tail * (1.0 + T_base * massH) + slop_term + charge) * grow
-
     while True:
         T_base = T / (2 ** squarings)
         grow = 2.0 ** squarings
         massH = _row_mass_norm(H, weight, _sample_grid(T_base))
+        fp = _allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0.0, 0.0)
         for L in range(1, max_terms + 1):
-            if certificate(L, L * slop) < tol:
+            tail = series_tail_bound(C, norm1, k, L, T_base)
+            if (tail * (1.0 + T_base * massH) + fp) * grow < tol:
                 terms = L
                 break
         if terms is not None:
             break
-        if 2.0 * grow * slop >= tol:
+        if fp * grow >= tol:
             raise NoConvergenceBudget(
                 f"no certificate below tol={tol} within {max_terms} terms: "
-                f"base horizon {T_base:.3g}, row-mass norm {norm1:.3g}, "
-                f"{squarings} squarings amplify by {grow:.0f}; raise tol "
-                f"or max_terms"
+                f"base horizon {T_base:.3g}, row-mass norm {norm1:.3g}, and "
+                f"{squarings} squarings amplify the floating-point allowance "
+                f"{fp:.3g} by {grow:.0f}; raise tol or max_terms"
             )
         squarings += 1
 
-    def assemble(q):
-        # K = H + H * F on the grid of q, and the residual it charges: F's
-        # (see residual_fold_bound) through H of row mass <= massH plus its
-        # residual's, plus H's residual against |F| <= C T^k e^(norm1 T) / k!.
-        cache = FoldCache(f, q, horizon=T_base)
+    def assemble(L):
+        # K = H + H * F on the base grid, F summed to L terms
+        cache = FoldCache(f, horizon=T_base)
         Fvals = np.zeros((cache.nodes.shape[0], f.n, f.n))
-        for ell in range(1, terms + 1):
-            Fvals += ((-1) ** ell) * (cache.fold(ell).values if ell > 1 else f.at_many(cache.nodes))
-        epsF = residual_fold_bound(cache.factor.residual, cache.factor.residual_mass,
-                                   C, norm1, k, T_base)
+        for ell in range(1, L + 1):
+            Fvals += (-1) ** ell * (cache.fold(ell).values if ell > 1 else f.at_many(cache.nodes))
         # Free the last fold and the factor first: K's samples allocated
         # above them would pin their heap pages until K itself is freed.
         del cache
-        Hf = TimeFactor(H, T_base, q)
-        Fmax = C * T_base ** k / math.factorial(k) * math.exp(norm1 * T_base)
-        charge = epsF * (1.0 + T_base * (massH + Hf.residual_mass)) \
-            + T_base * Hf.residual_mass * (Fmax + epsF)
-        return H.at_many(Hf.nodes) + Hf.convolve(Fvals), charge
+        Hf = TimeFactor(H, T_base, DEFAULT_QUAD)
+        return ChebSeries(parametrix.space, T_base, weight,
+                          H.at_many(Hf.nodes) + Hf.convolve(Fvals))
 
-    Kvals, charge = assemble(DEFAULT_QUAD)
-    slop_term = terms * slop
-    if not parametrix.analytic_in_time:
-        # The charged per-fold slop assumes spectral quadrature accuracy.
-        # Starters that are merely smooth at t = 0 converge only
-        # root-exponentially, so the assumption is unsound for them:
-        # assemble once more on a doubled grid, charge twice the observed
-        # refinement delta (an upper bound for the finer grid's own
-        # error), and keep the finer kernel.
-        fine = QuadratureConfig(nodes_per_panel=2 * DEFAULT_QUAD.nodes_per_panel,
-                                cheb_degree=2 * DEFAULT_QUAD.cheb_degree)
-        fKvals, charge = assemble(fine)
-        coarse = ChebKernel(parametrix.space, T_base, weight, Kvals)
-        fine_nodes = lobatto_nodes(fine.cheb_degree, T_base)
-        measured = float(np.max(np.abs(coarse.at_many(fine_nodes) - fKvals)))
-        slop_term = max(slop_term, 2.0 * measured)
-        Kvals = fKvals
-    bound = certificate(terms, slop_term, charge)
+    while True:
+        base = assemble(terms)
+        E0, rho, fp = _defect_bound(base, A, K0)
+        bound = (E0 + (1.0 + T_base * a) * rho + fp) * grow
+        # more terms move only the residual
+        if bound < tol or terms == max_terms or (E0 + fp) * grow >= tol:
+            break
+        terms, base = max_terms, None
     if bound >= tol:
         raise NoConvergenceBudget(
-            f"charged quadrature error {slop_term:.3g} and low-rank residual "
-            f"{charge:.3g} on the base grid lift the certificate to "
-            f"{bound:.3g}, above tol={tol}; raise tol"
-        )
-    base = ChebKernel(parametrix.space, T_base, weight, Kvals)
+            f"the built kernel's residual {rho:.3g} (error at t = 0 {E0:.3g}, floating-point "
+            f"allowance {fp:.3g}, {squarings} squarings) certifies {bound:.3g} after "
+            f"{terms} terms, not below tol={tol}; raise tol")
 
-    gram = parametrix.gram
-    K = SemigroupKernel(base, horizon=T, weight_inv=gram)
+    K = SemigroupKernel(base, horizon=T, weight_inv=parametrix.gram)
     return HeatKernelResult(
         K=K, terms_used=terms, truncation_bound=bound,
         parametrix_family=parametrix.family, space=parametrix.space,
         conductance=parametrix.conductance, kind=parametrix.kind,
-        generator_matrix=parametrix.generator_matrix, weight=weight,
+        generator_matrix=A, weight=weight,
         horizon=T, base_horizon=T_base, squarings=squarings, tol=tol,
         report=report,
     )
-
-
-def heat_residual(result: HeatKernelResult) -> float:
-    """max |d/dt K + A K| at nine nodes of the base grid, by spectral
-    differentiation, with the build's own generator A."""
-    A, base = result.generator_matrix, result.K.base
-    idx = np.linspace(0, base.nodes.shape[0] - 1, 9).astype(int)
-    return float(np.max(np.abs(base.dvalues[idx] + A @ base.values[idx])))
 
 
 def cross_parametrix_build(result: HeatKernelResult,

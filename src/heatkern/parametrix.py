@@ -78,10 +78,8 @@ class Parametrix:
     generator_matrix: np.ndarray
     weight: np.ndarray
     gram: np.ndarray | None = None
-    # Whether H(x, y; t) is analytic in t on [0, horizon].  Spectral-grade
-    # quadrature claims hold only then; families that are merely smooth at
-    # t = 0 (distance profiles decay like exp(-d/t)) must have their
-    # assembly error measured rather than assumed.
+    # Whether H is analytic in t on [0, horizon] (profiles decay like exp(-d/t)
+    # at t = 0).  Only bench/spans.py reads it: the build certifies any starter.
     analytic_in_time: bool = True
 
 

@@ -16,8 +16,8 @@ the time variable with composite Gauss-Legendre panels split at t/2:
     (F * G)(x, y; t) = int_0^t sum_z F(x, z; t - tau) w(z) G(z, y; tau) dtau.
 
 Iterated self-convolutions ("folds") are streamed, each sampled from the
-one before, and a factorial-decay majorant bounds everything beyond a
-truncation point, which is what certifies series built from these folds.
+one before, and a factorial-decay majorant of everything beyond a
+truncation point predicts how many a series needs.
 
 On a sampled grid every kernel is folded as a short sum in time,
 sum_r phi_r(t) M_r (see TimeFactor); `convolve`, one time at a time, is
@@ -76,27 +76,14 @@ def interp_matrix(nodes: np.ndarray, bary: np.ndarray, targets: np.ndarray) -> n
     return M
 
 
-def diff_matrix(nodes: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """Barycentric differentiation matrix on the given nodes."""
-    m = nodes.shape[0]
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                D[i, j] = (bary[j] / bary[i]) / (nodes[i] - nodes[j])
-        D[i, i] = -np.sum(D[i])
-    return D
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Grid of the time quadrature and of sampled kernels.
 
     nodes_per_panel: Gauss-Legendre points per panel (two panels per
     convolution, split at t/2).  cheb_degree: degree of the sampled-kernel
-    grids.  `build_heat_kernel` builds on DEFAULT_QUAD, and on twice both
-    for starters not analytic in time; the error it charges each fold is
-    set by its tolerance, not here.
+    grids.  `build_heat_kernel` builds on DEFAULT_QUAD; its certificate
+    measures what the grid costs the kernel it built.
     """
 
     nodes_per_panel: int = 16
@@ -245,44 +232,75 @@ class ChebKernel(TimeKernel):
         self.bary = lobatto_bary_weights(self.degree)
 
     def at(self, t: float) -> np.ndarray:
-        M = interp_matrix(self.nodes, self.bary, self._check_times(t))
-        return (M[0] @ self.values.reshape(self.degree + 1, -1)).reshape(self.n, self.n)
+        return self.at_many(t)[0]
 
     def at_many(self, ts) -> np.ndarray:
-        ts = self._check_times(ts)
-        M = interp_matrix(self.nodes, self.bary, ts)
+        M = interp_matrix(self.nodes, self.bary, self._check_times(ts))
         return np.einsum("kj,jxy->kxy", M, self.values)
 
+
+class ChebSeries(TimeKernel):
+    """sum_k coeffs[k] T_k(2t/horizon - 1) through samples on the Chebyshev-Lobatto nodes
+    (a DCT-I, written over the sample block), evaluated by T_{k+1} = 2x T_k - T_{k-1}: its
+    roundoff follows sum_k |c_k| (see neumann._defect_bound), interpolation's the samples."""
+
+    def __init__(self, space, horizon, weight, values: np.ndarray):
+        super().__init__(space, horizon, weight)
+        m = self.degree = values.shape[0] - 1
+        self.nodes = lobatto_nodes(m, self.horizon)
+        j = np.arange(m + 1)
+        half = np.where(j % m, 1.0, 0.5)  # the end terms count half
+        phi = np.cos(np.pi * (np.outer(j, j) % (2 * m)) / m) * np.outer((-1.0) ** j * half, half)
+        phi *= 2.0 / m
+        flat = np.asarray(values, dtype=float).reshape(m + 1, -1)
+        self.coeffs = np.matmul(phi, flat, out=flat).reshape(values.shape)
+
     @property
-    def dvalues(self) -> np.ndarray:
-        """d/dt of the kernel on its nodes, by spectral differentiation."""
-        return np.einsum("ij,jxy->ixy", diff_matrix(self.nodes, self.bary), self.values)
+    def values(self) -> np.ndarray:
+        """The series at the nodes, where it interpolates its samples."""
+        return self.at_many(self.nodes)
+
+    def at(self, t: float) -> np.ndarray:
+        return self.at_many(t)[0]
+
+    def at_many(self, ts) -> np.ndarray:
+        rows = []
+        for x in map(float, 2.0 * self._check_times(ts) / self.horizon - 1.0):
+            row = [1.0, x]
+            for _ in range(self.degree - 1):
+                row.append(2.0 * x * row[-1] - row[-2])
+            rows.append(row[:self.degree + 1])
+        flat = self.coeffs.reshape(self.degree + 1, -1)
+        return (np.array(rows) @ flat).reshape(-1, self.n, self.n)
 
 
 class SemigroupKernel(TimeKernel):
     """A heat kernel stored on a base horizon T_b, extended by its semigroup.
 
     Past T_b, t = r + q T_b with q = ceil(t/T_b) - 1 and r in (0, T_b], and
-    K(t) W = K(r) W prod_{bit k of q} P_k, W the pairing: one interpolation
-    and popcount(q) products of P_k = K(2^k T_b) W, a chain (P_0 from the
-    base grid, P_{k+1} = P_k P_k) grown one whole tuple per assignment as
-    queries need levels, so readers see whole chains whose bits do not
-    depend on query order.  `horizon` is the build interval, not a limit;
-    weight_inv inverts a matrix pairing (its Gram), None for a measure.
+    K(t) W = K(r) W prod_{bit k of q} P_k, W the pairing: one evaluation of
+    the base series and popcount(q) products of P_k = K(2^k T_b) W, a chain
+    (P_0 from the base, P_{k+1} = P_k P_k) grown one whole tuple per
+    assignment as queries need levels, so readers see whole chains whose
+    bits do not depend on query order.  `horizon` is the build interval,
+    not a limit; weight_inv inverts a matrix pairing (its Gram), None for a
+    measure.
 
     Error.  For a measure pairing the exact K W is stochastic and K is
     symmetric, so |Ã W B̃ - A W B| <= a (1 + mu(X) b) + b if |Ã - A| <= a,
     |B̃ - B| <= b: (Ã - A) W B is within a (the columns of W B sum to one),
-    A W (B̃ - B) within b, (Ã - A) W (B̃ - B) within a b mu(X).  To first
-    order the errors of the 1 + q = ceil(t/T_b) base pieces add, each within
-    eps_b = truncation_bound / 2^squarings, and ceil(t/T_b) <= 2^ceil(log2(t/T_b)):
-    the rule the build charges to its horizon and `GreenResult.budget` past
-    it.  r in (0, T_b], not [0, T_b), keeps t = 2^j T_b at 2^j pieces, and
-    q < 2^ceil(log2(t/T_b)) keeps popcount(q) within the squarings of
-    halving t onto T_b.  A matrix pairing's K W is not stochastic: unproven.
+    A W (B̃ - B) within b, (Ã - A) W (B̃ - B) within a b mu(X).  A product
+    rounds within n u max|K(0)|, (un)pairing within u max|K(0)|, and c
+    pieces take c - 1 products, so to first order the errors of the
+    ceil(t/T_b) pieces add, each within eps_b = truncation_bound / 2^squarings
+    (rounding included), and ceil(t/T_b) <= 2^ceil(log2(t/T_b)): the rule
+    the build charges to its horizon and `GreenResult.budget` past it.  r in
+    (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q < 2^ceil(log2(t/T_b))
+    keeps popcount(q) within the squarings of halving t onto T_b.  A matrix
+    pairing's K W is not stochastic: unproven.
     """
 
-    def __init__(self, base: ChebKernel, horizon: float, weight_inv: np.ndarray | None):
+    def __init__(self, base: ChebSeries, horizon: float, weight_inv: np.ndarray | None):
         super().__init__(base.space, horizon, base.weight)
         self.base = base
         self._winv = weight_inv
@@ -360,20 +378,18 @@ class TimeFactor:
 
     On the Chebyshev grid t_0 < ... < t_m of [0, horizon] a fold reads f
     only at t_j - tau_jq, tau_jq the 2p panel points of `convolve` at t_j.
-    values[r, j-1, q] = phi_r(t_j - tau_jq), matrices[r] = M_r; residual
-    and residual_mass are the largest entry and row mass (against |W|) of
-    f - sum_r phi_r M_r over those times.
+    values[r, j-1, q] = phi_r(t_j - tau_jq), matrices[r] = M_r.
 
-    A SeparableKernel is its own single term, with no residual.  Any other
-    kernel is factored by a randomized range finder (Halko, Martinsson &
-    Tropp, SIAM Review 53, 2011) streamed node by node: a sketch pass sums
-    fixed-seed Gaussian combinations of the samples and keeps the span of
-    the sum above RANK_CUT as orthonormal M_r; a projection pass takes
-    phi_r = <M_r, f> and the exact residual.  The sketch doubles until the
-    residual is within RANK_CUT of the largest sample, or it keeps a column
-    to spare (it has seen every direction above the cut), or it spans all
-    n x n matrices or all sample times, where the factor is exact.  Each
-    term then convolves through one scalar Volterra matrix S_r.
+    A SeparableKernel is its own single term.  Any other kernel is factored
+    by a randomized range finder (Halko, Martinsson & Tropp, SIAM Review
+    53, 2011) streamed node by node: a sketch pass sums fixed-seed Gaussian
+    combinations of the samples and keeps the span of the sum above
+    RANK_CUT as orthonormal M_r; a projection pass takes phi_r = <M_r, f>
+    and the largest entry of f - sum_r phi_r M_r.  The sketch doubles until
+    that residual is within RANK_CUT of the largest sample, or it keeps a
+    column to spare (it has seen every direction above the cut), or it
+    spans all n x n matrices or all sample times, where the factor is
+    exact.  Each term then convolves through one scalar Volterra matrix S_r.
     """
 
     def __init__(self, f: TimeKernel, horizon: float, quad: QuadratureConfig):
@@ -386,7 +402,6 @@ class TimeFactor:
         if isinstance(f, SeparableKernel):
             self.matrices = f.matrix[None]
             self.values = f.phi(times)[None]
-            self.residual = self.residual_mass = 0.0
         else:
             self._sample(f, times)
         # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq): the panels
@@ -406,15 +421,13 @@ class TimeFactor:
             U, sv, _ = np.linalg.svd(Y, full_matrices=False)
             Q = U[:, :int(np.sum(sv > RANK_CUT * sv[0]))]
             self.values = np.empty((Q.shape[1],) + times.shape)
-            worst = np.zeros(3)  # residual, its row mass, largest sample
+            worst = np.zeros(2)  # residual, largest sample
             for j, ts in enumerate(times):
                 F = f.at_many(ts)
                 self.values[:, j] = Q.T @ F.reshape(len(ts), -1).T
                 R = F - (self.values[:, j].T @ Q.T).reshape(F.shape)
-                mass = row_masses(R, f.weight)
-                worst = np.maximum(worst, [R.max(), mass.max(), np.abs(F).max()])
-            self.residual, self.residual_mass = float(worst[0]), float(worst[1])
-            if worst[0] <= RANK_CUT * worst[2] or Q.shape[1] < width or width == full:
+                worst = np.maximum(worst, [np.abs(R).max(), np.abs(F).max()])
+            if worst[0] <= RANK_CUT * worst[1] or Q.shape[1] < width or width == full:
                 break
             width = min(2 * width, full)
         self.matrices = Q.T.reshape(-1, f.n, f.n)
@@ -451,13 +464,11 @@ class FoldCache:
     samples, so no fold recurses.  Only f and the newest fold are held:
     fold(l) returns either of them or advances to a later l, dropping the
     fold it leaves behind, and raises for a level in between.
-    `residual_fold_bound` bounds what the factor's residual moves them.
     """
 
-    def __init__(self, f: TimeKernel, quad: QuadratureConfig | None = None,
-                 horizon: float | None = None):
+    def __init__(self, f: TimeKernel, horizon: float | None = None):
         self.f = f
-        self.quad = quad or DEFAULT_QUAD
+        self.quad = DEFAULT_QUAD
         self.horizon = horizon if horizon is not None else f.horizon
         self.factor = TimeFactor(f, self.horizon, self.quad)
         self.nodes = self.factor.nodes
@@ -514,20 +525,3 @@ def series_tail_bound(C: float, norm1: float, k: int, L: int, t: float) -> float
         b *= ratio
         ell += 1
     return math.inf
-
-
-def residual_fold_bound(eps: float, eps_mass: float, C: float, norm1: float,
-                        k: int, t: float) -> float:
-    """Bound on sum_{l>=1} |g^{*l} - f^{*l}| at time t when g - f = E.
-
-    Let |E| <= eps entrywise with row mass <= eps_mass (a TimeFactor's
-    residual and residual_mass), so g has row mass <= nu = norm1 +
-    eps_mass.  From g^{*l} - f^{*l} = g * (g^{*(l-1)} - f^{*(l-1)}) +
-    E * f^{*(l-1)}, |A W B| <= (row mass of A) max|B| entrywise, and the
-    majorant `bound_ell_fold` of |f^{*m}|, the entry bound d_l obeys
-        d_l(t) <= nu int_0^t d_{l-1} + eps_mass C norm1^(l-2) t^(k+l-1) / (k+l-1)!
-    with d_1 = eps.  By induction d_l(t) <= eps (nu t)^(l-1) / (l-1)! +
-    (l-1) eps_mass C nu^(l-2) t^(k+l-1) / (k+l-1)!, and (l-1) / (k+l-1)!
-    <= 1 / (k! (l-2)!) sums this to e^(nu t) (eps + eps_mass C t^(k+1) / k!).
-    """
-    return math.exp((norm1 + eps_mass) * t) * (eps + eps_mass * C * t ** (k + 1) / math.factorial(k))

@@ -183,7 +183,7 @@ def test_acceptance_5_derived_quantities(capfd):
     tri_defect = 0.0
     for _ in range(100):
         sp, cond, _ = random_connected_graph(rng, n_max=10)
-        R = resistance(sp, cond)
+        R = resistance(sp, cond, eigh_weighted(*generator(sp, cond, "combinatorial")))
         W = cond.matrix
         L = np.diag(W @ np.ones(sp.n)) - W
         Lp = np.linalg.pinv(L)

@@ -179,15 +179,19 @@ def test_resolvent_rejects_nonpositive_shift(two_point):
 # ------------------------------------------------------------ resistance
 
 
+def _spec(sp, cond):
+    return eigh_weighted(*generator(sp, cond, "combinatorial"))
+
+
 def test_resistance_two_point_unit_edge(two_point):
     sp, cond, _ = two_point
-    R = resistance(sp, cond)
+    R = resistance(sp, cond, _spec(sp, cond))
     assert np.max(np.abs(R - np.array([[0.0, 1.0], [1.0, 0.0]]))) < 1e-12
 
 
 def test_resistance_path_adds_in_series(path3):
     sp, cond, _ = path3
-    R = resistance(sp, cond)
+    R = resistance(sp, cond, _spec(sp, cond))
     assert abs(R[0, 2] - 2.0) < 1e-10
     assert abs(R[0, 1] - 1.0) < 1e-10
     assert np.max(np.abs(np.diag(R))) == 0.0
@@ -196,7 +200,7 @@ def test_resistance_path_adds_in_series(path3):
 def test_resistance_matches_unit_current_flow(rng):
     for _ in range(8):
         sp, cond, _ = random_connected_graph(rng, n_max=9)
-        R = resistance(sp, cond)
+        R = resistance(sp, cond, _spec(sp, cond))
         i, j = rng.choice(sp.n, size=2, replace=False)
         flow = resistance_by_current(sp, cond, sp.points[i], sp.points[j])
         assert abs(R[i, j] - flow) < 1e-9
@@ -205,7 +209,7 @@ def test_resistance_matches_unit_current_flow(rng):
 def test_resistance_is_a_metric(rng):
     for _ in range(100):
         sp, cond, _ = random_connected_graph(rng, n_max=10)
-        R = resistance(sp, cond)
+        R = resistance(sp, cond, _spec(sp, cond))
         assert np.max(np.abs(R - R.T)) < 1e-10
         assert np.max(np.abs(np.diag(R))) < 1e-12
         lhs = R[:, None, :]
@@ -219,8 +223,9 @@ def test_resistance_is_a_metric(rng):
 
 def test_resistance_rejects_disconnected():
     sp, cond, _ = build_space("abcd", None, [("a", "b", 1.0), ("c", "d", 1.0)])
+    spec = _spec(sp, cond)
     with pytest.raises(DisconnectedSpace):
-        resistance(sp, cond)
+        resistance(sp, cond, spec)
     with pytest.raises(DisconnectedSpace):
         resistance_by_current(sp, cond, "a", "c")
 

@@ -16,6 +16,7 @@ from heatkern import (
     build_space,
     dirac_parametrix,
     eigh_weighted,
+    generator,
     green_regularized,
     integer_line,
     load_edges,
@@ -343,7 +344,8 @@ def test_cli_resistance_matrix(k3_file, tmp_path, capsys):
     assert "resistance matrix on 3 points" in capsys.readouterr().out
     sp, cond, _ = load_graph(k3_file)
     R = read_matrix_csv(out / "matrices.csv", sp)[None]
-    assert np.array_equal(R, resistance(sp, cond))
+    spec = eigh_weighted(*generator(sp, cond, "combinatorial"))
+    assert np.array_equal(R, resistance(sp, cond, spec))
 
 
 def test_cli_resistance_disconnected_exits_two(tmp_path, capsys):

@@ -33,10 +33,12 @@ from heatkern import (
 )
 from heatkern.timekernel import (
     DEFAULT_QUAD,
+    ChebSeries,
+    RANK_CUT,
+    SKETCH_WIDTH,
     TimeFactor,
     lobatto_nodes,
     pair,
-    residual_fold_bound,
     row_masses,
 )
 from heatkern.errors import (
@@ -342,18 +344,13 @@ def _lowrank_case(case, rng):
     return ClosedFormKernel(sp, 1.0, res.weight, lambda ts: diff @ res.K.at_many(ts)), 0.3
 
 
-def _sup_and_row_mass(f, horizon):
-    samples = f.at_many(np.linspace(0.0, horizon, 257))
-    mass = np.abs(samples) @ np.abs(f.weight)
-    return float(np.max(np.abs(samples))), float(np.max(mass))
-
-
 @pytest.mark.parametrize("case", ["profile-epanechnikov", "profile-exponential",
                                   "imported", "spectral", "polynomial", "chebyshev-40"])
 def test_lowrank_folds_match_convolve(rng, case):
     # every grid node of folds 2-6 against one `convolve` call on the same
-    # kernel and the same previous fold; they may differ by the residual
-    # the factor charges plus roundoff
+    # kernel and the same previous fold; they may differ by the factor's
+    # residual (cut at RANK_CUT of the largest sample) carried through the
+    # folds, plus roundoff: within 1e-12 of the largest entry
     f, horizon = _lowrank_case(case, rng)
     assert not isinstance(f, SeparableKernel)
     cache = FoldCache(f, horizon=horizon)
@@ -362,33 +359,30 @@ def test_lowrank_folds_match_convolve(rng, case):
     if case == "chebyshev-40":
         # the sketch doubled past its first width to find every term
         assert cache.factor.values.shape[0] == 40
-    C, norm1 = _sup_and_row_mass(f, horizon)
-    charge = residual_fold_bound(cache.factor.residual, cache.factor.residual_mass,
-                                 C, norm1, 0, horizon)
     for ell in range(2, 7):
         prev = cache.fold(ell - 1)
         want = np.stack([convolve(f, prev, t) for t in cache.nodes])
         err = np.max(np.abs(cache.fold(ell).values - want))
-        assert err <= charge + 1e-13 * np.max(np.abs(want)), (case, ell, err)
+        assert err <= 1e-12 * np.max(np.abs(want)), (case, ell, err)
 
 
-def test_lowrank_residual_is_exact_and_deterministic(rng):
-    # the residual a sampled factor reports is the largest entry (and row
-    # mass) of f - sum_r phi_r M_r over the times the folds read,
-    # recomputed here one time at a time; a second factor is identical
+def test_lowrank_factor_is_deterministic(rng):
+    # a sampled factor meets its stopping rule at the times the folds read
+    # (recomputed here one time at a time: its residual is within RANK_CUT
+    # of the largest sample, or the first sketch kept a column to spare),
+    # and a second factor of the same kernel is identical
     f, horizon = _lowrank_case("profile-exponential", rng)
     factor = TimeFactor(f, horizon, DEFAULT_QUAD)
-    assert 1 < factor.values.shape[0] < f.n ** 2
-    worst = mass = scale = 0.0
+    rank = factor.values.shape[0]
+    assert 1 < rank < f.n ** 2
+    worst = scale = 0.0
     for j, t in enumerate(factor.nodes[1:]):
         for q, tau in enumerate(factor.taus[j]):
             exact = f.at(t - tau)
             err = np.abs(exact - np.tensordot(factor.values[:, j, q], factor.matrices, axes=1))
             worst = max(worst, float(np.max(err)))
-            mass = max(mass, float(np.max(err @ f.weight)))
             scale = max(scale, float(np.max(np.abs(exact))))
-    assert abs(factor.residual - worst) <= 1e-15 * scale
-    assert abs(factor.residual_mass - mass) <= 1e-15 * scale * np.sum(f.weight)
+    assert worst <= RANK_CUT * scale or rank < SKETCH_WIDTH
     again = TimeFactor(f, horizon, DEFAULT_QUAD)
     assert np.array_equal(again.values, factor.values)
     assert np.array_equal(again.matrices, factor.matrices)
@@ -432,13 +426,20 @@ def test_cheb_kernel_interpolates_exactly_at_nodes(two_point, rng):
 
 
 def test_cheb_kernel_derivative(two_point, rng):
+    # a ChebSeries keeps the Chebyshev coefficients of the sampled
+    # function: their derivative series is -e^{-t} B, and the series itself
+    # interpolates the samples
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
     f = SeparableKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t), B)
-    cheb = ChebKernel(sp, 4.0, sp.lam, f.at_many(lobatto_nodes(32, 4.0)))
-    deriv = ChebKernel(sp, 4.0, sp.lam, cheb.dvalues)
+    samples = f.at_many(lobatto_nodes(32, 4.0))
+    cheb = ChebSeries(sp, 4.0, sp.lam, samples.copy())
+    deriv = np.polynomial.chebyshev.chebder(cheb.coeffs, scl=2.0 / 4.0)
     for t in (0.2, 1.0, 3.0):
-        assert np.max(np.abs(deriv.at(t) + np.exp(-t) * B)) < 1e-10
+        at = np.polynomial.chebyshev.chebval(t / 2.0 - 1.0, deriv)
+        assert np.max(np.abs(at + np.exp(-t) * B)) < 1e-10
+        assert np.max(np.abs(cheb.at(t) - f.at(t))) < 1e-12
+    assert np.max(np.abs(cheb.values - samples)) < 1e-14
 
 
 def test_closed_form_horizon_guard(two_point):
