@@ -24,7 +24,7 @@ from .errors import (
     TailUncontrolled,
 )
 from .space import Conductance, PointSpace, connected_components, generator
-from .spectral import SpectralData, eigh_weighted, spectral_heat
+from .spectral import SpectralData, eigh_weighted, spectral_heat  # noqa: F401 (bench wraps it)
 from .timekernel import gauss_legendre, pair
 from .neumann import HeatKernelResult
 
@@ -83,8 +83,7 @@ def _kernel_error_integral(K: HeatKernelResult, T_cut: float) -> float:
     return K.truncation_bound * span
 
 
-def green_regularized(space: PointSpace, conductance: Conductance,
-                      spec: SpectralData | None = None,
+def green_regularized(space: PointSpace, conductance: Conductance, spec: SpectralData,
                       K: HeatKernelResult | None = None, tol: float = 1e-8) -> GreenResult:
     """G* = sum over nonzero modes of phi phi^T / lambda, cross-checked.
 
@@ -92,15 +91,12 @@ def green_regularized(space: PointSpace, conductance: Conductance,
     where the spectral gap has damped every nonzero mode below tol/10,
     on geometrically growing panels of 16 and then 32 Gauss-Legendre
     points, with K a build's kernel or, when K is None, the spectral heat
-    kernel; spec defaults to the combinatorial generator's.  The certified
+    kernel, and spec the combinatorial generator's.  The certified
     pieces are the spectral tail beyond the cutoff, the observed
     quadrature refinement error between the two, and the build's error
     integrated to the cutoff; they sum to `budget`.
     """
     _require_connected(space, conductance, "regularization")
-    if spec is None:
-        A, mu = generator(space, conductance)
-        spec = eigh_weighted(A, mu)
     if spec.gap <= 1e-8:
         raise TailUncontrolled(
             f"spectral gap {spec.gap:.3g} is below 1e-8; the time integral "

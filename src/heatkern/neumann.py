@@ -11,7 +11,7 @@ actually built (`_defect_bound`), whatever the starter.
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
 the series is built on a short base horizon and extended by the semigroup
-(SemigroupKernel); the certificate doubles per doubling of the horizon.
+(SemigroupKernel); the certificate grows with the pieces (`_pieces`).
 """
 
 from __future__ import annotations
@@ -92,41 +92,63 @@ def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
 
 def _allowance(m, n, h, V0, S0, Z, E0, rho) -> float:
     """Floating-point allowance of one base piece (see `_defect_bound`)."""
-    return U * (E0 + (m + 1) * S0 + V0 + Z + (n + 2) * V0
-                + (1.0 + h) * ((m + 1) * rho + (2.0 + h * (n + 4)) * S0))
+    return U * ((n + 1) * E0 + (m + 1) * S0 + Z + (n + 3) * V0
+                + (1.0 + h) * ((m + n + 1) * rho + (2.0 + h * (n + 4)) * S0))
+
+
+def _pieces(eps: float, grow: float, gram: np.ndarray | None) -> float:
+    """Error of K over `grow` base pieces within eps each (`SemigroupKernel`)."""
+    return eps * grow if gram is None else float(np.max(np.abs(gram))) * math.expm1(
+        grow * math.log1p(eps))
 
 
 def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
     """(E0, rho, allowance): K.at is within E0 + (1 + h) rho + allowance of
-    the exact kernel on [0, T_b], h = T_b |A|_inf <= THETA.
+    the exact kernel on [0, T_b], h = T_b |A|_inf <= THETA, in |X| = max|X|
+    for a measure pairing; for a Gram G = W^-1, K W is, in max_x sum_y |X|.
 
-    The base is K~(t) = sum_k c_k T_k(2t/T_b - 1), c = base.coeffs; the
-    exact kernel e^{-tA} K(0), K(0) = diag(1/mu) or the Gram, with A a
-    Markov generator, so |e^{-sA} X| <= max|X|.  With r(t) = K~(t) - K~(0)
-    + int_0^t A K~ (the defect correction principle, H. J. Stetter, Numer.
-    Math. 29, 1978), E = K~ - K solves (E - r)' = -A (E - r) - A r, so
-    max|E(t)| <= max|E(0)| + (1 + h) sup|r|.  r = q(t) - q(0), q = K~ +
-    A sum_{k>=1} I_k T_k with I_k = (T_b/4)(c'_{k-1} - c_{k+1})/k (c'_0 =
-    2 c_0) the antiderivative's coefficients, so sup|r| <= 2 max_xy
-    sum_{k>=1} |c_k + A I_k| = rho, as |T_k| <= 1 (L. N. Trefethen,
-    Approximation Theory and Approximation Practice, 2013).
+    The base is K~(t) = sum_k c_k T_k(2t/T_b - 1), c = base.coeffs (c W
+    for a Gram); the exact kernel e^{-tA} K(0), K(0) = diag(1/mu) (I for a
+    Gram), e^{-sA} stochastic, so |e^{-sA} X| <= |X|.  With r(t) = K~(t) -
+    K~(0) + int_0^t A K~ (the defect correction principle, H. J. Stetter,
+    Numer. Math. 29, 1978), E = K~ - K solves (E - r)' = -A (E - r) - A r,
+    so |E(t)| <= |E(0)| + (1 + h) sup|r|.  r = q(t) - q(0), q = K~ + A
+    sum_{k>=1} I_k T_k with I_k = (T_b/4)(c'_{k-1} - c_{k+1})/k (c'_0 =
+    2 c_0) the antiderivative's coefficients, so sup|r| <= 2 |sum_{k>=1}
+    |c_k + A I_k|| = rho, as |T_k| <= 1 (L. N. Trefethen, Approximation
+    Theory and Approximation Practice, 2013).
 
-    Allowance, to first order in u, with S0 = max_xy sum_k |c_k| = S, so
-    sum_{k>=1} |I_k| <= T_b S / 2: |E(0)| <= E0 + u (E0 + (m + 1) S + V0),
-    V0 = max|K(0)|.  The I_k round within 3u T_b S / 2, A I within (n + 3)
-    u h S / 2, adding c_k within u (h / 2 + 1) S and rho within (m + 1) u
-    rho: sup|r| <= rho + u ((m + 1) rho + (2 + h (n + 4)) S).  `base.at`
-    rounds row k within 1.5 k^2 u (errors follow the recurrence through
-    U_{k-j}, |U_i| <= i + 1, 3u a step), x = 2t/T_b - 1 within 3u moves
-    T_k by 3 k^2 u, and the product adds (m + 1) u S: u Z in all, Z =
-    max_xy sum_k (m + 1 + 4.5 k^2) |c_k|.  Past T_b a piece carries
-    (n + 2) u V0 of product rounding (`SemigroupKernel`).
+    Allowance, to first order in u, with S0 = |sum_k |c_k||, so sum_{k>=1}
+    |I_k| <= T_b S0 / 2 entrywise, and V0 = |K(0)|: |E(0)| <= E0 + u ((n +
+    1) E0 + (m + 1) S0 + V0).  The I_k round within 3u T_b S0 / 2, A I
+    within (n + 3) u h S0 / 2, adding c_k within u (h / 2 + 1) S0 and rho
+    within (m + n + 1) u rho.  `base.at` rounds row k within 1.5 k^2 u
+    (errors follow the recurrence through U_{k-j}, |U_i| <= i + 1, 3u a
+    step), x = 2t/T_b - 1 within 3u moves T_k by 3 k^2 u, and the product
+    adds (m + 1) u S0: u Z, Z = |sum_k (m + 1 + 4.5 k^2) |c_k||.  A piece
+    past T_b carries (n + 2) u V0 of product rounding.  For a Gram, Z is
+    in |B| = max_x sum_y (B |W|)(x, y) of the unpaired c, plus 2n u S0 of
+    it for c W and K.at's K~ W; and on [0, T_b] K.at is K~, not (K~ W) G,
+    which adds |K~| max|I - W G| / max|G|, |K~| <= max_x sum_yk |c_k|.
     """
-    m, n, Tb = base.degree, base.n, base.horizon
+    m, n, Tb, W = base.degree, base.n, base.horizon, base.weight
     weights = np.stack([np.ones(m + 1), m + 1 + 4.5 * np.arange(m + 1) ** 2])
-    S0, Z = map(float, (weights @ np.abs(base.coeffs).reshape(m + 1, -1)).max(axis=1))
-    E0 = float(np.max(np.abs(base.at(0.0) - K0)))
-    cc = base.coeffs.transpose(1, 0, 2)
+    SZ = (weights @ np.abs(base.coeffs).reshape(m + 1, -1)).reshape(2, n, n)
+    c, gap = base.coeffs, 0.0
+    if W.ndim == 2:
+        def norm(X):
+            return float(X.sum(axis=-1).max())
+        SW, Z = (SZ @ np.abs(W)).sum(axis=2).max(axis=1)
+        gap = norm(SZ[0]) * (np.max(np.abs(np.eye(n) - W @ K0)) + n * U * np.max(np.abs(W) @ np.abs(K0)))
+        gap, Z = float(gap / np.max(np.abs(K0))), float(Z + 2 * n * SW)
+        c, K0 = (c.reshape(-1, n) @ W).reshape(c.shape), np.eye(n)
+        S0 = norm(np.abs(c).sum(axis=0))
+    else:
+        def norm(X):
+            return float(X.max())
+        S0, Z = map(float, SZ.max(axis=(1, 2)))
+    E0 = norm(np.abs(np.tensordot((-1.0) ** np.arange(m + 1), c, 1) - K0))
+    cc = c.transpose(1, 0, 2)
     # I_1 .. I_{m+1} laid out (n, m + 1, n): one GEMM applies A to them all
     I = np.empty((n, m + 1, n))
     np.subtract(cc[:, :m - 1], cc[:, 2:], out=I[:, :m - 1])
@@ -135,9 +157,9 @@ def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
     I *= (Tb / 4.0 / np.arange(1, m + 2))[:, None]
     Q = (A @ I.reshape(n, -1)).reshape(n, m + 1, n)
     Q[:, :m] += cc[:, 1:]
-    rho = 2.0 * float(np.abs(Q, out=Q).sum(axis=1).max())
-    V0 = float(np.max(np.abs(K0)))
-    return E0, rho, _allowance(m, n, Tb * _operator_rate(A), V0, S0, Z, E0, rho)
+    rho = 2.0 * norm(np.abs(Q, out=Q).sum(axis=1))
+    V0 = norm(np.abs(K0))
+    return E0, rho, _allowance(m, n, Tb * _operator_rate(A), V0, S0, Z, E0, rho) + gap
 
 
 def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
@@ -148,18 +170,16 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     lands on the result).  The a-priori series tail picks T_b = T /
     2^squarings and the term count; K = H + H * F is assembled once on the
     DEFAULT_QUAD grid of T_b, and a SemigroupKernel reaches T.
-    `truncation_bound` is 2^squarings times what `_defect_bound` proves
-    (unproven past T_b for a Hilbert pairing).  Refuses a tol the allowance
-    alone reaches, and a kernel that misses tol after one reassembly with
-    max_terms terms.
+    `truncation_bound` is what `_defect_bound` proves for one base piece,
+    carried over the 2^squarings pieces of T by `_pieces`.  Refuses a tol
+    the allowance alone reaches, and a kernel that misses tol after one
+    reassembly with max_terms terms.
     """
     if T <= 0.0:
         raise HorizonExceeded(f"horizon must be positive, got {T}")
     if T > parametrix.H.horizon * (1.0 + 1e-9):
-        raise HorizonExceeded(
-            f"starter was built for horizon {parametrix.H.horizon}, "
-            f"cannot construct out to T={T}"
-        )
+        raise HorizonExceeded(f"starter was built for horizon {parametrix.H.horizon}, "
+                              f"cannot construct out to T={T}")
     H, f, weight = parametrix.H, parametrix.heat_image, parametrix.weight
     # The folds, the certificate and H * F all pair under this one weight.
     if not (H.same_space(f) and H.same_pairing(f) and np.array_equal(H.weight, weight)):
@@ -168,45 +188,39 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     if not report.passed:
         raise InvalidParametrix(
             f"starter family {parametrix.family!r} failed validation "
-            f"({', '.join(report.failed_checks)}: dirac residual "
-            f"{report.dirac_residual:.3g}, fitted order "
-            f"{report.fitted_order:.3g} vs declared {parametrix.order_k})"
-        )
+            f"({', '.join(report.failed_checks)}: dirac residual {report.dirac_residual:.3g}, "
+            f"fitted order {report.fitted_order:.3g} vs declared {parametrix.order_k})")
 
-    C = float(parametrix.envelope["C"])
-    k = int(parametrix.order_k)
+    C, k = float(parametrix.envelope["C"]), int(parametrix.order_k)
     A, a = parametrix.generator_matrix, _operator_rate(parametrix.generator_matrix)
     norm1 = _row_mass_norm(f, weight, _sample_grid(T))
     rate = max(norm1, a, float(parametrix.envelope.get("rate", 0.0)))
-    K0 = np.diag(1.0 / weight) if weight.ndim == 1 else parametrix.gram
-    V0, m = float(np.max(np.abs(K0))), DEFAULT_QUAD.cheb_degree
+    gram, m = parametrix.gram if weight.ndim == 2 else None, DEFAULT_QUAD.cheb_degree
+    K0 = np.diag(1.0 / weight) if gram is None else gram
+    V0 = float(np.max(K0)) if gram is None else 1.0  # |K(0)| in `_defect_bound`'s norm
 
-    # Halve T_b while tol is out of reach and the doubled allowance (for
-    # coefficients the size of K(0)) still leaves room: a squaring doubles
-    # the amplification but shrinks the tail superexponentially.
-    squarings = 0
-    if rate * T > THETA:
-        squarings = math.ceil(math.log2(rate * T / THETA))
-    terms = None
+    # Halve T_b while tol is out of reach and the allowance over all pieces
+    # still leaves room: a squaring doubles the amplification but shrinks
+    # the tail superexponentially.
+    squarings, terms = math.ceil(math.log2(rate * T / THETA)) if rate * T > THETA else 0, None
     while True:
         T_base = T / (2 ** squarings)
         grow = 2.0 ** squarings
         massH = _row_mass_norm(H, weight, _sample_grid(T_base))
-        fp = _allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0.0, 0.0)
+        # the allowance for coefficients the size of K(0)
+        fp = _pieces(_allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0, 0), grow, gram)
         for L in range(1, max_terms + 1):
             tail = series_tail_bound(C, norm1, k, L, T_base)
-            if (tail * (1.0 + T_base * massH) + fp) * grow < tol:
+            if tail * (1.0 + T_base * massH) * grow + fp < tol:
                 terms = L
                 break
         if terms is not None:
             break
-        if fp * grow >= tol:
+        if fp >= tol:
             raise NoConvergenceBudget(
-                f"no certificate below tol={tol} within {max_terms} terms: "
-                f"base horizon {T_base:.3g}, row-mass norm {norm1:.3g}, and "
-                f"{squarings} squarings amplify the floating-point allowance "
-                f"{fp:.3g} by {grow:.0f}; raise tol or max_terms"
-            )
+                f"no certificate below tol={tol} within {max_terms} terms: base horizon "
+                f"{T_base:.3g}, row-mass norm {norm1:.3g}, and {squarings} squarings lift "
+                f"the floating-point allowance to {fp:.3g}; raise tol or max_terms")
         squarings += 1
 
     def assemble(L):
@@ -225,9 +239,9 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     while True:
         base = assemble(terms)
         E0, rho, fp = _defect_bound(base, A, K0)
-        bound = (E0 + (1.0 + T_base * a) * rho + fp) * grow
+        bound = _pieces(E0 + (1.0 + T_base * a) * rho + fp, grow, gram)
         # more terms move only the residual
-        if bound < tol or terms == max_terms or (E0 + fp) * grow >= tol:
+        if bound < tol or terms == max_terms or _pieces(E0 + fp, grow, gram) >= tol:
             break
         terms, base = max_terms, None
     if bound >= tol:
@@ -236,15 +250,12 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
             f"allowance {fp:.3g}, {squarings} squarings) certifies {bound:.3g} after "
             f"{terms} terms, not below tol={tol}; raise tol")
 
-    K = SemigroupKernel(base, horizon=T, weight_inv=parametrix.gram)
     return HeatKernelResult(
-        K=K, terms_used=terms, truncation_bound=bound,
-        parametrix_family=parametrix.family, space=parametrix.space,
-        conductance=parametrix.conductance, kind=parametrix.kind,
-        generator_matrix=A, weight=weight,
-        horizon=T, base_horizon=T_base, squarings=squarings, tol=tol,
-        report=report,
-    )
+        K=SemigroupKernel(base, horizon=T, weight_inv=parametrix.gram), terms_used=terms,
+        truncation_bound=bound, parametrix_family=parametrix.family, space=parametrix.space,
+        conductance=parametrix.conductance, kind=parametrix.kind, generator_matrix=A,
+        weight=weight, horizon=T, base_horizon=T_base, squarings=squarings, tol=tol,
+        report=report)
 
 
 def cross_parametrix_build(result: HeatKernelResult,
@@ -263,9 +274,7 @@ def cross_parametrix_build(result: HeatKernelResult,
     series.
     """
     if result.weight.ndim != 1:
-        raise InvalidParametrix(
-            "cross builds need a measure-paired kernel, not a Hilbert pairing"
-        )
+        raise InvalidParametrix("cross builds need a measure-paired kernel, not a Hilbert pairing")
     old_space = result.space
     if lam is None:
         new_space = old_space
@@ -280,8 +289,7 @@ def cross_parametrix_build(result: HeatKernelResult,
     if cond.matrix.shape != (old_space.n, old_space.n):
         raise DimensionMismatch("new conductance does not match the space")
     A_new, mu_new = generator(new_space, cond, result.kind)
-    A_old = result.generator_matrix
-    mu_old = result.weight
+    A_old, mu_old = result.generator_matrix, result.weight
     scale = mu_old / mu_new
     Kp = result.K
     horizon = Kp.horizon if T is None else float(T)

@@ -121,8 +121,8 @@ class TimeKernel:
     """Base class: a kernel on space x space x [0, horizon].
 
     weight is the convolution pairing: a vector (per-point measure) or a
-    symmetric matrix (Hilbert pairing).  Subclasses implement at().
-    Instances are immutable after construction.
+    symmetric matrix (Hilbert pairing).  Subclasses implement at() or
+    at_many().  Instances are immutable after construction.
     """
 
     def __init__(self, space: PointSpace, horizon: float, weight: np.ndarray):
@@ -150,7 +150,7 @@ class TimeKernel:
         return np.clip(ts, 0.0, self.horizon)
 
     def at(self, t: float) -> np.ndarray:
-        raise NotImplementedError
+        return self.at_many(t)[0]
 
     def at_many(self, ts) -> np.ndarray:
         return np.stack([self.at(t) for t in np.atleast_1d(ts)])
@@ -181,9 +181,6 @@ class ClosedFormKernel(TimeKernel):
         super().__init__(space, horizon, weight)
         self.evaluator = evaluator
         self.name = name
-
-    def at(self, t: float) -> np.ndarray:
-        return self.at_many(t)[0]
 
     def at_many(self, ts) -> np.ndarray:
         ts = self._check_times(ts)
@@ -231,9 +228,6 @@ class ChebKernel(TimeKernel):
         self.nodes = lobatto_nodes(self.degree, self.horizon)
         self.bary = lobatto_bary_weights(self.degree)
 
-    def at(self, t: float) -> np.ndarray:
-        return self.at_many(t)[0]
-
     def at_many(self, ts) -> np.ndarray:
         M = interp_matrix(self.nodes, self.bary, self._check_times(ts))
         return np.einsum("kj,jxy->kxy", M, self.values)
@@ -241,8 +235,12 @@ class ChebKernel(TimeKernel):
 
 class ChebSeries(TimeKernel):
     """sum_k coeffs[k] T_k(2t/horizon - 1) through samples on the Chebyshev-Lobatto nodes
-    (a DCT-I, written over the sample block), evaluated by T_{k+1} = 2x T_k - T_{k-1}: its
-    roundoff follows sum_k |c_k| (see neumann._defect_bound), interpolation's the samples."""
+    (a DCT-I, over the sample block), evaluated by T_{k+1} = 2x T_k - T_{k-1}: a build's base.
+
+    A ChebKernel cannot serve: the bound on its barycentric formula (rounded nodes) plus the
+    DCT that finds coefficients to bound is some 20 times this series' roundoff, 1.3e-12 on
+    the two-point graph at tol 1e-12.  Folds are read only at the nodes and stay ChebKernels;
+    a DCT per fold would add half a fold's arithmetic.  `values` is computed."""
 
     def __init__(self, space, horizon, weight, values: np.ndarray):
         super().__init__(space, horizon, weight)
@@ -260,9 +258,6 @@ class ChebSeries(TimeKernel):
         """The series at the nodes, where it interpolates its samples."""
         return self.at_many(self.nodes)
 
-    def at(self, t: float) -> np.ndarray:
-        return self.at_many(t)[0]
-
     def at_many(self, ts) -> np.ndarray:
         rows = []
         for x in map(float, 2.0 * self._check_times(ts) / self.horizon - 1.0):
@@ -279,25 +274,24 @@ class SemigroupKernel(TimeKernel):
 
     Past T_b, t = r + q T_b with q = ceil(t/T_b) - 1 and r in (0, T_b], and
     K(t) W = K(r) W prod_{bit k of q} P_k, W the pairing: one evaluation of
-    the base series and popcount(q) products of P_k = K(2^k T_b) W, a chain
-    (P_0 from the base, P_{k+1} = P_k P_k) grown one whole tuple per
-    assignment as queries need levels, so readers see whole chains whose
-    bits do not depend on query order.  `horizon` is the build interval,
-    not a limit; weight_inv inverts a matrix pairing (its Gram), None for a
-    measure.
+    the base and popcount(q) products of P_k = K(2^k T_b) W, a chain (P_0
+    from the base, P_{k+1} = P_k P_k) grown one whole tuple per assignment
+    as queries need levels, so readers see whole chains whose bits do not
+    depend on query order.  `horizon` is the build interval, not a limit;
+    weight_inv inverts a matrix pairing (its Gram), None for a measure.
 
-    Error.  For a measure pairing the exact K W is stochastic and K is
-    symmetric, so |Ã W B̃ - A W B| <= a (1 + mu(X) b) + b if |Ã - A| <= a,
-    |B̃ - B| <= b: (Ã - A) W B is within a (the columns of W B sum to one),
-    A W (B̃ - B) within b, (Ã - A) W (B̃ - B) within a b mu(X).  A product
-    rounds within n u max|K(0)|, (un)pairing within u max|K(0)|, and c
-    pieces take c - 1 products, so to first order the errors of the
-    ceil(t/T_b) pieces add, each within eps_b = truncation_bound / 2^squarings
-    (rounding included), and ceil(t/T_b) <= 2^ceil(log2(t/T_b)): the rule
-    the build charges to its horizon and `GreenResult.budget` past it.  r in
+    Error.  The exact K W = e^{-tA} is stochastic.  For a measure pairing K
+    is symmetric, so |Ã W B̃ - A W B| <= a (1 + mu(X) b) + b if |Ã - A| <= a,
+    |B̃ - B| <= b entrywise ((Ã - A) W B is within a, the columns of W B
+    summing to one); a product rounds within n u max|K(0)|, (un)pairing
+    within u max|K(0)|, so to first order the errors of the ceil(t/T_b)
+    pieces add, each within eps_b = truncation_bound / 2^squarings.  For a
+    Gram G = W^-1, pieces within eps of K W in max_x sum_y |.| compose
+    within (1 + eps)^c - 1, and K = (K W) G within max|G| times that.
+    ceil(t/T_b) <= 2^ceil(log2(t/T_b)) gives the rule the build charges to
+    its horizon and, to first order, `GreenResult.budget` past it.  r in
     (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q < 2^ceil(log2(t/T_b))
-    keeps popcount(q) within the squarings of halving t onto T_b.  A matrix
-    pairing's K W is not stochastic: unproven.
+    keeps popcount(q) within the squarings of halving t onto T_b.
     """
 
     def __init__(self, base: ChebSeries, horizon: float, weight_inv: np.ndarray | None):

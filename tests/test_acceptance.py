@@ -175,7 +175,7 @@ def test_acceptance_5_derived_quantities(capfd):
     green_worst = 0.0
     for _ in range(20):
         sp, cond, _ = random_connected_graph(rng, n_max=10)
-        g = green_regularized(sp, cond)
+        g = green_regularized(sp, cond, eigh_weighted(*generator(sp, cond, "combinatorial")))
         green_worst = max(green_worst, g.agreement - g.tail_bound)
         green_ok = green_ok and g.agreement <= g.tail_bound + 1e-8
 

@@ -42,7 +42,7 @@ from _graphs import random_connected_graph
 
 def test_green_two_point_values(two_point):
     sp, cond, _ = two_point
-    g = green_regularized(sp, cond)
+    g = green_regularized(sp, cond, _spec(sp, cond))
     # single nonzero mode lambda=2, phi=(1,-1)/sqrt(2)
     want = np.array([[0.25, -0.25], [-0.25, 0.25]])
     assert np.max(np.abs(g.G_star - want)) < 1e-12
@@ -64,7 +64,7 @@ def test_green_orthogonal_to_ground_mode(rng):
 def test_green_inverts_on_mean_zero_functions(rng):
     sp, cond, _ = random_connected_graph(rng, n_max=8, random_measure=True)
     A, mu = generator(sp, cond, "combinatorial")
-    g = green_regularized(sp, cond)
+    g = green_regularized(sp, cond, _spec(sp, cond))
     for _ in range(5):
         f = rng.normal(size=sp.n)
         # G* acts as a kernel: (G*f)(x) = sum_y G*(x,y) f(y) mu_y
@@ -75,7 +75,7 @@ def test_green_inverts_on_mean_zero_functions(rng):
 
 def test_green_path_matches_pseudoinverse(path3):
     sp, cond, _ = path3
-    g = green_regularized(sp, cond)
+    g = green_regularized(sp, cond, _spec(sp, cond))
     A, _ = generator(sp, cond, "combinatorial")
     # counting measure, so the spectral sum is the Moore-Penrose inverse
     assert np.max(np.abs(g.G_star - np.linalg.pinv(A))) < 1e-9
@@ -111,20 +111,20 @@ def test_green_budget_integrates_the_bound_past_the_horizon(path3):
 def test_green_two_route_agreement_random(rng):
     for _ in range(10):
         sp, cond, _ = random_connected_graph(rng, n_max=10)
-        g = green_regularized(sp, cond)
+        g = green_regularized(sp, cond, _spec(sp, cond))
         assert g.agreement <= g.tail_bound + 1e-8
 
 
 def test_green_rejects_disconnected():
     sp, cond, _ = build_space("abcd", None, [("a", "b", 1.0), ("c", "d", 1.0)])
     with pytest.raises(DisconnectedSpace):
-        green_regularized(sp, cond)
+        green_regularized(sp, cond, _spec(sp, cond))
 
 
 def test_green_rejects_vanishing_gap():
     sp, cond, _ = build_space("ab", None, [("a", "b", 1e-12)])
     with pytest.raises(TailUncontrolled):
-        green_regularized(sp, cond)
+        green_regularized(sp, cond, _spec(sp, cond))
 
 
 # ------------------------------------------------------------- resolvent
