@@ -35,7 +35,7 @@ g = green_regularized(space, cond, spec)
 print("G* (ground mode removed):")
 print(np.array_str(g.G_star, precision=6, suppress_small=True))
 print(f"route agreement {g.agreement:.3e}  "
-      f"(certified <= {g.tail_bound + g.quad_error:.3e})")
+      f"(certified <= {g.budget:.3e})")
 
 # G* inverts the generator on mean-zero functions
 f = np.array([1.0, 0.0, -1.0])

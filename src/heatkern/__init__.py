@@ -33,9 +33,7 @@ from .timekernel import (
     SemigroupKernel,
     SeparableKernel,
     TimeKernel,
-    bound_ell_fold,
     convolve,
-    series_tail_bound,
 )
 from .parametrix import (
     Parametrix,

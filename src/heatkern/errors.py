@@ -4,7 +4,7 @@ Two families matter to callers.  InputError covers malformed data: bad
 graph files, nonpositive measures, inconsistent pair weights, dimension
 mismatches, unusable configuration.  CertificateError covers mathematical
 guarantees that could not be met: a starter kernel that fails validation,
-a series whose certified tail will not fit the term budget, a quantity
+a built kernel whose certified error misses the tolerance, a quantity
 requested on a space where it is undefined.  The command-line layer maps
 InputError to exit code 1 and CertificateError to exit code 2.
 """
@@ -26,6 +26,12 @@ class CertificateError(HeatKernelError):
 
 class DuplicatePoint(InputError):
     pass
+
+
+class UnknownPoint(InputError, KeyError):
+    """A point label the space does not hold; still a KeyError to lookups."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 
 
 class NonpositiveMeasure(InputError):

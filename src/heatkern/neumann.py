@@ -4,9 +4,10 @@ Writing f = L_x H for the heat image of a validated starter, the exact
 kernel is K = H + H * F with F = sum_{l>=1} (-1)^l f^{*l}, the alternating
 sum of time-convolution powers.  Each fold picks up a factor t/l from the
 time integral, so the series converges factorially once enough terms are
-taken; the a-priori tail from the envelope |f| <= C t^k and the row-mass
-norm of f predicts how many.  The certificate is the defect of the kernel
-actually built (`_defect_bound`), whatever the starter.
+taken.  The L-term kernel K_L solves the heat equation up to the next
+fold, (d/dt + L_x) K_L = (-1)^L f^{*(L+1)}, so the series stops at the
+first fold too small to matter.  The certificate is the defect of the
+kernel actually built (`_defect_bound`), whatever the starter.
 
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
@@ -41,7 +42,6 @@ from .timekernel import (
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
     row_masses,
-    series_tail_bound,
     sup_norms,
 )
 
@@ -97,9 +97,12 @@ def _allowance(m, n, h, V0, S0, Z, E0, rho) -> float:
 
 
 def _pieces(eps: float, grow: float, gram: np.ndarray | None) -> float:
-    """Error of K over `grow` base pieces within eps each (`SemigroupKernel`)."""
-    return eps * grow if gram is None else float(np.max(np.abs(gram))) * math.expm1(
-        grow * math.log1p(eps))
+    """Error of K over `grow` base pieces within eps each (`SemigroupKernel`);
+    inf once a Gram pairing's (1 + eps)^grow passes e^700."""
+    if gram is None:
+        return eps * grow
+    x = grow * math.log1p(eps)
+    return float(np.max(np.abs(gram))) * math.expm1(x) if x < 700.0 else math.inf
 
 
 def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
@@ -167,13 +170,16 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     """Construct the heat kernel on [0, T] from a validated starter.
 
     Validates the starter first, with `validate`'s defaults (the report
-    lands on the result).  The a-priori series tail picks T_b = T /
-    2^squarings and the term count; K = H + H * F is assembled once on the
-    DEFAULT_QUAD grid of T_b, and a SemigroupKernel reaches T.
-    `truncation_bound` is what `_defect_bound` proves for one base piece,
-    carried over the 2^squarings pieces of T by `_pieces`.  Refuses a tol
-    the allowance alone reaches, and a kernel that misses tol after one
-    reassembly with max_terms terms.
+    lands on the result).  On the DEFAULT_QUAD grid of T_b = T /
+    2^squarings the folds stream into F until the first fold l whose share
+    T_b |W| max|f^{*l}| (|W| = 1 for a measure, the largest row sum of |W|
+    for a Gram pairing), carried over the pieces, is below tol / 2; that is
+    `terms_used`.  When max_terms folds do not get there, T_b is halved and
+    the stream restarts.  K = H + H * F is assembled once, and a
+    SemigroupKernel reaches T.  `truncation_bound` is what `_defect_bound`
+    proves for one base piece, carried over the 2^squarings pieces of T by
+    `_pieces`.  Refuses a tol the allowance alone reaches, and a kernel
+    whose bound misses tol.
     """
     if T <= 0.0:
         raise HorizonExceeded(f"horizon must be positive, got {T}")
@@ -189,61 +195,53 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         raise InvalidParametrix(
             f"starter family {parametrix.family!r} failed validation "
             f"({', '.join(report.failed_checks)}: dirac residual {report.dirac_residual:.3g}, "
-            f"fitted order {report.fitted_order:.3g} vs declared {parametrix.order_k})")
+            f"fitted order {report.fitted_order:.3g} vs declared {report.order_k})")
 
-    C, k = float(parametrix.envelope["C"]), int(parametrix.order_k)
     A, a = parametrix.generator_matrix, _operator_rate(parametrix.generator_matrix)
     norm1 = _row_mass_norm(f, weight, _sample_grid(T))
     rate = max(norm1, a, float(parametrix.envelope.get("rate", 0.0)))
     gram, m = parametrix.gram if weight.ndim == 2 else None, DEFAULT_QUAD.cheb_degree
     K0 = np.diag(1.0 / weight) if gram is None else gram
     V0 = float(np.max(K0)) if gram is None else 1.0  # |K(0)| in `_defect_bound`'s norm
+    # A fold's share of K's error is about T_b |W| max|fold|, as e^{-sA} is
+    # stochastic; it only stops the series, `_defect_bound` certifies.
+    Wnorm = 1.0 if gram is None else _operator_rate(weight)
 
-    # Halve T_b while tol is out of reach and the allowance over all pieces
-    # still leaves room: a squaring doubles the amplification but shrinks
-    # the tail superexponentially.
-    squarings, terms = math.ceil(math.log2(rate * T / THETA)) if rate * T > THETA else 0, None
+    # Halve T_b while max_terms folds do not fall below tol / 2 and the
+    # allowance over all pieces still leaves room: a squaring doubles the
+    # amplification but shrinks the folds superexponentially.
+    squarings = math.ceil(math.log2(rate * T / THETA)) if rate * T > THETA else 0
     while True:
-        T_base = T / (2 ** squarings)
-        grow = 2.0 ** squarings
-        massH = _row_mass_norm(H, weight, _sample_grid(T_base))
+        T_base, grow = T / 2 ** squarings, 2.0 ** squarings
         # the allowance for coefficients the size of K(0)
         fp = _pieces(_allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0, 0), grow, gram)
-        for L in range(1, max_terms + 1):
-            tail = series_tail_bound(C, norm1, k, L, T_base)
-            if tail * (1.0 + T_base * massH) * grow + fp < tol:
-                terms = L
-                break
-        if terms is not None:
-            break
         if fp >= tol:
             raise NoConvergenceBudget(
                 f"no certificate below tol={tol} within {max_terms} terms: base horizon "
                 f"{T_base:.3g}, row-mass norm {norm1:.3g}, and {squarings} squarings lift "
                 f"the floating-point allowance to {fp:.3g}; raise tol or max_terms")
-        squarings += 1
-
-    def assemble(L):
-        # K = H + H * F on the base grid, F summed to L terms
         cache = FoldCache(f, horizon=T_base)
         Fvals = np.zeros((cache.nodes.shape[0], f.n, f.n))
-        for ell in range(1, L + 1):
-            Fvals += (-1) ** ell * (cache.fold(ell).values if ell > 1 else f.at_many(cache.nodes))
-        # Free the last fold and the factor first: K's samples allocated
-        # above them would pin their heap pages until K itself is freed.
-        del cache
-        Hf = TimeFactor(H, T_base, DEFAULT_QUAD)
-        return ChebSeries(parametrix.space, T_base, weight,
-                          H.at_many(Hf.nodes) + Hf.convolve(Fvals))
+        for terms in range(1, max_terms + 1):
+            fold = cache.fold(terms).values if terms > 1 else f.at_many(cache.nodes)
+            Fvals += (-1) ** terms * fold
+            if _pieces(T_base * Wnorm * max(fold.max(), -fold.min()), grow, gram) < tol / 2:
+                break
+        else:
+            squarings += 1
+            continue
+        break
 
-    while True:
-        base = assemble(terms)
-        E0, rho, fp = _defect_bound(base, A, K0)
-        bound = _pieces(E0 + (1.0 + T_base * a) * rho + fp, grow, gram)
-        # more terms move only the residual
-        if bound < tol or terms == max_terms or _pieces(E0 + fp, grow, gram) >= tol:
-            break
-        terms, base = max_terms, None
+    # K = H + H * F on the base grid.  Free the last fold and the factor
+    # first: K's samples allocated above them would pin their heap pages
+    # until K itself is freed.
+    del cache, fold
+    Hf = TimeFactor(H, T_base, DEFAULT_QUAD)
+    base = ChebSeries(parametrix.space, T_base, weight, H.at_many(Hf.nodes) + Hf.convolve(Fvals))
+    del Hf, Fvals
+    E0, rho, fp = _defect_bound(base, A, K0)
+    bound = _pieces(E0 + (1.0 + T_base * a) * rho + fp, grow, gram)
+    # the folds left out are below tol / 2: more terms would not lower it
     if bound >= tol:
         raise NoConvergenceBudget(
             f"the built kernel's residual {rho:.3g} (error at t = 0 {E0:.3g}, floating-point "

@@ -56,12 +56,13 @@ class ParametrixReport:
 
 @dataclass
 class Parametrix:
-    """A starter kernel with its heat image and envelope certificate.
+    """A starter kernel with its heat image and declared envelope.
 
-    envelope is {'C': float} certifying |L_x H(x, y; t)| <= C t^k on the
-    horizon, with k = order_k; an optional 'rate' declares the time scale
-    1/rate on which the starter itself varies when the generator does not
-    show it (the imported starter of a rebuild).  weight is the convolution
+    envelope is {'C': float} declaring |L_x H(x, y; t)| <= C t^k on the
+    horizon, with k = order_k, a claim `validate` checks (the build's
+    certificate does not rest on it); an optional 'rate' declares the time
+    scale 1/rate on which the starter itself varies when the generator does
+    not show it (the imported starter of a rebuild).  weight is the convolution
     pairing the starter expects: a measure vector, or the inverse Gram
     matrix for reproducing-kernel starters.  A parametrix holds no
     validation outcome: `build_heat_kernel` validates it on every build.
@@ -323,8 +324,8 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6) -> ParametrixRepor
         "2-2": bool(dirac_l2 and order_ok),
         "hilbert": bool(dirac_hil and order_ok),
     }
-    # The envelope is what the series certificate is built on, so no flavor
-    # passes a starter that violates it.
+    # The envelope is the starter's own claim about its heat image, checked
+    # here alone: no flavor passes a starter that breaks it.
     passed = env_ok and any(flavors.values())
     checks = (("dirac limit", dirac_sup or dirac_l2 or dirac_hil),
               ("order fit", order_ok), ("envelope", env_ok))

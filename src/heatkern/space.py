@@ -26,6 +26,7 @@ from .errors import (
     DisconnectedSpace,
     DuplicatePoint,
     NonpositiveMeasure,
+    UnknownPoint,
     ZeroDegreePoint,
 )
 
@@ -49,7 +50,7 @@ class PointSpace:
         try:
             return self._index[point]
         except KeyError:
-            raise KeyError(f"unknown point {point!r}") from None
+            raise UnknownPoint(f"unknown point {point!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +124,7 @@ def build_space(points, lambda_weights=None, edge_weights=()):
         try:
             i, j = index[u], index[v]
         except KeyError as exc:
-            raise KeyError(f"edge references unknown point {exc.args[0]!r}") from None
+            raise UnknownPoint(f"edge references unknown point {exc.args[0]!r}") from None
         w = float(w)
         if not np.isfinite(w) or w < 0:
             raise NonpositiveMeasure(

@@ -16,8 +16,7 @@ the time variable with composite Gauss-Legendre panels split at t/2:
     (F * G)(x, y; t) = int_0^t sum_z F(x, z; t - tau) w(z) G(z, y; tau) dtau.
 
 Iterated self-convolutions ("folds") are streamed, each sampled from the
-one before, and a factorial-decay majorant of everything beyond a
-truncation point predicts how many a series needs.
+one before.
 
 On a sampled grid every kernel is folded as a short sum in time,
 sum_r phi_r(t) M_r (see TimeFactor); `convolve`, one time at a time, is
@@ -479,43 +478,3 @@ class FoldCache:
             top += 1
             self._folds[top] = ChebKernel(self.f.space, self.horizon, self.f.weight, values)
         return self._folds[ell]
-
-
-# ------------------------------------------------------------ certificates
-
-def bound_ell_fold(C: float, norm1: float, k: int, ell: int, t: float) -> float:
-    """Factorial majorant for the ell-fold of a kernel with envelope C t^k.
-
-    If |f(x,y;t)| integrates to row mass at most norm1 and obeys the
-    envelope, then |f^{*ell}| <= C norm1^(ell-1) t^(k+ell-1) / (k+ell-1)!.
-    At ell = 1 this is the envelope itself, C t^k / k!.
-    """
-    if ell < 1:
-        raise DimensionMismatch("fold count must be at least 1")
-    # Built up as a running product: the closed form t^m / m! overflows
-    # the factorial for m beyond ~170 even when the value itself is tiny.
-    val = C * t ** k / math.factorial(k)
-    for i in range(1, ell):
-        val *= norm1 * t / (k + i)
-    return val
-
-
-def series_tail_bound(C: float, norm1: float, k: int, L: int, t: float) -> float:
-    """Upper bound for sum_{ell > L} bound_ell_fold(C, norm1, k, ell, t).
-
-    Successive terms shrink by the factor norm1 * t / (k + ell); once that
-    ratio drops below 1/2 the rest is closed by a geometric sum.
-    """
-    total = 0.0
-    ell = L + 1
-    b = bound_ell_fold(C, norm1, k, ell, t)
-    for _ in range(100000):
-        if b == 0.0:
-            return total
-        ratio = norm1 * t / (k + ell)
-        if ratio < 0.5:
-            return total + b / (1.0 - ratio)
-        total += b
-        b *= ratio
-        ell += 1
-    return math.inf

@@ -365,6 +365,16 @@ def test_cli_entropy_writes_curve(two_point_file, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv", [["resistance", "--pair", "a,zz"],
+                                  ["entropy", "--point", "zz"]])
+def test_cli_unknown_point_reports_input_error(k3_file, tmp_path, capsys, argv):
+    out = tmp_path / "art"
+    code = main([argv[0], "--edges", k3_file, *argv[1:], "--out", str(out)])
+    assert code == 1
+    assert "unknown point 'zz'" in capsys.readouterr().err
+    assert _report(out)["exit_reason"] == "input error: UnknownPoint: unknown point 'zz'"
+
+
 def test_cli_poisson(two_point_file, tmp_path, capsys):
     out = tmp_path / "art"
     code = main(["poisson", "--edges", two_point_file, "--w", "1.0", "--out", str(out)])

@@ -29,7 +29,8 @@ from heatkern.errors import (
     NoConvergenceBudget,
     SpaceMismatch,
 )
-from heatkern.neumann import _defect_bound
+from heatkern import neumann
+from heatkern.neumann import _defect_bound, _pieces
 from heatkern.timekernel import ChebSeries, lobatto_nodes
 
 from _graphs import random_connected_graph
@@ -113,6 +114,22 @@ def test_profile_starter_refuses_tight_tolerance(two_point):
         build_heat_kernel(profile_parametrix(sp, cond, "exponential"), T=5.0, tol=1e-10)
 
 
+def test_refused_build_assembles_once(two_point, monkeypatch):
+    # a bound that misses tol is refused without a second assembly: the
+    # folds left out are already below tol / 2, so more would not lower it
+    sp, cond, _ = two_point
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return ChebSeries(*args)
+
+    monkeypatch.setattr(neumann, "ChebSeries", counted)
+    with pytest.raises(NoConvergenceBudget, match="residual"):
+        build_heat_kernel(profile_parametrix(sp, cond, "exponential"), T=5.0, tol=1e-10)
+    assert len(made) == 1
+
+
 def test_full_spectral_starter_is_one_term(two_point):
     sp, cond, _ = two_point
     res = build_heat_kernel(spectral_parametrix(sp, cond, n_modes=2), T=5.0)
@@ -132,12 +149,56 @@ def test_stiff_graph_squares_down(rng):
 
 
 def test_certificate_reflects_tolerance(two_point):
+    # down the tolerance ladder each certificate meets its tol and covers
+    # the closed form, and a tighter tol never takes fewer folds
     sp, cond, _ = two_point
-    loose = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-4)
-    tight = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-12)
-    assert loose.truncation_bound < 1e-4
-    assert tight.truncation_bound < 1e-12
-    assert tight.terms_used >= loose.terms_used
+    terms = 0
+    for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=tol)
+        dev = _worst(res, closed_form_two_point, np.linspace(0.0, 10.0, 20))
+        assert dev <= res.truncation_bound < tol, tol
+        assert res.terms_used >= terms, tol
+        terms = res.terms_used
+
+
+@pytest.mark.parametrize("family", ["dirac", "rkhs"])
+def test_few_terms_certify_by_halving(family):
+    # a fold cap too small for the default base horizon is met by halving
+    # it until the last fold kept no longer matters
+    sp, cond, _ = build_space(["a", "b", "c"], [1.0, 2.0, 0.5], [("a", "b", 1.0), ("b", "c", 0.5)])
+    A, mu = generator(sp, cond, "combinatorial")
+    spec = eigh_weighted(A, mu)
+    G = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+    p = (dirac_parametrix(sp, cond, horizon=2.0) if family == "dirac"
+         else rkhs_parametrix(sp, G, cond, horizon=2.0))
+
+    def exact(t):
+        return spectral_heat(spec, t) if family == "dirac" else expm_series(A, t) @ G
+
+    free = build_heat_kernel(p, T=2.0, tol=1e-4)
+    for max_terms in (3, 2):
+        res = build_heat_kernel(p, T=2.0, tol=1e-4, max_terms=max_terms)
+        assert res.terms_used == max_terms < free.terms_used
+        assert res.squarings > free.squarings
+        assert _worst(res, exact, np.linspace(0.0, 2.0, 21)) <= res.truncation_bound < 1e-4
+
+
+@pytest.mark.parametrize("max_terms", [1, 0])
+def test_too_few_terms_are_refused(two_point, max_terms):
+    # one fold moves the kernel by about T max|f| however T is split, so
+    # halving runs into the floating-point allowance and the build refuses
+    sp, cond, _ = two_point
+    with pytest.raises(NoConvergenceBudget, match="allowance"):
+        build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0, tol=1e-4,
+                          max_terms=max_terms)
+
+
+def test_pieces_saturate_to_inf():
+    # a Gram pairing's (1 + eps)^grow past e^700 is inf, not an OverflowError
+    G = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert _pieces(5.0, 2.0 ** 9, G) == math.inf
+    assert _pieces(5.0, 2.0 ** 9, None) == 5.0 * 2.0 ** 9
+    assert _pieces(1e-3, 4.0, G) == 2.0 * math.expm1(4.0 * math.log1p(1e-3))
 
 
 def test_build_refuses_truncated_spectral(two_point):

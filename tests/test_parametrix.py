@@ -70,8 +70,8 @@ def test_dirac_envelope_obeyed(rng, kind):
 
 def test_violated_envelope_fails_validation(rng):
     # every flavor's dirac and order checks pass here; the declared
-    # envelope is 1e12 times too small, so the certificate built on it
-    # would be unsound and the starter must be refused
+    # envelope is 1e12 times too small, a false claim about the heat
+    # image, so validation refuses the starter and the build with it
     sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=6)
     p = dirac_parametrix(sp, cond)
     p.envelope["C"] *= 1e-12

@@ -15,6 +15,7 @@ from heatkern.errors import (
     DisconnectedSpace,
     DuplicatePoint,
     NonpositiveMeasure,
+    UnknownPoint,
     ZeroDegreePoint,
 )
 
@@ -63,6 +64,15 @@ def test_build_space_accepts_agreeing_orientations():
 def test_build_space_rejects_isolated_point():
     with pytest.raises(ZeroDegreePoint):
         build_space(["a", "b", "c"], None, [("a", "b", 1.0)])
+
+
+def test_unknown_points_raise_typed_key_errors():
+    # an InputError for the command line, still a KeyError to lookups
+    with pytest.raises(UnknownPoint, match="edge references unknown point 'c'"):
+        build_space(["a", "b"], None, [("a", "c", 1.0)])
+    space, _, _ = build_space(["a", "b"], None, [("a", "b", 1.0)])
+    with pytest.raises(KeyError, match="unknown point 'c'"):
+        space.index("c")
 
 
 def test_build_space_rejects_wrong_length_measure():

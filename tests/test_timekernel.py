@@ -16,7 +16,6 @@ from heatkern import (
     QuadratureConfig,
     SemigroupKernel,
     SeparableKernel,
-    bound_ell_fold,
     build_heat_kernel,
     build_space,
     convolve,
@@ -27,7 +26,6 @@ from heatkern import (
     integer_line,
     profile_parametrix,
     rkhs_parametrix,
-    series_tail_bound,
     spectral_heat,
     spectral_parametrix,
 )
@@ -386,30 +384,6 @@ def test_lowrank_factor_is_deterministic(rng):
     again = TimeFactor(f, horizon, DEFAULT_QUAD)
     assert np.array_equal(again.values, factor.values)
     assert np.array_equal(again.matrices, factor.matrices)
-
-
-# ---------------------------------------------------------------- bounds
-
-def test_bound_ell_fold_frozen_values():
-    assert bound_ell_fold(1.0, 1.0, 0, 1, 2.0) == 1.0
-    assert bound_ell_fold(1.0, 2.0, 0, 3, 1.0) == 2.0
-
-
-def test_bound_series_sums_to_exponential():
-    for C, norm1, k, t in ((1.0, 1.0, 0, 1.0), (2.0, 3.0, 1, 0.7),
-                           (0.5, 1.5, 2, 2.0)):
-        total = sum(bound_ell_fold(C, norm1, k, ell, t) for ell in range(1, 200))
-        closing = C * max(norm1, 1.0) * t ** k * math.exp(t * norm1)
-        assert total <= closing * (1 + 1e-12)
-
-
-def test_series_tail_bound_dominates_true_tail():
-    for L in range(0, 8):
-        tail = sum(bound_ell_fold(1.0, 2.0, 1, ell, 3.0)
-                   for ell in range(L + 1, 400))
-        bound = series_tail_bound(1.0, 2.0, 1, L, 3.0)
-        assert bound >= tail * (1 - 1e-12)
-        assert bound <= 4.0 * tail + 1e-300  # not wastefully loose
 
 
 # ---------------------------------------------------------------- kernels
