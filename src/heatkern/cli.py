@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 from pathlib import Path
 import sys
 from typing import Callable
@@ -64,9 +65,20 @@ def _parse_times(arg, default):
         ts = [float(s) for s in arg.split(",") if s.strip()]
     except ValueError:
         raise ParseError(f"cannot read times from {arg!r}") from None
-    if not ts or any(t < 0.0 for t in ts):
-        raise ParseError(f"times must be nonnegative, got {arg!r}")
+    if not ts or not all(0.0 <= t < math.inf for t in ts):
+        raise ParseError(f"times must be finite and nonnegative, got {arg!r}")
     return ts
+
+
+def _positive(arg):
+    """--tol and --w: a finite positive number (NaN fails the test too)."""
+    try:
+        x = float(arg)
+    except ValueError:
+        x = math.nan
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {arg!r}")
+    return x
 
 
 def _make_parametrix(space, cond, cfg, args):
@@ -278,7 +290,7 @@ COMMANDS = {
     "entropy": _Command(_cmd_entropy, extra=(
         _TIMES, ("--point", {"required": True}))),
     "poisson": _Command(_cmd_poisson, extra=(
-        ("--w", {"type": float, "default": 1.0}),)),
+        ("--w", {"type": _positive, "default": 1.0}),)),
     "diagnostics": _Command(_cmd_diagnostics),
 }
 
@@ -293,7 +305,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="flat key=value run configuration")
         p.add_argument("--out", help="directory for report.json and friends")
         p.add_argument("--gram", help="gram matrix CSV for the rkhs starter")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_positive, default=None)
         for flag, options in command.extra:
             p.add_argument(flag, **options)
     return parser
@@ -304,11 +316,15 @@ def main(argv=None) -> int:
     report["defects"] = {}
     outdir = None
     try:
+        # --out first, so that a usage error still lands in report.json
+        pre = _Parser(add_help=False)
+        pre.add_argument("--out")
+        out = pre.parse_known_args(argv)[0].out
+        if out:
+            outdir = Path(out)
+            outdir.mkdir(parents=True, exist_ok=True)
         args = _build_parser().parse_args(argv)
         report["command"] = args.command
-        if args.out:
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
         cfg = parse_config(args.config) if args.config else RunConfig()
         if outdir is None and cfg.outputs_dir:
             outdir = Path(cfg.outputs_dir)

@@ -8,6 +8,7 @@ typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -76,14 +77,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     if cfg.laplacian not in KINDS:
         raise ConfigError(f"{origin}: laplacian must be one of {KINDS}, "
                           f"got {cfg.laplacian!r}")
-    if cfg.horizon <= 0.0:
-        raise ConfigError(f"{origin}: time.horizon must be positive")
-    if cfg.tol <= 0.0:
-        raise ConfigError(f"{origin}: neumann.tol must be positive")
+    for key, value in (("time.horizon", cfg.horizon), ("neumann.tol", cfg.tol),
+                       ("validate.tolerance", cfg.validate_tolerance)):
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ConfigError(f"{origin}: {key} must be positive and finite, got {value}")
     if cfg.max_terms < 1:
         raise ConfigError(f"{origin}: neumann.max_terms must be at least 1")
-    if cfg.validate_tolerance <= 0.0:
-        raise ConfigError(f"{origin}: validate.tolerance must be positive")
     if cfg.parametrix_order < 0 or cfg.parametrix_n_modes < 0:
         raise ConfigError(f"{origin}: parametrix orders and mode counts "
                           f"cannot be negative")

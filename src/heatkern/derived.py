@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DisconnectedSpace,
+    NoConvergenceBudget,
     NonpositiveEntry,
     NonpositiveShift,
     NonpositiveTime,
@@ -35,6 +36,14 @@ def _require_connected(space: PointSpace, conductance: Conductance, what: str) -
         raise DisconnectedSpace(
             f"{what} needs a connected space; found {len(comps)} components"
         )
+
+
+def _require_route(spec: SpectralData, K: HeatKernelResult | None, tol: float) -> None:
+    """A time route needs a finite positive tol and a kernel paired by spec.mu."""
+    if not 0.0 < tol < math.inf:
+        raise NoConvergenceBudget(f"tolerance must be positive and finite, got {tol}")
+    if K is not None and not (K.weight.ndim == 1 and np.array_equal(K.weight, spec.mu)):
+        raise DimensionMismatch("the kernel's pairing is not the spectral data's measure")
 
 
 def _ground_projector(spec: SpectralData) -> np.ndarray:
@@ -94,8 +103,10 @@ def green_regularized(space: PointSpace, conductance: Conductance, spec: Spectra
     kernel, and spec the combinatorial generator's.  The certified
     pieces are the spectral tail beyond the cutoff, the observed
     quadrature refinement error between the two, and the build's error
-    integrated to the cutoff; they sum to `budget`.
+    integrated to the cutoff; they sum to `budget`.  K must be paired by
+    spec.mu (DimensionMismatch otherwise).
     """
+    _require_route(spec, K, tol)
     _require_connected(space, conductance, "regularization")
     if spec.gap <= 1e-8:
         raise TailUncontrolled(
@@ -148,7 +159,7 @@ def green_regularized(space: PointSpace, conductance: Conductance, spec: Spectra
 
 def resolvent(spec: SpectralData, s: float) -> np.ndarray:
     """(A + s)^-1 as a spectral sum; requires a strictly positive shift."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise NonpositiveShift(f"resolvent shift must be positive, got {s}")
     return (spec.eigenvectors / (spec.eigenvalues + s)) @ spec.eigenvectors.T
 
@@ -228,11 +239,12 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
     over a window chosen so both Gaussian-type tails sit below tol/10;
     the trapezoid rule on this doubly exponentially decaying integrand
     converges geometrically under halving, at most nine times.  K is a
-    build, whose kernel the time route integrates, or None for the
-    spectral heat kernel.
+    build paired by spec.mu, whose kernel the time route integrates, or
+    None for the spectral heat kernel.
     """
-    if w <= 0.0:
-        raise NonpositiveTime(f"subordination parameter must be positive, got {w}")
+    if not 0.0 < w < math.inf:
+        raise NonpositiveTime(f"subordination parameter must be positive and finite, got {w}")
+    _require_route(spec, K, tol)
     if spec.n > 1 and spec.gap <= 1e-8:
         raise TailUncontrolled(
             f"spectral gap {spec.gap:.3g} is too small to truncate the "

@@ -42,7 +42,6 @@ from .timekernel import (
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
     row_masses,
-    sup_norms,
 )
 
 # Largest admissible (stiffness) x (base horizon) before the series is
@@ -181,7 +180,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     `_pieces`.  Refuses a tol the allowance alone reaches, and a kernel
     whose bound misses tol.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise HorizonExceeded(f"horizon must be positive, got {T}")
     if T > parametrix.H.horizon * (1.0 + 1e-9):
         raise HorizonExceeded(f"starter was built for horizon {parametrix.H.horizon}, "
@@ -199,7 +198,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
 
     A, a = parametrix.generator_matrix, _operator_rate(parametrix.generator_matrix)
     norm1 = _row_mass_norm(f, weight, _sample_grid(T))
-    rate = max(norm1, a, float(parametrix.envelope.get("rate", 0.0)))
+    rate = max(norm1, a, parametrix.rate)
     gram, m = parametrix.gram if weight.ndim == 2 else None, DEFAULT_QUAD.cheb_degree
     K0 = np.diag(1.0 / weight) if gram is None else gram
     V0 = float(np.max(K0)) if gram is None else 1.0  # |K(0)| in `_defect_bound`'s norm
@@ -215,7 +214,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
         T_base, grow = T / 2 ** squarings, 2.0 ** squarings
         # the allowance for coefficients the size of K(0)
         fp = _pieces(_allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0, 0), grow, gram)
-        if fp >= tol:
+        if not fp < tol:  # a NaN tol too
             raise NoConvergenceBudget(
                 f"no certificate below tol={tol} within {max_terms} terms: base horizon "
                 f"{T_base:.3g}, row-mass norm {norm1:.3g}, and {squarings} squarings lift "
@@ -280,8 +279,8 @@ def cross_parametrix_build(result: HeatKernelResult,
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (old_space.n,):
             raise DimensionMismatch("new measure does not match the space")
-        if np.any(lam <= 0.0):
-            raise InvalidParametrix("new measure must stay strictly positive")
+        if not np.all((0.0 < lam) & (lam < np.inf)):
+            raise InvalidParametrix("new measure must stay strictly positive and finite")
         new_space = PointSpace(old_space.points, lam)
     cond = conductance if conductance is not None else result.conductance
     if cond.matrix.shape != (old_space.n, old_space.n):
@@ -297,11 +296,8 @@ def cross_parametrix_build(result: HeatKernelResult,
                          name="imported")
     image = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: diff @ H.at_many(ts),
                              name="imported-image")
-    Cimg = float(np.max(image.per_time(_sample_grid(horizon), sup_norms)))
-    Cimg = Cimg * (1.0 + 1e-6) + 1e-300
     # The imported starter varies on the old kernel's time scale even when
     # the perturbation (and hence the series norm) is tiny.
-    envelope = {"C": Cimg, "rate": _operator_rate(A_old)}
-    p = Parametrix(H, image, 0, "imported", envelope,
-                   new_space, cond, result.kind, A_new, mu_new)
+    p = Parametrix(H, image, 0, "imported", new_space, cond, result.kind, A_new, mu_new,
+                   rate=_operator_rate(A_old))
     return build_heat_kernel(p, horizon, tol=tol, max_terms=max_terms)

@@ -27,6 +27,7 @@ from heatkern import (
 from heatkern.errors import (
     DimensionMismatch,
     DisconnectedSpace,
+    NoConvergenceBudget,
     NonpositiveEntry,
     NonpositiveShift,
     NonpositiveTime,
@@ -171,7 +172,7 @@ def test_resolvent_rejects_nonpositive_shift(two_point):
     sp, cond, _ = two_point
     A, mu = generator(sp, cond, "combinatorial")
     spec = eigh_weighted(A, mu)
-    for s in (0.0, -1.0):
+    for s in (0.0, -1.0, math.nan):
         with pytest.raises(NonpositiveShift):
             resolvent(spec, s)
 
@@ -415,3 +416,41 @@ def test_diagnostics_rejects_operator_paired_kernel(two_point):
     res = build_heat_kernel(rkhs_parametrix(sp, G, cond), T=2.0)
     with pytest.raises(DimensionMismatch):
         diagnostics(res)
+
+
+# ------------------------------------------- parameters and pairings
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_green_refuses_unusable_tolerance(path3, tol):
+    sp, cond, _ = path3
+    with pytest.raises(NoConvergenceBudget):
+        green_regularized(sp, cond, _spec(sp, cond), tol=tol)
+
+
+@pytest.mark.parametrize("w, tol, error", [
+    (math.nan, 1e-8, NonpositiveTime), (math.inf, 1e-8, NonpositiveTime),
+    (1.0, math.nan, NoConvergenceBudget), (1.0, 0.0, NoConvergenceBudget),
+])
+def test_poisson_refuses_unusable_parameters(path3, w, tol, error):
+    sp, cond, _ = path3
+    with pytest.raises(error):
+        poisson_kernel(_spec(sp, cond), None, w=w, tol=tol)
+
+
+def _foreign_builds(sp, cond):
+    # a Gram-paired build, and a normalized build, whose measure c lam is
+    # not the combinatorial spectral data's lam on the path
+    G = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+    yield build_heat_kernel(rkhs_parametrix(sp, G, cond), T=2.0, tol=1e-6)
+    yield build_heat_kernel(dirac_parametrix(sp, cond, kind="normalized"), T=5.0)
+
+
+def test_green_and_poisson_refuse_a_kernel_of_another_pairing(path3):
+    sp, cond, _ = path3
+    spec = _spec(sp, cond)
+    for res in _foreign_builds(sp, cond):
+        with pytest.raises(DimensionMismatch):
+            green_regularized(sp, cond, spec, K=res)
+        with pytest.raises(DimensionMismatch):
+            poisson_kernel(spec, res, w=1.0)

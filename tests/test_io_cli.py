@@ -221,6 +221,14 @@ def test_config_rejections():
         parse_config_text("just some words")
 
 
+@pytest.mark.parametrize("line", ["neumann.tol = nan", "neumann.tol = 0",
+                                  "validate.tolerance = nan", "validate.tolerance = inf",
+                                  "time.horizon = inf", "time.horizon = nan"])
+def test_config_refuses_non_finite_and_nonpositive_numbers(line):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        parse_config_text(line)
+
+
 @pytest.mark.parametrize("line", ["quad.target_tol = 1e-30",
                                   "quad.nodes_per_panel = 8",
                                   "quad.cheb_degree = 16"])
@@ -457,6 +465,34 @@ def test_cli_bad_usage_exits_one(two_point_file, capsys):
     assert main(["entropy", "--edges", two_point_file]) == 1  # --point missing
     assert main(["resistance", "--edges", two_point_file, "--pair", "a"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["green", "--tol", "nan"], "--tol"),
+    (["oracle-compare", "--tol", "nan"], "--tol"),
+    (["resistance", "--pair", "a,b", "--tol", "nan"], "--tol"),
+    (["build", "--tol", "nan"], "--tol"),
+    (["build", "--tol", "inf"], "--tol"),
+    (["poisson", "--tol", "nan"], "--tol"),
+    (["poisson", "--w", "nan"], "--w"),
+    (["poisson", "--w", "-1"], "--w"),
+    (["validate-parametrix", "--tol", "0"], "--tol"),
+])
+def test_cli_refuses_non_finite_and_nonpositive_numbers(two_point_file, tmp_path,
+                                                        capsys, argv, flag):
+    out = tmp_path / "art"
+    assert main([*argv, "--edges", two_point_file, "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert _report(out)["exit_reason"].startswith(
+        f"input error: ParseError: argument {flag}: expected a finite positive number")
+
+
+def test_cli_nan_config_reports_input_error(two_point_file, tmp_path, capsys):
+    cfg = _write(tmp_path, "nan.cfg", "neumann.tol = nan\n")
+    out = tmp_path / "art"
+    assert main(["build", "--edges", two_point_file, "--config", cfg, "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert _report(out)["exit_reason"].startswith("input error: ConfigError")
 
 
 def test_cli_missing_file_reports_input_error(tmp_path, capsys):

@@ -215,6 +215,18 @@ def test_build_horizon_guard(two_point):
         build_heat_kernel(p, T=5.0)
     with pytest.raises(HorizonExceeded):
         build_heat_kernel(p, T=-1.0)
+    with pytest.raises(HorizonExceeded):
+        build_heat_kernel(p, T=math.nan)
+
+
+def test_build_refuses_nan_tolerance_at_once(two_point, monkeypatch):
+    # the allowance test fails for NaN, so no horizon is halved
+    sp, cond, _ = two_point
+    folds = []
+    monkeypatch.setattr(neumann, "FoldCache", lambda *a, **k: folds.append(a))
+    with pytest.raises(NoConvergenceBudget):
+        build_heat_kernel(dirac_parametrix(sp, cond), T=1.0, tol=math.nan)
+    assert folds == []
 
 
 def _integral(kernel):
@@ -308,6 +320,14 @@ def test_cross_build_stiff_weight_perturbation(rng):
         dev = max(float(np.max(np.abs(res2.K.at(t) - spectral_heat(spec2, t))))
                   for t in np.linspace(0.0, 5.0, 11))
         assert dev <= res2.truncation_bound < 1e-8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_cross_build_refuses_unusable_measure(k3, bad):
+    sp, cond, _ = k3
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=1.0)
+    with pytest.raises(InvalidParametrix, match="positive and finite"):
+        cross_parametrix_build(res, lam=np.array([1.0, bad, 1.0]))
 
 
 def test_cross_build_rejects_hilbert_kernels(two_point):

@@ -60,26 +60,38 @@ def test_dirac_residual_grid_is_monotone(rng):
 
 
 @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
-def test_dirac_envelope_obeyed(rng, kind):
+def test_dirac_image_is_exact(rng, kind):
+    # H is diag(1/mu) at every time, so L_x H = A diag(1/mu) exactly
     sp, cond, _ = random_connected_graph(rng, random_measure=True)
     p = dirac_parametrix(sp, cond, kind=kind)
-    C, k = p.envelope["C"], p.order_k
+    A, mu = generator(sp, cond, kind)
+    want = A @ np.diag(1.0 / mu)
     for t in np.linspace(0.01, 10.0, 23):
-        assert np.max(np.abs(p.heat_image.at(t))) <= C * t ** k + 1e-9
+        assert np.array_equal(p.heat_image.at(t), want)
 
 
-def test_violated_envelope_fails_validation(rng):
-    # every flavor's dirac and order checks pass here; the declared
-    # envelope is 1e12 times too small, a false claim about the heat
-    # image, so validation refuses the starter and the build with it
-    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=6)
-    p = dirac_parametrix(sp, cond)
-    p.envelope["C"] *= 1e-12
-    rep = validate(p)
-    assert not rep.passed
-    assert rep.failed_checks == ("envelope",)
-    with pytest.raises(InvalidParametrix, match="envelope"):
-        build_heat_kernel(p, 2.0, tol=1e-4)
+def _count_calls(kernel):
+    calls = []
+
+    def counted(ts, evaluate=kernel.evaluator):
+        calls.append(len(ts))
+        return evaluate(ts)
+
+    kernel.evaluator = counted
+    return calls
+
+
+def test_validate_evaluates_each_kernel_once(two_point):
+    # the Dirac residuals of every flavor come from one block of H at the
+    # 13 grid times, and the order fit from one block of the image at 20
+    sp, cond, _ = two_point
+    G = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for p in (profile_parametrix(sp, cond, profile="exponential"),
+              rkhs_parametrix(sp, G, cond)):
+        h_calls, image_calls = _count_calls(p.H), _count_calls(p.heat_image)
+        assert validate(p).passed
+        assert h_calls == [13]
+        assert image_calls == [20]
 
 
 def test_profile_exponential_ratio(two_point):
@@ -137,7 +149,6 @@ def test_spectral_full_basis_two_point(two_point):
     # all modes retained: the starter already is the heat kernel
     assert np.max(np.abs(p.heat_image.at(0.5))) == 0.0
     assert rep.fitted_order == np.inf
-    assert rep.order_note != ""
 
 
 def test_spectral_truncated_two_point(two_point):
@@ -156,6 +167,9 @@ def test_spectral_truncation_bounds(two_point):
         spectral_parametrix(sp, cond, n_modes=0)
     with pytest.raises(BadTruncation):
         spectral_parametrix(sp, cond, n_modes=3)
+    for bad in (np.nan, np.inf, 1.5):
+        with pytest.raises(BadTruncation):
+            spectral_parametrix(sp, cond, n_modes=bad)
 
 
 def test_rkhs_heat_image_hand_value(two_point):
@@ -184,6 +198,10 @@ def test_rkhs_rejects_asymmetric_and_indefinite(two_point):
         rkhs_parametrix(sp, np.array([[2.0, 1.0], [0.5, 2.0]]), cond)
     with pytest.raises(NotPositiveDefinite):
         rkhs_parametrix(sp, np.array([[1.0, 2.0], [2.0, 1.0]]), cond)
+    # numpy's Cholesky does not raise for an all-NaN matrix
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotPositiveDefinite):
+            rkhs_parametrix(sp, np.full((2, 2), bad), cond)
 
 
 @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
@@ -223,4 +241,3 @@ def test_validate_report_fields(two_point):
     assert rep.residual_ts.shape == rep.residual_values.shape
     assert rep.residual_ts[-1] == 0.0
     assert set(rep.flavors) == {"1-infty", "2-2", "hilbert"}
-    assert rep.envelope_constant >= 0.0
