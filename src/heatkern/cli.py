@@ -337,7 +337,7 @@ def main(argv=None) -> int:
             if command.tol_builds and args.tol is not None:
                 cfg = dataclasses.replace(cfg, tol=args.tol)
             result = build_heat_kernel(_make_parametrix(space, cond, cfg, args),
-                                       cfg.horizon, tol=cfg.tol, max_terms=cfg.max_terms)
+                                       cfg.horizon, tol=cfg.tol)
             report["terms_used"] = result.terms_used
             report["truncation_bound"] = result.truncation_bound
         command.run(args, report, outdir, space, cond, cfg, result)

@@ -24,7 +24,6 @@ class RunConfig:
     laplacian: str = "combinatorial"
     horizon: float = 10.0
     tol: float = 1e-8
-    max_terms: int = 64
     validate_tolerance: float = 1e-6
     outputs_dir: str = ""
 
@@ -37,7 +36,6 @@ _KEYS = {
     "laplacian": ("laplacian", str),
     "time.horizon": ("horizon", float),
     "neumann.tol": ("tol", float),
-    "neumann.max_terms": ("max_terms", int),
     "validate.tolerance": ("validate_tolerance", float),
     "outputs.dir": ("outputs_dir", str),
 }
@@ -81,8 +79,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
                        ("validate.tolerance", cfg.validate_tolerance)):
         if not 0.0 < value < math.inf:  # NaN fails too
             raise ConfigError(f"{origin}: {key} must be positive and finite, got {value}")
-    if cfg.max_terms < 1:
-        raise ConfigError(f"{origin}: neumann.max_terms must be at least 1")
     if cfg.parametrix_order < 0 or cfg.parametrix_n_modes < 0:
         raise ConfigError(f"{origin}: parametrix orders and mode counts "
                           f"cannot be negative")

@@ -11,7 +11,7 @@ kernel actually built (`_defect_bound`), whatever the starter.
 
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
-the series is built on a short base horizon and extended by the semigroup
+the series is built on one short base horizon and extended by the semigroup
 (SemigroupKernel); the certificate grows with the pieces (`_pieces`).
 """
 
@@ -29,7 +29,7 @@ from .errors import (
     NoConvergenceBudget,
     SpaceMismatch,
 )
-from .space import Conductance, PointSpace, generator
+from .space import Conductance, PointSpace, check_conductance, generator
 from .parametrix import Parametrix, ParametrixReport, validate
 from .timekernel import (
     ChebSeries,
@@ -44,12 +44,13 @@ from .timekernel import (
     row_masses,
 )
 
-# Largest admissible (stiffness) x (base horizon) before the series is
-# rebuilt on a halved horizon.  Stiffness is the larger of the series
-# row-mass scale and the generator's row-sum rate: the first keeps the
-# alternating partial sums near unit scale, the second keeps e^{-tA}
-# resolvable by the base Chebyshev grid.  So T_base |A|_inf <= THETA.
+# Largest admissible (stiffness) x (base horizon), which fixes the
+# squarings.  Stiffness is the larger of the series row-mass scale and the
+# generator's row-sum rate: the first keeps the alternating partial sums
+# near unit scale, the second keeps e^{-tA} resolvable by the base
+# Chebyshev grid.  So T_base |A|_inf <= THETA.
 THETA = 4.0
+MAX_TERMS = 64  # folds before an unsettled series is refused; builds take 5 to 21
 U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -164,21 +165,20 @@ def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
     return E0, rho, _allowance(m, n, Tb * _operator_rate(A), V0, S0, Z, E0, rho) + gap
 
 
-def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
-                      max_terms: int = 64) -> HeatKernelResult:
+def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> HeatKernelResult:
     """Construct the heat kernel on [0, T] from a validated starter.
 
     Validates the starter first, with `validate`'s defaults (the report
-    lands on the result).  On the DEFAULT_QUAD grid of T_b = T /
-    2^squarings the folds stream into F until the first fold l whose share
-    T_b |W| max|f^{*l}| (|W| = 1 for a measure, the largest row sum of |W|
-    for a Gram pairing), carried over the pieces, is below tol / 2; that is
-    `terms_used`.  When max_terms folds do not get there, T_b is halved and
-    the stream restarts.  K = H + H * F is assembled once, and a
-    SemigroupKernel reaches T.  `truncation_bound` is what `_defect_bound`
-    proves for one base piece, carried over the 2^squarings pieces of T by
-    `_pieces`.  Refuses a tol the allowance alone reaches, and a kernel
-    whose bound misses tol.
+    lands on the result).  T_b = T / 2^squarings is chosen once, the
+    longest with T_b rate <= THETA.  On its DEFAULT_QUAD grid the folds
+    stream into F until the first fold l whose share T_b |W| max|f^{*l}|
+    (|W| = 1 for a measure, the largest row sum of |W| for a Gram
+    pairing), carried over the pieces, is below tol / 2; that is
+    `terms_used`.  K = H + H * F is assembled once, and a SemigroupKernel
+    reaches T.  `truncation_bound` is what `_defect_bound` proves for one
+    base piece, carried over the 2^squarings pieces of T by `_pieces`.
+    Refuses a tol the allowance alone reaches, a series not settled after
+    MAX_TERMS folds, and a kernel whose bound misses tol.
     """
     if not T > 0.0:
         raise HorizonExceeded(f"horizon must be positive, got {T}")
@@ -206,30 +206,30 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
     # stochastic; it only stops the series, `_defect_bound` certifies.
     Wnorm = 1.0 if gram is None else _operator_rate(weight)
 
-    # Halve T_b while max_terms folds do not fall below tol / 2 and the
-    # allowance over all pieces still leaves room: a squaring doubles the
-    # amplification but shrinks the folds superexponentially.
+    # One base horizon: a squaring doubles the amplification but shrinks
+    # the folds superexponentially, so T_b rate <= THETA settles them.
     squarings = math.ceil(math.log2(rate * T / THETA)) if rate * T > THETA else 0
-    while True:
-        T_base, grow = T / 2 ** squarings, 2.0 ** squarings
-        # the allowance for coefficients the size of K(0)
-        fp = _pieces(_allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0, 0), grow, gram)
-        if not fp < tol:  # a NaN tol too
-            raise NoConvergenceBudget(
-                f"no certificate below tol={tol} within {max_terms} terms: base horizon "
-                f"{T_base:.3g}, row-mass norm {norm1:.3g}, and {squarings} squarings lift "
-                f"the floating-point allowance to {fp:.3g}; raise tol or max_terms")
-        cache = FoldCache(f, horizon=T_base)
-        Fvals = np.zeros((cache.nodes.shape[0], f.n, f.n))
-        for terms in range(1, max_terms + 1):
-            fold = cache.fold(terms).values if terms > 1 else f.at_many(cache.nodes)
-            Fvals += (-1) ** terms * fold
-            if _pieces(T_base * Wnorm * max(fold.max(), -fold.min()), grow, gram) < tol / 2:
-                break
-        else:
-            squarings += 1
-            continue
-        break
+    T_base, grow = T / 2 ** squarings, 2.0 ** squarings
+    # the allowance for coefficients the size of K(0)
+    fp = _pieces(_allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0, 0), grow, gram)
+    if not fp < tol:  # a NaN tol too
+        raise NoConvergenceBudget(
+            f"no certificate below tol={tol}: base horizon {T_base:.3g}, row-mass norm "
+            f"{norm1:.3g}, and {squarings} squarings lift the floating-point allowance "
+            f"to {fp:.3g}; raise tol")
+    cache = FoldCache(f, horizon=T_base)
+    Fvals = np.zeros((cache.nodes.shape[0], f.n, f.n))
+    for terms in range(1, MAX_TERMS + 1):
+        fold = cache.fold(terms).values if terms > 1 else f.at_many(cache.nodes)
+        Fvals += (-1) ** terms * fold
+        share = _pieces(T_base * Wnorm * max(fold.max(), -fold.min()), grow, gram)
+        if share < tol / 2:
+            break
+    else:
+        raise NoConvergenceBudget(
+            f"the series has not settled after {MAX_TERMS} folds: the last fold's share "
+            f"{share:.3g} is not below tol/2 on base horizon {T_base:.3g} (sampled row "
+            f"mass {norm1:.3g})")
 
     # K = H + H * F on the base grid.  Free the last fold and the factor
     # first: K's samples allocated above them would pin their heap pages
@@ -258,17 +258,17 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8,
 def cross_parametrix_build(result: HeatKernelResult,
                            conductance: Conductance | None = None,
                            lam: np.ndarray | None = None,
-                           tol: float = 1e-8, T: float | None = None,
-                           max_terms: int = 64) -> HeatKernelResult:
+                           tol: float = 1e-8) -> HeatKernelResult:
     """Rebuild the heat kernel after changing conductances or the measure.
 
     The previously built kernel, rescaled column-wise to the new measure,
     is itself an order-zero starter for the perturbed space: its heat
     image under the new generator is exactly (A_new - A_old) H, with no
     time-derivative error at all.  Small perturbations therefore converge
-    in very few terms.  `build_heat_kernel` validates it and refuses it
-    when the two spaces are too far apart for the import to start the
-    series.
+    in very few terms, over `result.horizon`.  A new conductance must pass
+    `check_conductance`, as in `build_space`.  `build_heat_kernel`
+    validates the import and refuses it when the two spaces are too far
+    apart for it to start the series.
     """
     if result.weight.ndim != 1:
         raise InvalidParametrix("cross builds need a measure-paired kernel, not a Hilbert pairing")
@@ -285,11 +285,11 @@ def cross_parametrix_build(result: HeatKernelResult,
     cond = conductance if conductance is not None else result.conductance
     if cond.matrix.shape != (old_space.n, old_space.n):
         raise DimensionMismatch("new conductance does not match the space")
+    check_conductance(old_space.points, cond)
     A_new, mu_new = generator(new_space, cond, result.kind)
     A_old, mu_old = result.generator_matrix, result.weight
     scale = mu_old / mu_new
-    Kp = result.K
-    horizon = Kp.horizon if T is None else float(T)
+    Kp, horizon = result.K, result.horizon
     diff = A_new - A_old
 
     H = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: Kp.at_many(ts) * scale,
@@ -300,4 +300,4 @@ def cross_parametrix_build(result: HeatKernelResult,
     # the perturbation (and hence the series norm) is tiny.
     p = Parametrix(H, image, 0, "imported", new_space, cond, result.kind, A_new, mu_new,
                    rate=_operator_rate(A_old))
-    return build_heat_kernel(p, horizon, tol=tol, max_terms=max_terms)
+    return build_heat_kernel(p, horizon, tol=tol)

@@ -18,11 +18,13 @@ pairing flavors pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import (
     BadTruncation,
+    ConfigError,
     DimensionMismatch,
     NotPositiveDefinite,
     NotReproducing,
@@ -122,13 +124,16 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
 
     F is the named profile shape; d is the shortest-path distance with
     edge length 1/weight; S(x, t) = sum_y F(d(x,y)/t) mu(y) normalizes the
-    row, >= F(0) mu(x) > 0 as d(x, x) = 0.  The declared order is recorded
-    as given; the empirical order lands in the validation report.
+    row, >= F(0) mu(x) > 0 as d(x, x) = 0.  The declared order, a
+    nonnegative integer (ConfigError otherwise), is recorded as given; the
+    empirical order lands in the validation report.
     """
     if profile not in _PROFILES:
         raise DimensionMismatch(
             f"unknown profile {profile!r}; expected one of {tuple(_PROFILES)}"
         )
+    if not 0 <= order < math.inf or int(order) != order:  # NaN fails the first test
+        raise ConfigError(f"declared order must be a nonnegative integer, got {order}")
     profile_fn = _PROFILES[profile]
     A, mu = generator(space, conductance, kind)
     d = graph_distances(space, conductance)
@@ -254,10 +259,13 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6) -> ParametrixRepor
     across [1e-3, 1e-1] (clipped to the horizon), or across the two
     decades below 0.1/rate when the starter declares a rate; it must reach
     the declared order minus 0.1, and is inf when the image vanishes.  The
-    starter passes if any flavor passes both checks.  The report is
+    starter passes if any flavor passes both checks.  A tolerance that is
+    not positive and finite raises ConfigError.  The report is
     returned and kept nowhere: `build_heat_kernel` runs its own validation
     at the default tolerance, so `tolerance` shapes only this report.
     """
+    if not 0.0 < tolerance < math.inf:  # NaN fails too
+        raise ConfigError(f"validation tolerance must be positive and finite, got {tolerance}")
     H = parametrix.H
     horizon = H.horizon
     k = parametrix.order_k

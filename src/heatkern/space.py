@@ -80,6 +80,10 @@ def _parse_lambda(points, lambda_weights):
     elif np.isscalar(lambda_weights):
         lam = np.full(n, float(lambda_weights))
     elif isinstance(lambda_weights, dict):
+        known = set(points)
+        for p in lambda_weights:
+            if p not in known:
+                raise UnknownPoint(f"measure names unknown point {p!r}")
         lam = np.array([float(lambda_weights.get(p, 1.0)) for p in points])
     else:
         lam = np.asarray(lambda_weights, dtype=float)
@@ -101,7 +105,8 @@ def build_space(points, lambda_weights=None, edge_weights=()):
 
     ``points`` is an ordered iterable of hashable identifiers.
     ``lambda_weights`` may be None (counting measure), a scalar, a mapping
-    from point to weight (missing points default to 1), or a vector.
+    from point to weight (missing points default to 1; a key that is not a
+    point raises UnknownPoint), or a vector.
     ``edge_weights`` is an iterable of (u, v, w) triples; either
     orientation of a pair is accepted, but giving both orientations with
     unequal values is rejected.  Self-pairs are allowed and contribute to
@@ -126,11 +131,6 @@ def build_space(points, lambda_weights=None, edge_weights=()):
         except KeyError as exc:
             raise UnknownPoint(f"edge references unknown point {exc.args[0]!r}") from None
         w = float(w)
-        if not np.isfinite(w) or w < 0:
-            raise NonpositiveMeasure(
-                f"conductance weight for pair ({u!r}, {v!r}) must be "
-                f"nonnegative and finite; got {w}"
-            )
         key = (min(i, j), max(i, j))
         if key in pair_weight and pair_weight[key] != w:
             raise AsymmetricConductance(
@@ -145,14 +145,36 @@ def build_space(points, lambda_weights=None, edge_weights=()):
         W[j, i] = w
 
     cond = Conductance(W)
-    c = degree_vector(cond)
+    return PointSpace(points, lam), cond, DegreeVector(check_conductance(points, cond))
+
+
+def check_conductance(points, conductance: Conductance) -> np.ndarray:
+    """Refuse pair weights that are not finite and nonnegative
+    (NonpositiveMeasure) or not symmetric (AsymmetricConductance), and a
+    point of zero degree (ZeroDegreePoint, Assumption C); return the
+    degree vector.  ``points`` labels the rows in the messages."""
+    W = conductance.matrix
+    bad = np.argwhere(~(np.isfinite(W) & (W >= 0.0)))  # NaN fails too
+    if bad.size:
+        i, j = bad[0]
+        raise NonpositiveMeasure(
+            f"conductance weight for pair ({points[i]!r}, {points[j]!r}) must be "
+            f"nonnegative and finite; got {W[i, j]}"
+        )
+    bad = np.argwhere(W != W.T)
+    if bad.size:
+        i, j = bad[0]
+        raise AsymmetricConductance(
+            f"pair ({points[i]!r}, {points[j]!r}) carries unequal weights "
+            f"{W[i, j]} and {W[j, i]} in its two orientations"
+        )
+    c = degree_vector(conductance)
     bad = np.nonzero(c <= 0)[0]
     if bad.size:
-        p = points[bad[0]]
         raise ZeroDegreePoint(
-            f"Assumption C violated at point {p!r}: total conductance is zero"
+            f"Assumption C violated at point {points[bad[0]]!r}: total conductance is zero"
         )
-    return PointSpace(points, lam), cond, DegreeVector(c)
+    return c
 
 
 def _as_function(space: PointSpace, f) -> np.ndarray:

@@ -24,10 +24,13 @@ from heatkern import (
     validate,
 )
 from heatkern.errors import (
+    AsymmetricConductance,
     HorizonExceeded,
     InvalidParametrix,
     NoConvergenceBudget,
+    NonpositiveMeasure,
     SpaceMismatch,
+    ZeroDegreePoint,
 )
 from heatkern import neumann
 from heatkern.neumann import _defect_bound, _pieces
@@ -98,7 +101,7 @@ def test_profile_starter_refuses_tight_tolerance(two_point):
     # the unit edge, one assembly on the default grid is certified at
     # 1e-10 and sits within its bound of the closed form.  On the unit
     # edge itself the exponential profile's kernel is about 2e-7 off on
-    # that grid, so 1e-10 is refused after max_terms, naming the residual;
+    # that grid, so 1e-10 is refused once the folds settle, naming the residual;
     # and a tolerance below the floating-point allowance is refused at once
     sp, cond, _ = build_space(["a", "b"], [0.05, 0.05], [("a", "b", 1.0)])
     p = profile_parametrix(sp, cond, "exponential", horizon=1.0)
@@ -161,36 +164,15 @@ def test_certificate_reflects_tolerance(two_point):
         terms = res.terms_used
 
 
-@pytest.mark.parametrize("family", ["dirac", "rkhs"])
-def test_few_terms_certify_by_halving(family):
-    # a fold cap too small for the default base horizon is met by halving
-    # it until the last fold kept no longer matters
+def test_unsettled_series_is_refused(monkeypatch):
+    # the base horizon is chosen once: a series still moving after
+    # MAX_TERMS folds is refused, naming the last fold's share
     sp, cond, _ = build_space(["a", "b", "c"], [1.0, 2.0, 0.5], [("a", "b", 1.0), ("b", "c", 0.5)])
-    A, mu = generator(sp, cond, "combinatorial")
-    spec = eigh_weighted(A, mu)
-    G = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
-    p = (dirac_parametrix(sp, cond, horizon=2.0) if family == "dirac"
-         else rkhs_parametrix(sp, G, cond, horizon=2.0))
-
-    def exact(t):
-        return spectral_heat(spec, t) if family == "dirac" else expm_series(A, t) @ G
-
-    free = build_heat_kernel(p, T=2.0, tol=1e-4)
-    for max_terms in (3, 2):
-        res = build_heat_kernel(p, T=2.0, tol=1e-4, max_terms=max_terms)
-        assert res.terms_used == max_terms < free.terms_used
-        assert res.squarings > free.squarings
-        assert _worst(res, exact, np.linspace(0.0, 2.0, 21)) <= res.truncation_bound < 1e-4
-
-
-@pytest.mark.parametrize("max_terms", [1, 0])
-def test_too_few_terms_are_refused(two_point, max_terms):
-    # one fold moves the kernel by about T max|f| however T is split, so
-    # halving runs into the floating-point allowance and the build refuses
-    sp, cond, _ = two_point
-    with pytest.raises(NoConvergenceBudget, match="allowance"):
-        build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0, tol=1e-4,
-                          max_terms=max_terms)
+    p = dirac_parametrix(sp, cond, horizon=2.0)
+    assert build_heat_kernel(p, T=2.0, tol=1e-4).terms_used > 2
+    monkeypatch.setattr(neumann, "MAX_TERMS", 2)
+    with pytest.raises(NoConvergenceBudget, match=r"after 2 folds: the last fold's share"):
+        build_heat_kernel(p, T=2.0, tol=1e-4)
 
 
 def test_pieces_saturate_to_inf():
@@ -220,7 +202,7 @@ def test_build_horizon_guard(two_point):
 
 
 def test_build_refuses_nan_tolerance_at_once(two_point, monkeypatch):
-    # the allowance test fails for NaN, so no horizon is halved
+    # the allowance test fails for NaN, so no fold is taken
     sp, cond, _ = two_point
     folds = []
     monkeypatch.setattr(neumann, "FoldCache", lambda *a, **k: folds.append(a))
@@ -328,6 +310,20 @@ def test_cross_build_refuses_unusable_measure(k3, bad):
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=1.0)
     with pytest.raises(InvalidParametrix, match="positive and finite"):
         cross_parametrix_build(res, lam=np.array([1.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda W: -W, NonpositiveMeasure),
+    (lambda W: np.where(W > 0, math.nan, 0.0), NonpositiveMeasure),
+    (lambda W: np.where(W > 0, math.inf, 0.0), NonpositiveMeasure),
+    (lambda W: W + np.triu(W), AsymmetricConductance),
+    (lambda W: 0.0 * W, ZeroDegreePoint),
+], ids=["negative", "nan", "inf", "asymmetric", "zero-degree"])
+def test_cross_build_refuses_what_build_space_refuses(path3, change, error):
+    sp, cond, _ = path3
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0)
+    with pytest.raises(error):
+        cross_parametrix_build(res, conductance=Conductance(change(cond.matrix)))
 
 
 def test_cross_build_rejects_hilbert_kernels(two_point):

@@ -13,6 +13,7 @@ from heatkern import (
 )
 from heatkern.errors import (
     BadTruncation,
+    ConfigError,
     DimensionMismatch,
     InvalidParametrix,
     NotPositiveDefinite,
@@ -131,6 +132,20 @@ def test_profile_unknown_name(two_point):
     sp, cond, _ = two_point
     with pytest.raises(DimensionMismatch):
         profile_parametrix(sp, cond, profile="gaussian")
+
+
+@pytest.mark.parametrize("order", [np.nan, -3, np.inf, 0.5])
+def test_profile_refuses_an_unusable_order(two_point, order):
+    sp, cond, _ = two_point
+    with pytest.raises(ConfigError, match="nonnegative integer"):
+        profile_parametrix(sp, cond, profile="exponential", order=order)
+
+
+@pytest.mark.parametrize("tolerance", [np.nan, -1.0, 0.0, np.inf])
+def test_validate_refuses_an_unusable_tolerance(two_point, tolerance):
+    sp, cond, _ = two_point
+    with pytest.raises(ConfigError, match="positive and finite"):
+        validate(dirac_parametrix(sp, cond), tolerance=tolerance)
 
 
 def test_profile_overdeclared_order_fails_validation(two_point):

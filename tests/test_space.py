@@ -51,6 +51,12 @@ def test_build_space_rejects_nonpositive_measure():
         build_space(["a", "b"], [1.0, 0.0], [("a", "b", 1.0)])
 
 
+@pytest.mark.parametrize("w", [-1.0, np.nan, np.inf])
+def test_build_space_rejects_negative_and_non_finite_weights(w):
+    with pytest.raises(NonpositiveMeasure, match=r"pair \('a', 'b'\)"):
+        build_space(["a", "b", "c"], None, [("a", "b", w), ("b", "c", 1.0)])
+
+
 def test_build_space_rejects_conflicting_orientations():
     with pytest.raises(AsymmetricConductance):
         build_space(["a", "b"], None, [("a", "b", 1.0), ("b", "a", 2.0)])
@@ -73,6 +79,11 @@ def test_unknown_points_raise_typed_key_errors():
     space, _, _ = build_space(["a", "b"], None, [("a", "b", 1.0)])
     with pytest.raises(KeyError, match="unknown point 'c'"):
         space.index("c")
+
+
+def test_build_space_rejects_measure_of_unknown_point():
+    with pytest.raises(UnknownPoint, match="measure names unknown point 'zz'"):
+        build_space(["a", "b"], {"zz": 2.0}, [("a", "b", 1.0)])
 
 
 def test_build_space_rejects_wrong_length_measure():
