@@ -14,7 +14,7 @@ from heatkern import build_space, dirac_parametrix, build_heat_kernel
 # one edge, weight 1, measure 1 on each point
 space, cond, deg = build_space(["a", "b"], None, [("a", "b", 1.0)])
 print("points:", space.points)
-print("degrees:", deg.c)
+print("degrees:", deg)
 
 # the Dirac starter is exactly right at t = 0 and order-0 in time; the
 # alternating convolution series corrects it out to the horizon

@@ -15,12 +15,9 @@ from .errors import (
 )
 from .space import (
     Conductance,
-    DegreeVector,
     PointSpace,
     build_space,
     connected_components,
-    degree_vector,
-    energy_inner,
     generator,
     graph_distances,
 )

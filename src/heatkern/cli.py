@@ -96,7 +96,7 @@ def _make_parametrix(space, cond, cfg, args):
         raise ParseError("parametrix.kind = rkhs needs --gram")
     try:
         G = np.loadtxt(args.gram, delimiter=",", ndmin=2)
-    except OSError as e:
+    except (OSError, ValueError) as e:  # a missing file, or one that is not numeric
         raise ParseError(f"cannot read {args.gram}: {e}") from None
     return rkhs_parametrix(space, G, cond, cfg.laplacian, cfg.horizon)
 

@@ -17,20 +17,18 @@ the series is built on one short base horizon and extended by the semigroup
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     HorizonExceeded,
     InvalidParametrix,
     NoConvergenceBudget,
-    SpaceMismatch,
 )
-from .space import Conductance, PointSpace, check_conductance, generator
-from .parametrix import Parametrix, ParametrixReport, validate
+from .space import Conductance, PointSpace, generator
+from .parametrix import Parametrix, validate
 from .timekernel import (
     ChebSeries,
     ClosedFormKernel,
@@ -56,8 +54,7 @@ U = 2.0 ** -53  # unit roundoff of float64
 
 @dataclass
 class HeatKernelResult:
-    """A constructed heat kernel with its convergence certificate and the
-    validation report of the build that made it."""
+    """A constructed heat kernel with its convergence certificate."""
 
     K: TimeKernel
     terms_used: int
@@ -72,7 +69,6 @@ class HeatKernelResult:
     base_horizon: float
     squarings: int
     tol: float
-    report: ParametrixReport | None = field(default=None, repr=False)
 
 
 def _operator_rate(A: np.ndarray) -> float:
@@ -168,13 +164,12 @@ def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
 def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> HeatKernelResult:
     """Construct the heat kernel on [0, T] from a validated starter.
 
-    Validates the starter first, with `validate`'s defaults (the report
-    lands on the result).  T_b = T / 2^squarings is chosen once, the
-    longest with T_b rate <= THETA.  On its DEFAULT_QUAD grid the folds
-    stream into F until the first fold l whose share T_b |W| max|f^{*l}|
-    (|W| = 1 for a measure, the largest row sum of |W| for a Gram
-    pairing), carried over the pieces, is below tol / 2; that is
-    `terms_used`.  K = H + H * F is assembled once, and a SemigroupKernel
+    Validates the starter first, with `validate`'s defaults.  T_b = T /
+    2^squarings is chosen once, the longest with T_b rate <= THETA.  On
+    its DEFAULT_QUAD grid the folds stream into F until the first fold l
+    whose share T_b |W| max|f^{*l}| (|W| = 1 for a measure, the largest
+    row sum of |W| for a Gram pairing), carried over the pieces, is below
+    tol / 2; that is `terms_used`.  K = H + H * F is assembled once, and a SemigroupKernel
     reaches T.  `truncation_bound` is what `_defect_bound` proves for one
     base piece, carried over the 2^squarings pieces of T by `_pieces`.
     Refuses a tol the allowance alone reaches, a series not settled after
@@ -186,9 +181,6 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
         raise HorizonExceeded(f"starter was built for horizon {parametrix.H.horizon}, "
                               f"cannot construct out to T={T}")
     H, f, weight = parametrix.H, parametrix.heat_image, parametrix.weight
-    # The folds, the certificate and H * F all pair under this one weight.
-    if not (H.same_space(f) and H.same_pairing(f) and np.array_equal(H.weight, weight)):
-        raise SpaceMismatch("starter and heat image must share one space and the starter's weight")
     report = validate(parametrix)
     if not report.passed:
         raise InvalidParametrix(
@@ -251,8 +243,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
         K=SemigroupKernel(base, horizon=T, weight_inv=parametrix.gram), terms_used=terms,
         truncation_bound=bound, parametrix_family=parametrix.family, space=parametrix.space,
         conductance=parametrix.conductance, kind=parametrix.kind, generator_matrix=A,
-        weight=weight, horizon=T, base_horizon=T_base, squarings=squarings, tol=tol,
-        report=report)
+        weight=weight, horizon=T, base_horizon=T_base, squarings=squarings, tol=tol)
 
 
 def cross_parametrix_build(result: HeatKernelResult,
@@ -265,27 +256,15 @@ def cross_parametrix_build(result: HeatKernelResult,
     is itself an order-zero starter for the perturbed space: its heat
     image under the new generator is exactly (A_new - A_old) H, with no
     time-derivative error at all.  Small perturbations therefore converge
-    in very few terms, over `result.horizon`.  A new conductance must pass
-    `check_conductance`, as in `build_space`.  `build_heat_kernel`
-    validates the import and refuses it when the two spaces are too far
-    apart for it to start the series.
+    in very few terms, over `result.horizon`.  `PointSpace` and `generator`
+    check the new measure and conductance.  `build_heat_kernel` validates
+    the import and refuses it when the two spaces are too far apart for it
+    to start the series.
     """
     if result.weight.ndim != 1:
         raise InvalidParametrix("cross builds need a measure-paired kernel, not a Hilbert pairing")
-    old_space = result.space
-    if lam is None:
-        new_space = old_space
-    else:
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (old_space.n,):
-            raise DimensionMismatch("new measure does not match the space")
-        if not np.all((0.0 < lam) & (lam < np.inf)):
-            raise InvalidParametrix("new measure must stay strictly positive and finite")
-        new_space = PointSpace(old_space.points, lam)
+    new_space = result.space if lam is None else PointSpace(result.space.points, lam)
     cond = conductance if conductance is not None else result.conductance
-    if cond.matrix.shape != (old_space.n, old_space.n):
-        raise DimensionMismatch("new conductance does not match the space")
-    check_conductance(old_space.points, cond)
     A_new, mu_new = generator(new_space, cond, result.kind)
     A_old, mu_old = result.generator_matrix, result.weight
     scale = mu_old / mu_new

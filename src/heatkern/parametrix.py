@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     NotReproducing,
+    SpaceMismatch,
 )
 from .space import (
     Conductance,
@@ -65,7 +66,10 @@ class Parametrix:
     horizon resolves it.  weight is the convolution pairing the starter
     expects: a measure vector, or the inverse Gram matrix for
     reproducing-kernel starters.  A parametrix holds no validation outcome:
-    `build_heat_kernel` validates it on every build.
+    `build_heat_kernel` validates it on every build.  Construction, and so
+    `dataclasses.replace`, refuses an order_k that is not a nonnegative
+    integer, a rate that is not finite and nonnegative (ConfigError), and
+    an H, heat image and weight not on one space and pairing (SpaceMismatch).
     """
 
     H: TimeKernel
@@ -82,6 +86,16 @@ class Parametrix:
     # Whether H is analytic in t on [0, horizon] (profiles decay like exp(-d/t)
     # at t = 0).  Only bench/spans.py reads it: the build certifies any starter.
     analytic_in_time: bool = True
+
+    def __post_init__(self):
+        k, rate, H, f = self.order_k, self.rate, self.H, self.heat_image
+        if not 0 <= k < math.inf or int(k) != k:  # NaN fails the first test
+            raise ConfigError(f"declared order must be a nonnegative integer, got {k}")
+        if not 0.0 <= rate < math.inf:
+            raise ConfigError(f"declared rate must be finite and nonnegative, got {rate}")
+        if not (H.same_space(f) and H.same_pairing(f) and np.array_equal(H.weight, self.weight)):
+            raise SpaceMismatch(
+                "starter and heat image must share one space and the starter's weight")
 
 
 def dirac_parametrix(space: PointSpace, conductance: Conductance,
@@ -125,15 +139,13 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
     F is the named profile shape; d is the shortest-path distance with
     edge length 1/weight; S(x, t) = sum_y F(d(x,y)/t) mu(y) normalizes the
     row, >= F(0) mu(x) > 0 as d(x, x) = 0.  The declared order, a
-    nonnegative integer (ConfigError otherwise), is recorded as given; the
-    empirical order lands in the validation report.
+    nonnegative integer (`Parametrix` refuses any other), is recorded as
+    given; the empirical order lands in the validation report.
     """
     if profile not in _PROFILES:
         raise DimensionMismatch(
             f"unknown profile {profile!r}; expected one of {tuple(_PROFILES)}"
         )
-    if not 0 <= order < math.inf or int(order) != order:  # NaN fails the first test
-        raise ConfigError(f"declared order must be a nonnegative integer, got {order}")
     profile_fn = _PROFILES[profile]
     A, mu = generator(space, conductance, kind)
     d = graph_distances(space, conductance)

@@ -1,13 +1,12 @@
 """Finite measure spaces and the operators a conductance induces on them.
 
 A space is a finite ordered point set carrying a strictly positive base
-measure.  A conductance assigns a nonnegative symmetric weight to
-unordered point pairs (self-pairs allowed).  Row sums of the weight
-matrix give the degree function c, which must be strictly positive at
-every point (Assumption C, checked at construction).  From these we
-derive one operator, the generator of either Laplacian kind (with the
-degree-weighted measure nu = c * lam for the normalized kind), and the
-energy form.
+measure, which `PointSpace` checks.  A conductance assigns a nonnegative
+symmetric weight to unordered point pairs (self-pairs allowed).  Row sums
+of the weight matrix give the degree function c, which must be strictly
+positive at every point (Assumption C).  From these we derive one
+operator, the generator of either Laplacian kind (with nu = c * lam for
+the normalized kind); `generator` checks the conductance it is made from.
 
 Functions on the space are represented as numpy vectors ordered like
 ``space.points``.
@@ -33,14 +32,35 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class PointSpace:
-    """Ordered point identifiers with a strictly positive base measure."""
+    """Ordered point identifiers with a strictly positive base measure.
+
+    Refuses a repeated point (DuplicatePoint), no points or a measure of
+    another shape (DimensionMismatch), and a measure entry that is not
+    positive and finite (NonpositiveMeasure).  Freezes a copy of lam.
+    """
 
     points: tuple
     lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
-        self.lam.setflags(write=False)
+        points = self.points
+        index = {p: i for i, p in enumerate(points)}
+        if len(index) < len(points):
+            dup = next(p for i, p in enumerate(points) if index[p] != i)
+            raise DuplicatePoint(f"duplicate point id {dup!r}")
+        if not points:
+            raise DimensionMismatch("a space needs at least one point")
+        lam = np.array(self.lam, dtype=float)
+        if lam.shape != (len(points),):
+            raise DimensionMismatch(
+                f"base measure has shape {lam.shape}, expected ({len(points)},)")
+        bad = np.nonzero(~((0.0 < lam) & (lam < np.inf)))[0]  # NaN fails too
+        if bad.size:
+            raise NonpositiveMeasure(f"base measure must be strictly positive and finite; "
+                                     f"got {lam[bad[0]]} at point {points[bad[0]]!r}")
+        lam.setflags(write=False)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -63,45 +83,22 @@ class Conductance:
         self.matrix.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeVector:
-    """Per-point total conductance c(x) = sum_y weight(x, y)."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c.setflags(write=False)
-
-
 def _parse_lambda(points, lambda_weights):
-    n = len(points)
     if lambda_weights is None:
-        lam = np.ones(n)
-    elif np.isscalar(lambda_weights):
-        lam = np.full(n, float(lambda_weights))
-    elif isinstance(lambda_weights, dict):
+        return np.ones(len(points))
+    if np.isscalar(lambda_weights):
+        return np.full(len(points), float(lambda_weights))
+    if isinstance(lambda_weights, dict):
         known = set(points)
         for p in lambda_weights:
             if p not in known:
                 raise UnknownPoint(f"measure names unknown point {p!r}")
-        lam = np.array([float(lambda_weights.get(p, 1.0)) for p in points])
-    else:
-        lam = np.asarray(lambda_weights, dtype=float)
-        if lam.shape != (n,):
-            raise DimensionMismatch(
-                f"base measure has shape {lam.shape}, expected ({n},)"
-            )
-    for p, v in zip(points, lam):
-        if not np.isfinite(v) or v <= 0:
-            raise NonpositiveMeasure(
-                f"base measure must be strictly positive and finite; "
-                f"got {v} at point {p!r}"
-            )
-    return lam
+        return np.array([float(lambda_weights.get(p, 1.0)) for p in points])
+    return lambda_weights
 
 
 def build_space(points, lambda_weights=None, edge_weights=()):
-    """Assemble a validated (PointSpace, Conductance, DegreeVector) triple.
+    """Assemble a validated (PointSpace, Conductance, degree array) triple.
 
     ``points`` is an ordered iterable of hashable identifiers.
     ``lambda_weights`` may be None (counting measure), a scalar, a mapping
@@ -113,21 +110,12 @@ def build_space(points, lambda_weights=None, edge_weights=()):
     the degree.
     """
     points = tuple(points)
-    seen_ids = set()
-    for p in points:
-        if p in seen_ids:
-            raise DuplicatePoint(f"duplicate point id {p!r}")
-        seen_ids.add(p)
-    n = len(points)
-    if n == 0:
-        raise DimensionMismatch("a space needs at least one point")
-    lam = _parse_lambda(points, lambda_weights)
-    index = {p: i for i, p in enumerate(points)}
+    space = PointSpace(points, _parse_lambda(points, lambda_weights))
 
     pair_weight = {}
     for u, v, w in edge_weights:
         try:
-            i, j = index[u], index[v]
+            i, j = space._index[u], space._index[v]
         except KeyError as exc:
             raise UnknownPoint(f"edge references unknown point {exc.args[0]!r}") from None
         w = float(w)
@@ -139,21 +127,24 @@ def build_space(points, lambda_weights=None, edge_weights=()):
             )
         pair_weight[key] = w
 
-    W = np.zeros((n, n))
+    W = np.zeros((space.n, space.n))
     for (i, j), w in pair_weight.items():
         W[i, j] = w
         W[j, i] = w
 
     cond = Conductance(W)
-    return PointSpace(points, lam), cond, DegreeVector(check_conductance(points, cond))
+    return space, cond, check_conductance(points, cond)
 
 
 def check_conductance(points, conductance: Conductance) -> np.ndarray:
-    """Refuse pair weights that are not finite and nonnegative
-    (NonpositiveMeasure) or not symmetric (AsymmetricConductance), and a
-    point of zero degree (ZeroDegreePoint, Assumption C); return the
-    degree vector.  ``points`` labels the rows in the messages."""
-    W = conductance.matrix
+    """Refuse a matrix that is not len(points) square (DimensionMismatch),
+    pair weights that are not finite and nonnegative (NonpositiveMeasure)
+    or not symmetric (AsymmetricConductance), and a point of zero degree
+    (ZeroDegreePoint, Assumption C); return the degree vector W 1, frozen.
+    ``points`` labels the rows in the messages."""
+    W, n = conductance.matrix, len(points)
+    if W.shape != (n, n):
+        raise DimensionMismatch(f"conductance has shape {W.shape}, expected ({n}, {n})")
     bad = np.argwhere(~(np.isfinite(W) & (W >= 0.0)))  # NaN fails too
     if bad.size:
         i, j = bad[0]
@@ -168,38 +159,14 @@ def check_conductance(points, conductance: Conductance) -> np.ndarray:
             f"pair ({points[i]!r}, {points[j]!r}) carries unequal weights "
             f"{W[i, j]} and {W[j, i]} in its two orientations"
         )
-    c = degree_vector(conductance)
+    c = W @ np.ones(n)
     bad = np.nonzero(c <= 0)[0]
     if bad.size:
         raise ZeroDegreePoint(
             f"Assumption C violated at point {points[bad[0]]!r}: total conductance is zero"
         )
+    c.setflags(write=False)
     return c
-
-
-def _as_function(space: PointSpace, f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
-        raise DimensionMismatch(f"function has shape {f.shape}, expected ({space.n},)")
-    return f
-
-
-def degree_vector(conductance: Conductance) -> np.ndarray:
-    W = conductance.matrix
-    return W @ np.ones(W.shape[0])
-
-
-def energy_inner(space: PointSpace, conductance: Conductance, f, g) -> float:
-    """Energy form (1/2) sum_x sum_y weight(x,y) (f(x)-f(y)) (g(x)-g(y)).
-
-    Computed from the defining double sum, not through the Laplacian, so
-    tests of the identity <f, Delta g> = <f, g>_E exercise two routes.
-    """
-    f = _as_function(space, f)
-    g = _as_function(space, g)
-    df = f[:, None] - f[None, :]
-    dg = g[:, None] - g[None, :]
-    return 0.5 * float(np.sum(conductance.matrix * df * dg))
 
 
 KINDS = ("combinatorial", "normalized")
@@ -212,11 +179,12 @@ def generator(space: PointSpace, conductance: Conductance, kind: str = "combinat
     mu = nu = c * lam (normalized).  Under the counting measure this is
     exactly the combinatorial or normalized Laplacian matrix; for general
     base measures it is the measure-weighted version, self-adjoint in
-    L^2(mu) for every choice of lam.  Returns (A, mu).
+    L^2(mu) for every choice of lam.  Returns (A, mu); refuses what
+    `check_conductance` refuses.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown laplacian kind {kind!r}; expected one of {KINDS}")
-    c = degree_vector(conductance)
+    c = check_conductance(space.points, conductance)
     L = np.diag(c) - conductance.matrix
     mu = space.lam.copy() if kind == "combinatorial" else c * space.lam
     return L / mu[:, None], mu

@@ -125,8 +125,8 @@ class TimeKernel:
     """
 
     def __init__(self, space: PointSpace, horizon: float, weight: np.ndarray):
-        if not horizon > 0:
-            raise HorizonExceeded(f"horizon must be positive, got {horizon}")
+        if not 0.0 < horizon < math.inf:  # NaN fails too
+            raise HorizonExceeded(f"horizon must be positive and finite, got {horizon}")
         self.space = space
         self.horizon = float(horizon)
         self.weight = np.asarray(weight, dtype=float)

@@ -83,7 +83,7 @@ def test_load_graph_accumulates_duplicate_edges(tmp_path):
     sp, cond, deg = load_graph(path)
     assert sp.points == ("a", "b")
     assert cond.matrix[0, 1] == 2.5
-    assert np.array_equal(deg.c, [2.5, 2.5])
+    assert np.array_equal(deg, [2.5, 2.5])
 
 
 def test_load_graph_keeps_first_appearance_order(tmp_path):
@@ -107,7 +107,7 @@ def test_integer_line_shape():
     assert sp.points == tuple(range(-3, 4))
     assert sp.n == 7
     assert cond.matrix[0, 1] == 1.0
-    assert deg.c[0] == 1.0 and deg.c[3] == 2.0
+    assert deg[0] == 1.0 and deg[3] == 2.0
 
 
 def test_ball_truncate_line():
@@ -115,7 +115,7 @@ def test_ball_truncate_line():
     sub, subcond, subdeg = ball_truncate(sp, cond, 0, 2)
     assert sub.points == (-2, -1, 0, 1, 2)
     # boundary edges to +-3 are dropped, so the rim degree shrinks to 1
-    assert subdeg.c[0] == 1.0 and subdeg.c[2] == 2.0
+    assert subdeg[0] == 1.0 and subdeg[2] == 2.0
     assert subcond.matrix[0, 1] == 1.0
 
 
@@ -428,6 +428,21 @@ def test_cli_rkhs_spectral_commands_report_input_error(k3_file, tmp_path, capsys
     assert code == 1
     assert "DimensionMismatch" in capsys.readouterr().err
     assert _report(out)["exit_reason"].startswith("input error: DimensionMismatch")
+
+
+@pytest.mark.parametrize("text", ["a,b,c\n1,2,1\n1,1,2\n", "2,1\n1,2,1\n"],
+                         ids=["not-numeric", "ragged"])
+def test_cli_unreadable_gram_is_an_input_error(k3_file, tmp_path, capsys, text):
+    # a --gram file numpy cannot read as numbers exits 1 with a report,
+    # not with a traceback
+    gram = _write(tmp_path, "gram.csv", text)
+    cfg = _write(tmp_path, "rkhs.cfg", "parametrix.kind = rkhs\n")
+    out = tmp_path / "art"
+    code = main(["build", "--edges", k3_file, "--config", cfg, "--gram", gram,
+                 "--out", str(out)])
+    assert code == 1
+    assert "ParseError" in capsys.readouterr().err
+    assert _report(out)["exit_reason"].startswith("input error: ParseError: cannot read")
 
 
 def test_cli_build_profile_signs_what_the_library_signs(k3_file, tmp_path, capsys):

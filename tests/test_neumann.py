@@ -25,6 +25,7 @@ from heatkern import (
 )
 from heatkern.errors import (
     AsymmetricConductance,
+    DimensionMismatch,
     HorizonExceeded,
     InvalidParametrix,
     NoConvergenceBudget,
@@ -199,6 +200,9 @@ def test_build_horizon_guard(two_point):
         build_heat_kernel(p, T=-1.0)
     with pytest.raises(HorizonExceeded):
         build_heat_kernel(p, T=math.nan)
+    # a starter needs a finite horizon, so no build reaches T = inf
+    with pytest.raises(HorizonExceeded, match="positive and finite"):
+        dirac_parametrix(sp, cond, horizon=math.inf)
 
 
 def test_build_refuses_nan_tolerance_at_once(two_point, monkeypatch):
@@ -306,24 +310,41 @@ def test_cross_build_stiff_weight_perturbation(rng):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_cross_build_refuses_unusable_measure(k3, bad):
+    # the new space refuses the measure, as `build_space` does
     sp, cond, _ = k3
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=1.0)
-    with pytest.raises(InvalidParametrix, match="positive and finite"):
+    with pytest.raises(NonpositiveMeasure, match="positive and finite.*point 'b'"):
         cross_parametrix_build(res, lam=np.array([1.0, bad, 1.0]))
 
 
-@pytest.mark.parametrize("change, error", [
-    (lambda W: -W, NonpositiveMeasure),
-    (lambda W: np.where(W > 0, math.nan, 0.0), NonpositiveMeasure),
-    (lambda W: np.where(W > 0, math.inf, 0.0), NonpositiveMeasure),
-    (lambda W: W + np.triu(W), AsymmetricConductance),
-    (lambda W: 0.0 * W, ZeroDegreePoint),
-], ids=["negative", "nan", "inf", "asymmetric", "zero-degree"])
-def test_cross_build_refuses_what_build_space_refuses(path3, change, error):
+_BAD_CONDUCTANCES = {
+    "negative": (lambda W: -W, NonpositiveMeasure),
+    "nan": (lambda W: np.where(W > 0, math.nan, 0.0), NonpositiveMeasure),
+    "inf": (lambda W: np.where(W > 0, math.inf, 0.0), NonpositiveMeasure),
+    "asymmetric": (lambda W: W + np.triu(W), AsymmetricConductance),
+    "zero-degree": (lambda W: 0.0 * W, ZeroDegreePoint),
+    "wrong-shape": (lambda W: W[:2, :2], DimensionMismatch),
+}
+_ENTRY_POINTS = {  # each makes its operator from the conductance `bad`
+    "dirac": lambda sp, cond, bad: dirac_parametrix(sp, bad, horizon=2.0),
+    "profile": lambda sp, cond, bad: profile_parametrix(sp, bad, "exponential", horizon=2.0),
+    "spectral": lambda sp, cond, bad: spectral_parametrix(sp, bad, sp.n, horizon=2.0),
+    "rkhs": lambda sp, cond, bad: rkhs_parametrix(sp, np.eye(sp.n) + 0.1, bad, horizon=2.0),
+    "cross": lambda sp, cond, bad: cross_parametrix_build(
+        build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0), conductance=bad),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    pytest.param(entry, case, id=case if entry == "cross" else f"{entry}-{case}")
+    for entry in _ENTRY_POINTS for case in _BAD_CONDUCTANCES])
+def test_cross_build_refuses_what_build_space_refuses(path3, entry, case):
+    # every starter and the rebuild make their operator through `generator`,
+    # which refuses each conductance `build_space` refuses
     sp, cond, _ = path3
-    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0)
+    change, error = _BAD_CONDUCTANCES[case]
     with pytest.raises(error):
-        cross_parametrix_build(res, conductance=Conductance(change(cond.matrix)))
+        _ENTRY_POINTS[entry](sp, cond, Conductance(change(cond.matrix)))
 
 
 def test_cross_build_rejects_hilbert_kernels(two_point):
@@ -374,7 +395,8 @@ def test_separable_path_matches_generic_path(rng, family):
 @pytest.mark.parametrize("role", ["H", "heat_image"])
 def test_build_refuses_mixed_pairings(two_point, path, role):
     # a starter or image paired under another weight than the record's is
-    # refused on the separable path as on the per-node path
+    # refused on the separable path as on the per-node path, by the
+    # parametrix itself before any build
     sp, cond, _ = two_point
     p = dirac_parametrix(sp, cond, horizon=2.0)
     if path == "generic":

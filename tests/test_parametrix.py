@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,20 @@ def test_profile_refuses_an_unusable_order(two_point, order):
     sp, cond, _ = two_point
     with pytest.raises(ConfigError, match="nonnegative integer"):
         profile_parametrix(sp, cond, profile="exponential", order=order)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"order_k": -3}, "nonnegative integer"),
+    ({"order_k": np.nan}, "nonnegative integer"),
+    ({"rate": np.nan}, "finite and nonnegative"),
+    ({"rate": -1.0}, "finite and nonnegative"),
+    ({"rate": np.inf}, "finite and nonnegative"),
+], ids=["order-negative", "order-nan", "rate-nan", "rate-negative", "rate-inf"])
+def test_parametrix_refuses_an_unusable_declaration(two_point, change, match):
+    # a hand-edited starter is refused where it is made, before any build
+    sp, cond, _ = two_point
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(dirac_parametrix(sp, cond), **change)
 
 
 @pytest.mark.parametrize("tolerance", [np.nan, -1.0, 0.0, np.inf])

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from heatkern import (
+    Conductance,
+    PointSpace,
     build_space,
     connected_components,
-    degree_vector,
-    energy_inner,
     generator,
     graph_distances,
 )
@@ -22,13 +22,21 @@ from heatkern.errors import (
 from _graphs import random_connected_graph
 
 
+def energy_inner(cond, f, g):
+    """Energy form (1/2) sum_x sum_y weight(x,y) (f(x)-f(y)) (g(x)-g(y)),
+    from the defining double sum rather than through the generator."""
+    df = f[:, None] - f[None, :]
+    dg = g[:, None] - g[None, :]
+    return 0.5 * float(np.sum(cond.matrix * df * dg))
+
+
 def test_build_space_counting_default(two_point):
     space, cond, deg = two_point
     assert space.points == ("a", "b")
     assert np.array_equal(space.lam, np.ones(2))
     assert cond.matrix[0, 1] == 1.0
     assert cond.matrix[1, 0] == 1.0
-    assert np.array_equal(deg.c, np.array([1.0, 1.0]))
+    assert np.array_equal(deg, np.array([1.0, 1.0]))
 
 
 def test_build_space_measure_forms():
@@ -86,6 +94,36 @@ def test_build_space_rejects_measure_of_unknown_point():
         build_space(["a", "b"], {"zz": 2.0}, [("a", "b", 1.0)])
 
 
+@pytest.mark.parametrize("points, lam, error, match", [
+    (("a", "b", "a"), np.ones(3), DuplicatePoint, "duplicate point id 'a'"),
+    ((), np.ones(0), DimensionMismatch, "at least one point"),
+    (("a", "b"), np.ones(3), DimensionMismatch, r"shape \(3,\), expected \(2,\)"),
+    (("a", "b"), np.ones((2, 1)), DimensionMismatch, "expected"),
+    (("a", "b"), np.array([1.0, 0.0]), NonpositiveMeasure, "got 0.0 at point 'b'"),
+    (("a", "b"), np.array([-1.0, 1.0]), NonpositiveMeasure, "at point 'a'"),
+    (("a", "b"), np.array([1.0, np.nan]), NonpositiveMeasure, "at point 'b'"),
+    (("a", "b"), np.array([np.inf, 1.0]), NonpositiveMeasure, "at point 'a'"),
+], ids=["duplicate", "empty", "long", "matrix", "zero", "negative", "nan", "inf"])
+def test_point_space_refuses_bad_input(points, lam, error, match):
+    with pytest.raises(error, match=match):
+        PointSpace(points, lam)
+
+
+def test_point_space_freezes_a_copy_of_the_measure():
+    lam = np.array([1.0, 2.0])
+    sp = PointSpace(("a", "b"), lam)
+    assert lam.flags.writeable
+    lam[0] = 5.0
+    assert np.array_equal(sp.lam, [1.0, 2.0])
+    assert not sp.lam.flags.writeable
+
+
+def test_generator_refuses_a_conductance_of_another_shape(k3):
+    sp, cond, _ = k3
+    with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\), expected \(3, 3\)"):
+        generator(sp, Conductance(cond.matrix[:2, :2]), "combinatorial")
+
+
 def test_build_space_rejects_wrong_length_measure():
     with pytest.raises(DimensionMismatch):
         build_space(["a", "b"], [1.0, 2.0, 3.0], [("a", "b", 1.0)])
@@ -93,13 +131,14 @@ def test_build_space_rejects_wrong_length_measure():
 
 def test_self_loop_contributes_to_degree():
     _, cond, deg = build_space(["a"], None, [("a", "a", 1.0)])
-    assert deg.c[0] == 1.0
+    assert deg[0] == 1.0
 
 
 def test_degree_k3(k3):
     _, cond, deg = k3
-    assert np.array_equal(deg.c, np.array([2.0, 2.0, 2.0]))
-    assert np.array_equal(degree_vector(cond), deg.c)
+    assert np.array_equal(deg, np.array([2.0, 2.0, 2.0]))
+    assert np.array_equal(cond.matrix @ np.ones(3), deg)
+    assert not deg.flags.writeable
 
 
 def test_nu_measure_two_point():
@@ -107,7 +146,7 @@ def test_nu_measure_two_point():
     sp, cond, deg = build_space(["a", "b"], [2.0, 1.0], [("a", "b", 3.0)])
     _, nu = generator(sp, cond, "normalized")
     assert np.array_equal(nu, np.array([6.0, 3.0]))
-    assert np.array_equal(nu, deg.c * sp.lam)
+    assert np.array_equal(nu, deg * sp.lam)
 
 
 def test_laplacian_apply_k3(k3):
@@ -144,20 +183,20 @@ def test_markov_preserves_constants(rng):
 def test_energy_inner_k3(k3):
     sp, cond, _ = k3
     f = np.array([1.0, 0.0, 0.0])
-    assert energy_inner(sp, cond, f, f) == pytest.approx(2.0, abs=0)
+    assert energy_inner(cond, f, f) == pytest.approx(2.0, abs=0)
 
 
 def test_energy_is_greens_identity(rng):
     # <f, Delta g> = <f, g>_E with Delta = diag(c) - W = diag(mu) A for the
     # combinatorial generator A under any base measure (A = Delta under the
     # counting measure); energy_inner takes the double sum, so the two
-    # sides share no code
+    # sides share no code and the identity guards `generator`
     sp, cond, _ = random_connected_graph(rng, random_measure=True)
     A, mu = generator(sp, cond, "combinatorial")
     f = rng.standard_normal(sp.n)
     g = rng.standard_normal(sp.n)
     lhs = float(f @ (mu * (A @ g)))
-    assert energy_inner(sp, cond, f, g) == pytest.approx(lhs, abs=1e-10)
+    assert energy_inner(cond, f, g) == pytest.approx(lhs, abs=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
@@ -170,15 +209,14 @@ def test_generator_self_adjoint_in_mu(rng, kind):
 
 
 def test_generator_counting_measure_matches_matrices(k3):
-    sp, cond, _ = k3
+    sp, cond, c = k3
     W = cond.matrix
-    c = degree_vector(cond)
     A, mu = generator(sp, cond, "combinatorial")
     assert np.allclose(A, np.diag(c) - W)
     assert np.array_equal(mu, sp.lam)
     At, nu = generator(sp, cond, "normalized")
     assert np.allclose(At, np.eye(3) - W / c[:, None])
-    assert np.array_equal(nu, degree_vector(cond) * sp.lam)
+    assert np.array_equal(nu, c * sp.lam)
 
 
 def test_generator_rejects_unknown_kind(k3):
