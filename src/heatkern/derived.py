@@ -9,7 +9,7 @@ right, so nothing below shares intermediate results between routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .space import Conductance, PointSpace, connected_components, generator
 from .spectral import SpectralData, eigh_weighted, spectral_heat  # noqa: F401 (bench wraps it)
-from .timekernel import gauss_legendre, pair
+from .timekernel import pair
 from .neumann import HeatKernelResult
 
 
@@ -67,10 +67,13 @@ def _green_spectral(spec: SpectralData) -> np.ndarray:
 class GreenResult:
     """Regularized inverse of the generator, by both routes.
 
+    quadrature is the time route: the head rectangle t_min (K(t_min) - Pi_0)
+    on [0, t_min] plus the log-time trapezoid on [t_min, horizon], where
     horizon is the cutoff of the time integral.  budget is what the two
-    routes may differ by: the spectral tail, the quadrature refinement
-    error, the kernel's certified error integrated over [0, horizon] (0
-    for the spectral integrand), and 1e-10 of roundoff.
+    routes may differ by: tail_bound (the spectral tail past the horizon
+    and the head rectangle's error), quad_error (the trapezoid's last
+    halving change), the kernel's certified error integrated over
+    [0, horizon] (0 for the spectral integrand), and 1e-10 of roundoff.
     """
 
     G_star: np.ndarray
@@ -92,19 +95,77 @@ def _kernel_error_integral(K: HeatKernelResult, T_cut: float) -> float:
     return K.truncation_bound * span
 
 
+def _log(x: float) -> float:
+    """ln x, or -inf where x is not positive, for the window check to refuse."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_time_trapezoid(spec: SpectralData, K: HeatKernelResult | None, Pi0: np.ndarray,
+                        weight, u_min: float, u_max: float, tol: float):
+    """int_{u_min}^{u_max} (K(e^u) - Pi_0) weight(u) du, K a build's kernel
+    or, when K is None, the spectral heat kernel.
+
+    The trapezoid rule on 16 panels is halved until two levels differ by
+    less than tol/4, at most nine times.  Refuses (TailUncontrolled) a
+    window that is not finite and increasing.  Returns the integral, the
+    halvings, the last change and the integrand at u_min.
+    """
+    if not -math.inf < u_min < u_max < math.inf:
+        raise TailUncontrolled(
+            f"log-time window [{u_min:.6g}, {u_max:.6g}] is not finite and increasing"
+        )
+
+    def integrand(u):
+        t = math.exp(u)
+        return ((spectral_heat(spec, t) if K is None else K.K.at(t)) - Pi0) * weight(u)
+
+    h = (u_max - u_min) / 16.0
+    us = np.arange(u_min, u_max + h / 2.0, h)
+    vals = [integrand(u) for u in us]
+    I = h * (sum(vals) - (vals[0] + vals[-1]) / 2.0)
+    levels = 0
+    while levels < 9:
+        mids = us[:-1] + h / 2.0
+        I_new = I / 2.0 + (h / 2.0) * sum(integrand(u) for u in mids)
+        h /= 2.0
+        us = np.sort(np.concatenate([us, mids]))
+        levels += 1
+        change = float(np.max(np.abs(I_new - I)))
+        I = I_new
+        if change < tol / 4.0:
+            break
+    return I, levels, change, vals[0]
+
+
 def green_regularized(space: PointSpace, conductance: Conductance, spec: SpectralData,
                       K: HeatKernelResult | None = None, tol: float = 1e-8) -> GreenResult:
     """G* = sum over nonzero modes of phi phi^T / lambda, cross-checked.
 
-    The quadrature route integrates K(t) - Pi_0 from 0 out to a cutoff
-    where the spectral gap has damped every nonzero mode below tol/10,
-    on geometrically growing panels of 16 and then 32 Gauss-Legendre
-    points, with K a build's kernel or, when K is None, the spectral heat
-    kernel, and spec the combinatorial generator's.  The certified
-    pieces are the spectral tail beyond the cutoff, the observed
-    quadrature refinement error between the two, and the build's error
-    integrated to the cutoff; they sum to `budget`.  K must be paired by
-    spec.mu (DimensionMismatch otherwise).
+    The quadrature route integrates K(t) - Pi_0 over t from 0 to the
+    cutoff T_cut = ln(10/tol) / gap, where every nonzero mode has decayed
+    below eps = tol/10, with K a build's kernel paired by spec.mu
+    (DimensionMismatch otherwise) or, when K is None, the spectral heat
+    kernel, and spec the combinatorial generator's.  On [t_min, T_cut] it
+    is the log-time trapezoid of `poisson_kernel` with weight e^u
+    (dt = e^u du); the head [0, t_min] is one rectangle,
+    t_min (K(t_min) - Pi_0), the trapezoid's first sample.
+
+    Head error, for the exact kernel K(t) = sum_k e^{-lambda_k t}
+    phi_k phi_k^T: since 0 <= lambda_k e^{-lambda_k t} <= lambda_max,
+    Cauchy-Schwarz and sum_k phi_k(x)^2 = 1/mu(x) give
+    |d/dt K(x, y)| <= lambda_max / sqrt(mu(x) mu(y)) <= lambda_max / min mu,
+    so the rectangle misses int_0^t_min (K(t) - K(t_min)) dt by at most
+    t_min^2 lambda_max / (2 min mu); t_min makes that at most eps/10.  The
+    same argument gives |K - Pi_0| <= 1/min mu, and t_min <= eps min mu
+    keeps the first sample, and with it the trapezoid's O(h^2) error at
+    u_min, below eps.
+
+    budget is tail_bound (the spectral tail past T_cut plus the head
+    bound), quad_error (the last halving change, an observed refinement
+    error, charged as it stands if nine halvings do not settle), the
+    build's certified error integrated to T_cut, and 1e-10 of roundoff.
+    A window the numbers make empty or infinite (tol/10 underflowing, say)
+    is refused with TailUncontrolled.
     """
     _require_route(spec, K, tol)
     _require_connected(space, conductance, "regularization")
@@ -117,41 +178,27 @@ def green_regularized(space: PointSpace, conductance: Conductance, spec: Spectra
     G = _green_spectral(spec)
 
     eps = tol / 10.0
-    T_cut = math.log(1.0 / eps) / spec.gap
-
-    def integrand(t):
-        M = spectral_heat(spec, t) if K is None else K.K.at(t)
-        return M - Pi0
-
-    lam_max = max(float(spec.eigenvalues[-1]), spec.gap)
-    edges = [0.0, min(1.0 / lam_max, T_cut)]
-    while edges[-1] < T_cut:
-        edges.append(min(edges[-1] * 2.0, T_cut))
-
-    def integrate(npanel):
-        xs, ws = gauss_legendre(npanel)
-        total = np.zeros_like(Pi0)
-        for a, b in zip(edges, edges[1:]):
-            half = (b - a) / 2.0
-            mid = (b + a) / 2.0
-            for x, w in zip(xs, ws):
-                total += (w * half) * integrand(mid + half * x)
-        return total
-
-    coarse = integrate(16)
-    fine = integrate(32)
-    quad_error = float(np.max(np.abs(fine - coarse)))
+    T_cut = math.log(10.0 / tol) / spec.gap
+    lam_max, mu_min = float(spec.eigenvalues[-1]), float(np.min(spec.mu))
+    t_min = min(mu_min * eps, math.sqrt(mu_min * eps / (5.0 * lam_max)))
+    # A 1 = 0 on a connected space, so the ground eigenvalue is exactly 0;
+    # the solver's roundoff in it would add about |lambda_0| T_cut^2 / 2 Pi_0
+    ground_exact = replace(spec, eigenvalues=np.concatenate(([0.0], spec.eigenvalues[1:])))
+    I, _, quad_error, head = _log_time_trapezoid(
+        ground_exact, K, Pi0, math.exp, _log(t_min), _log(T_cut), tol)
+    quadrature = head + I
 
     live = spec.eigenvalues > spec.zero_tol
     lam = spec.eigenvalues[live]
     phi = spec.eigenvectors[:, live]
     phimax2 = float(np.max(np.abs(phi))) ** 2
-    tail = float(np.sum(np.exp(-lam * T_cut))) * phimax2 / spec.gap
+    head_bound = t_min * t_min * lam_max / (2.0 * mu_min)
+    tail = float(np.sum(np.exp(-lam * T_cut))) * phimax2 / spec.gap + head_bound
     kernel_error = 0.0 if K is None else _kernel_error_integral(K, T_cut)
 
     return GreenResult(
-        G_star=G, quadrature=fine,
-        agreement=float(np.max(np.abs(fine - G))),
+        G_star=G, quadrature=quadrature,
+        agreement=float(np.max(np.abs(quadrature - G))),
         tail_bound=tail, quad_error=quad_error, horizon=T_cut,
         budget=tail + quad_error + kernel_error + 1e-10,
     )
@@ -236,11 +283,12 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
         Pi_0 + w / sqrt(4 pi) * int (K(e^u) - Pi_0)
                                     exp(-w^2 / (4 e^u) - u/2) du
 
-    over a window chosen so both Gaussian-type tails sit below tol/10;
-    the trapezoid rule on this doubly exponentially decaying integrand
-    converges geometrically under halving, at most nine times.  K is a
-    build paired by spec.mu, whose kernel the time route integrates, or
-    None for the spectral heat kernel.
+    over a window chosen so both Gaussian-type tails sit below tol/10, by
+    the log-time trapezoid `green_regularized` also uses; the integrand
+    decays doubly exponentially at both ends, so halving converges
+    geometrically.  K is a build paired by spec.mu, whose kernel the time
+    route integrates, or None for the spectral heat kernel.  A window that
+    w or tol make empty or infinite is refused with TailUncontrolled.
     """
     if not 0.0 < w < math.inf:
         raise NonpositiveTime(f"subordination parameter must be positive and finite, got {w}")
@@ -263,31 +311,12 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
             deviation=float(np.max(np.abs(Pi0 - P_spec))),
             levels=0, window=(0.0, 0.0),
         )
-    def integrand(u):
-        t = math.exp(u)
-        M = spectral_heat(spec, t) if K is None else K.K.at(t)
-        damp = math.exp(-w * w / (4.0 * t) - u / 2.0)
-        return (M - Pi0) * damp
-
     L0 = math.log(10.0 / tol)
-    u_min = math.log(w * w / (4.0 * L0)) - 1.0
-    u_max = math.log(L0 / spec.gap) + 1.0
-
-    h = (u_max - u_min) / 16.0
-    us = np.arange(u_min, u_max + h / 2.0, h)
-    vals = [integrand(u) for u in us]
-    I = h * (sum(vals) - (vals[0] + vals[-1]) / 2.0)
-    levels = 0
-    while levels < 9:
-        mids = us[:-1] + h / 2.0
-        I_new = I / 2.0 + (h / 2.0) * sum(integrand(u) for u in mids)
-        h /= 2.0
-        us = np.sort(np.concatenate([us, mids]))
-        levels += 1
-        change = float(np.max(np.abs(I_new - I)))
-        I = I_new
-        if change < tol / 4.0:
-            break
+    u_min = _log(w * w / (4.0 * L0)) - 1.0 if L0 > 0.0 else -math.inf
+    u_max = _log(L0 / spec.gap) + 1.0
+    I, levels, _, _ = _log_time_trapezoid(
+        spec, K, Pi0, lambda u: math.exp(-w * w / (4.0 * math.exp(u)) - u / 2.0),
+        u_min, u_max, tol)
 
     P_sub = Pi0 + (w / math.sqrt(4.0 * math.pi)) * I
     return PoissonResult(

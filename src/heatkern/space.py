@@ -35,8 +35,8 @@ class PointSpace:
     """Ordered point identifiers with a strictly positive base measure.
 
     Refuses a repeated point (DuplicatePoint), no points or a measure of
-    another shape (DimensionMismatch), and a measure entry that is not
-    positive and finite (NonpositiveMeasure).  Freezes a copy of lam.
+    another shape (DimensionMismatch), and a measure entry that is not a
+    positive finite number (NonpositiveMeasure).  Freezes a copy of lam.
     """
 
     points: tuple
@@ -50,10 +50,12 @@ class PointSpace:
             raise DuplicatePoint(f"duplicate point id {dup!r}")
         if not points:
             raise DimensionMismatch("a space needs at least one point")
-        lam = np.array(self.lam, dtype=float)
+        lam = np.array(self.lam, dtype=object)
         if lam.shape != (len(points),):
             raise DimensionMismatch(
                 f"base measure has shape {lam.shape}, expected ({len(points)},)")
+        lam = np.array([_number(m, f"base measure at point {p!r}")
+                        for p, m in zip(points, lam)])
         bad = np.nonzero(~((0.0 < lam) & (lam < np.inf)))[0]  # NaN fails too
         if bad.size:
             raise NonpositiveMeasure(f"base measure must be strictly positive and finite; "
@@ -75,25 +77,36 @@ class PointSpace:
 
 @dataclass(frozen=True, eq=False)
 class Conductance:
-    """Symmetric nonnegative pair weights, stored densely."""
+    """Symmetric nonnegative pair weights, stored densely; freezes a float
+    copy of the matrix, which `generator` checks."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        matrix = np.array(self.matrix, dtype=float)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+
+
+def _number(value, what: str) -> float:
+    """float(value), or NonpositiveMeasure naming `what` if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise NonpositiveMeasure(f"{what} must be a number; got {value!r}") from None
 
 
 def _parse_lambda(points, lambda_weights):
     if lambda_weights is None:
         return np.ones(len(points))
     if np.isscalar(lambda_weights):
-        return np.full(len(points), float(lambda_weights))
+        return [lambda_weights] * len(points)
     if isinstance(lambda_weights, dict):
         known = set(points)
         for p in lambda_weights:
             if p not in known:
                 raise UnknownPoint(f"measure names unknown point {p!r}")
-        return np.array([float(lambda_weights.get(p, 1.0)) for p in points])
+        return [lambda_weights.get(p, 1.0) for p in points]
     return lambda_weights
 
 
@@ -118,7 +131,7 @@ def build_space(points, lambda_weights=None, edge_weights=()):
             i, j = space._index[u], space._index[v]
         except KeyError as exc:
             raise UnknownPoint(f"edge references unknown point {exc.args[0]!r}") from None
-        w = float(w)
+        w = _number(w, f"conductance weight for pair ({u!r}, {v!r})")
         key = (min(i, j), max(i, j))
         if key in pair_weight and pair_weight[key] != w:
             raise AsymmetricConductance(

@@ -110,10 +110,52 @@ def test_green_budget_integrates_the_bound_past_the_horizon(path3):
 
 
 def test_green_two_route_agreement_random(rng):
-    for _ in range(10):
-        sp, cond, _ = random_connected_graph(rng, n_max=10)
-        g = green_regularized(sp, cond, _spec(sp, cond))
-        assert g.agreement <= g.tail_bound + 1e-8
+    # weights over two and over six decades, uneven measures, the spectral
+    # heat kernel and a built one: the budget covers every agreement
+    for weight_range in ((0.1, 10.0), (1e-3, 1e3)):
+        for _ in range(5):
+            sp, cond, _ = random_connected_graph(rng, n_max=8, weight_range=weight_range,
+                                                 random_measure=True)
+            spec = _spec(sp, cond)
+            T = min(10.0, 50.0 / float(spec.eigenvalues[-1]))
+            res = build_heat_kernel(dirac_parametrix(sp, cond), T=T, tol=1e-9)
+            for K in (None, res):
+                g = green_regularized(sp, cond, spec, K=K)
+                assert g.agreement <= g.budget
+
+
+class _CountingKernel:
+    """A kernel that counts its evaluations."""
+
+    def __init__(self, K):
+        self.K, self.calls = K, 0
+
+    def at(self, t):
+        self.calls += 1
+        return self.K.at(t)
+
+
+def test_green_time_route_evaluation_count(path3):
+    # three halvings of the log-time trapezoid, 17 + 16 + 32 + 64 kernel
+    # evaluations; Gauss-Legendre panels of 16 and then 32 points took 336
+    sp, cond, _ = path3
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+    counted = _CountingKernel(res.K)
+    g = green_regularized(sp, cond, _spec(sp, cond), K=dataclasses.replace(res, K=counted),
+                          tol=1e-8)
+    assert counted.calls <= 129
+    assert g.agreement <= g.budget
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-320])
+def test_green_refuses_an_underflowing_window(path3, tol):
+    # tol/10 underflows to 0 or to a subnormal, whose inverse is inf
+    sp, cond, _ = path3
+    spec = _spec(sp, cond)
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+    for K in (None, res):
+        with pytest.raises(TailUncontrolled, match="window"):
+            green_regularized(sp, cond, spec, K=K, tol=tol)
 
 
 def test_green_rejects_disconnected():
@@ -349,6 +391,17 @@ def test_poisson_single_point_is_one_for_all_w():
         P = poisson_kernel(spec, None, w=w)
         assert np.max(np.abs(P.subordinated - 1.0)) < 1e-14
         assert P.deviation < 1e-14
+
+
+@pytest.mark.parametrize("w", [1e-200, 1e150, 1e200])
+def test_poisson_refuses_a_window_that_is_empty_or_infinite(path3, w):
+    # w^2 underflows to 0, puts the window's start past its end, or overflows
+    sp, cond, _ = path3
+    spec = _spec(sp, cond)
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+    for K in (None, res):
+        with pytest.raises(TailUncontrolled, match="window"):
+            poisson_kernel(spec, K, w=w)
 
 
 def test_poisson_guards(two_point):

@@ -393,6 +393,14 @@ def test_cli_poisson(two_point_file, tmp_path, capsys):
     assert abs(P[0, 0] - want) < 1e-6
 
 
+def test_cli_poisson_refuses_an_infinite_window(two_point_file, tmp_path, capsys):
+    out = tmp_path / "art"
+    code = main(["poisson", "--edges", two_point_file, "--w", "1e200", "--out", str(out)])
+    assert code == 2
+    assert "TailUncontrolled" in capsys.readouterr().err
+    assert _report(out)["exit_reason"].startswith("certificate failure: TailUncontrolled")
+
+
 def test_cli_diagnostics(k3_file, capsys):
     code = main(["diagnostics", "--edges", k3_file])
     assert code == 0

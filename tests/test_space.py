@@ -59,10 +59,16 @@ def test_build_space_rejects_nonpositive_measure():
         build_space(["a", "b"], [1.0, 0.0], [("a", "b", 1.0)])
 
 
-@pytest.mark.parametrize("w", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("w", [-1.0, np.nan, np.inf, "heavy"])
 def test_build_space_rejects_negative_and_non_finite_weights(w):
     with pytest.raises(NonpositiveMeasure, match=r"pair \('a', 'b'\)"):
         build_space(["a", "b", "c"], None, [("a", "b", w), ("b", "c", 1.0)])
+
+
+@pytest.mark.parametrize("lam", [["x", 1.0], {"a": "x"}, "x"], ids=["list", "mapping", "scalar"])
+def test_build_space_rejects_a_measure_that_is_not_a_number(lam):
+    with pytest.raises(NonpositiveMeasure, match="point 'a' must be a number; got 'x'"):
+        build_space(["a", "b"], lam, [("a", "b", 1.0)])
 
 
 def test_build_space_rejects_conflicting_orientations():
@@ -116,6 +122,15 @@ def test_point_space_freezes_a_copy_of_the_measure():
     lam[0] = 5.0
     assert np.array_equal(sp.lam, [1.0, 2.0])
     assert not sp.lam.flags.writeable
+
+
+def test_conductance_freezes_a_copy_of_the_matrix():
+    W = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cond = Conductance(W)
+    assert W.flags.writeable
+    W[0, 1] = 5.0
+    assert cond.matrix[0, 1] == 1.0
+    assert not cond.matrix.flags.writeable
 
 
 def test_generator_refuses_a_conductance_of_another_shape(k3):
