@@ -9,6 +9,10 @@ fold, (d/dt + L_x) K_L = (-1)^L f^{*(L+1)}, so the series stops at the
 first fold too small to matter.  The certificate is the defect of the
 kernel actually built (`_defect_bound`), whatever the starter.
 
+Folds are short sums in time on the base grid (`ChebKernel`): for the one-term dirac
+and rkhs images fold l is psi_l (x) (M W)^(l-1) M, so H * F takes L GEMMs; other images
+fold to dense samples once R^l reaches m+1.
+
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
 the series is built on one short base horizon and extended by the semigroup
@@ -30,6 +34,7 @@ from .errors import (
 from .space import Conductance, PointSpace, generator
 from .parametrix import Parametrix, validate
 from .timekernel import (
+    ChebKernel,
     ChebSeries,
     ClosedFormKernel,
     DEFAULT_QUAD,
@@ -39,6 +44,7 @@ from .timekernel import (
     TimeKernel,
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
+    on_grid,
     row_masses,
 )
 
@@ -210,11 +216,15 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
             f"{norm1:.3g}, and {squarings} squarings lift the floating-point allowance "
             f"to {fp:.3g}; raise tol")
     cache = FoldCache(f, horizon=T_base)
-    Fvals = np.zeros((cache.nodes.shape[0], f.n, f.n))
+    dense, psis, Cs = None, [], []  # F = dense + sum_l psis[l] (x) Cs[l]
     for terms in range(1, MAX_TERMS + 1):
-        fold = cache.fold(terms).values if terms > 1 else f.at_many(cache.nodes)
-        Fvals += (-1) ** terms * fold
-        share = _pieces(T_base * Wnorm * max(fold.max(), -fold.min()), grow, gram)
+        fold, sign = cache.fold(terms) if terms > 1 else on_grid(f, cache.nodes), (-1.0) ** terms
+        if fold.psi is None:
+            dense = sign * fold.C if dense is None else np.add(dense, sign * fold.C, out=dense)
+        else:
+            psis.append(sign * fold.psi)
+            Cs.append(fold.C)
+        share = _pieces(T_base * Wnorm * fold.sup(), grow, gram)
         if share < tol / 2:
             break
     else:
@@ -223,13 +233,19 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
             f"{share:.3g} is not below tol/2 on base horizon {T_base:.3g} (sampled row "
             f"mass {norm1:.3g})")
 
-    # K = H + H * F on the base grid.  Free the last fold and the factor
+    # K = H + H * F on the base grid.  Free the folds and the term lists
     # first: K's samples allocated above them would pin their heap pages
     # until K itself is freed.
     del cache, fold
+    F = ChebKernel(f.space, T_base, weight, np.concatenate(Cs), np.hstack(psis)) if Cs else None
+    if dense is not None:
+        F = ChebKernel(f.space, T_base, weight, dense if F is None else dense + F.values)
+    del Cs, psis, dense
     Hf = TimeFactor(H, T_base, DEFAULT_QUAD)
-    base = ChebSeries(parametrix.space, T_base, weight, H.at_many(Hf.nodes) + Hf.convolve(Fvals))
-    del Hf, Fvals
+    samples = Hf.convolve(F, dense=True).C
+    samples += H.at_many(Hf.nodes)
+    del Hf, F
+    base = ChebSeries(parametrix.space, T_base, weight, samples)
     E0, rho, fp = _defect_bound(base, A, K0)
     bound = _pieces(E0 + (1.0 + T_base * a) * rho + fp, grow, gram)
     # the folds left out are below tol / 2: more terms would not lower it

@@ -2,7 +2,8 @@
 
 A kernel maps (x, y, t) to a real value for points x, y of a finite space
 and t on a closed horizon [0, T].  Two representations are supported:
-closed forms and Chebyshev-Lobatto samples with barycentric interpolation.
+closed forms, and sums sum_s psi_s(t) C_s on Chebyshev-Lobatto nodes, each
+psi_s interpolated barycentrically (`ChebKernel`; dense samples are m+1 terms).
 A closed form is a batched evaluator from a 1-D array of k <= BLOCK times
 in [0, T] to a new (k, n, n) array of the kernel at those times: `at_many`
 calls it once per block of BLOCK times, and `at(t)` is `at_many` of one
@@ -15,12 +16,9 @@ the time variable with composite Gauss-Legendre panels split at t/2:
 
     (F * G)(x, y; t) = int_0^t sum_z F(x, z; t - tau) w(z) G(z, y; tau) dtau.
 
-Iterated self-convolutions ("folds") are streamed, each sampled from the
-one before.
-
-On a sampled grid every kernel is folded as a short sum in time,
-sum_r phi_r(t) M_r (see TimeFactor); `convolve`, one time at a time, is
-the reference for that path.
+Iterated self-convolutions ("folds") are streamed, each made from the one
+before by the R-term TimeFactor sum_r phi_r(t) M_r: an S-term fold gives R S
+terms (S_r psi_s, M_r W C_s), dense from m+1 on.  `convolve` is the reference.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from .errors import (
 from .space import PointSpace
 
 _leggauss_cache = {}
+_resampling_cache = {}
 # Most times per evaluator call and reduction block: one node's panel times on
 # the default grid.  Larger blocks gain no speed and raise peak RSS at n = 100.
 BLOCK = 32
@@ -213,23 +212,34 @@ class SeparableKernel(ClosedFormKernel):
 
 
 class ChebKernel(TimeKernel):
-    """Kernel sampled on Chebyshev-Lobatto nodes, interpolated barycentrically."""
+    """Kernel sum_s psi_s(t) C_s, psi (m+1, S) interpolated barycentrically from the
+    Chebyshev-Lobatto nodes of [0, horizon], C (S, n, n).  psi=None is the identity, the
+    Lagrange basis in time: then C holds dense samples at the nodes, m+1 terms."""
 
-    def __init__(self, space, horizon, weight, values: np.ndarray):
+    def __init__(self, space, horizon, weight, C: np.ndarray, psi: np.ndarray | None = None):
         super().__init__(space, horizon, weight)
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1:] != (space.n, space.n):
-            raise DimensionMismatch(
-                f"sample block has shape {values.shape}, expected (m+1, n, n)"
-            )
-        self.values = values
-        self.degree = values.shape[0] - 1
+        C = np.asarray(C, dtype=float)
+        if C.ndim != 3 or C.shape[1:] != (space.n, space.n):
+            raise DimensionMismatch(f"sample block has shape {C.shape}, expected (m+1, n, n)")
+        self.C, self.psi = C, psi
+        self.degree = (C.shape[0] if psi is None else psi.shape[0]) - 1
         self.nodes = lobatto_nodes(self.degree, self.horizon)
         self.bary = lobatto_bary_weights(self.degree)
 
+    @property
+    def values(self) -> np.ndarray:
+        """The (m+1, n, n) samples at the nodes."""
+        return self.C if self.psi is None else np.tensordot(self.psi, self.C, 1)
+
+    def sup(self) -> float:
+        """max |values|; for one term max|psi| max|C|, the same number (rounding is monotone)."""
+        if self.psi is None or self.psi.shape[1] > 1:
+            return float(np.abs(self.values).max())
+        return float(np.abs(self.psi).max() * np.abs(self.C).max())
+
     def at_many(self, ts) -> np.ndarray:
         M = interp_matrix(self.nodes, self.bary, self._check_times(ts))
-        return np.einsum("kj,jxy->kxy", M, self.values)
+        return np.einsum("kj,jxy->kxy", M if self.psi is None else M @ self.psi, self.C)
 
 
 class ChebSeries(TimeKernel):
@@ -238,8 +248,8 @@ class ChebSeries(TimeKernel):
 
     A ChebKernel cannot serve: the bound on its barycentric formula (rounded nodes) plus the
     DCT that finds coefficients to bound is some 20 times this series' roundoff, 1.3e-12 on
-    the two-point graph at tol 1e-12.  Folds are read only at the nodes and stay ChebKernels;
-    a DCT per fold would add half a fold's arithmetic.  `values` is computed."""
+    the two-point graph at tol 1e-12.  Folds are read only at the nodes and stay ChebKernels,
+    most as a few terms in time; only the base is transformed.  `values` is computed."""
 
     def __init__(self, space, horizon, weight, values: np.ndarray):
         super().__init__(space, horizon, weight)
@@ -335,6 +345,13 @@ def _panel_points(t: float, npts: int):
     return np.concatenate([taus, t / 2.0 + taus]), np.concatenate([quarter * w] * 2)
 
 
+def on_grid(f: TimeKernel, nodes: np.ndarray) -> ChebKernel:
+    """f at the Chebyshev-Lobatto nodes of [0, nodes[-1]]: one term for a SeparableKernel."""
+    if isinstance(f, SeparableKernel):
+        return ChebKernel(f.space, nodes[-1], f.weight, f.matrix[None], f.phi(nodes)[:, None])
+    return ChebKernel(f.space, nodes[-1], f.weight, f.at_many(nodes))
+
+
 def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
              quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
     """Time convolution of two kernels under their shared pairing."""
@@ -382,12 +399,12 @@ class TimeFactor:
     that residual is within RANK_CUT of the largest sample, or it keeps a
     column to spare (it has seen every direction above the cut), or it
     spans all n x n matrices or all sample times, where the factor is
-    exact.  Each term then convolves through one scalar Volterra matrix S_r.
+    exact.  Each term convolves through one scalar Volterra matrix S_r into ChebKernels.
     """
 
     def __init__(self, f: TimeKernel, horizon: float, quad: QuadratureConfig):
         f._check_times(horizon)  # HorizonExceeded past the horizon of f
-        self.weight = f.weight
+        self.space, self.horizon, self.weight = f.space, horizon, f.weight
         self.nodes = lobatto_nodes(quad.cheb_degree, horizon)
         self.taus, self.gw = (np.array(a) for a in zip(
             *(_panel_points(t, quad.nodes_per_panel) for t in self.nodes[1:])))
@@ -397,13 +414,16 @@ class TimeFactor:
             self.values = f.phi(times)[None]
         else:
             self._sample(f, times)
-        # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq): the panels
-        # of `convolve` at node t_j, resampled from the grid
-        m1, bary = self.nodes.shape[0], lobatto_bary_weights(quad.cheb_degree)
-        self.S = np.zeros((self.values.shape[0], m1, m1))
-        for j, taus in enumerate(self.taus, start=1):
-            self.S[:, j] = (self.gw[j - 1] * self.values[:, j - 1]) \
-                @ interp_matrix(self.nodes, bary, taus)
+        self.paired = pair(self.matrices, self.weight)
+        # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq), the panels of `convolve` at
+        # t_j resampled from the grid; l_i(tau_jq) is the same on every horizon, so on [0, 1]
+        m, p = quad.cheb_degree, quad.nodes_per_panel
+        if (m, p) not in _resampling_cache:
+            unit, bary = lobatto_nodes(m, 1.0), lobatto_bary_weights(m)
+            _resampling_cache[m, p] = np.stack(
+                [interp_matrix(unit, bary, _panel_points(t, p)[0]) for t in unit[1:]])
+        self.S = np.zeros((self.values.shape[0], m + 1, m + 1))
+        self.S[:, 1:] = np.einsum("rjq,jqi->rji", self.gw * self.values, _resampling_cache[m, p])
 
     def _sample(self, f: TimeKernel, times: np.ndarray) -> None:
         full = min(f.n ** 2, times.size)
@@ -425,36 +445,41 @@ class TimeFactor:
             width = min(2 * width, full)
         self.matrices = Q.T.reshape(-1, f.n, f.n)
 
-    def convolve(self, samples: np.ndarray) -> np.ndarray:
-        """f * g at the grid nodes from g's (m+1, n, n) samples there."""
-        return self._apply(self.S, samples)
+    def convolve(self, g: ChebKernel, dense: bool = False) -> ChebKernel:
+        """f * g at the grid nodes from g's terms there, as dense samples if asked."""
+        return self._apply(self.S, g.psi, g.C, dense)
 
-    def self_convolve(self) -> np.ndarray:
+    def self_convolve(self) -> ChebKernel:
         """f * f at the grid nodes, f(tau_jq) read from the factor too: the
         panels mirror each other about t_j / 2, so tau_jq = t_j - tau_j(2p-1-q)."""
         coef = np.zeros((self.values.shape[0], self.nodes.shape[0], self.values.shape[0]))
         coef[:, 1:] = np.einsum("rjq,sjq->rjs", self.gw * self.values, self.values[:, :, ::-1])
-        return self._apply(coef, self.matrices)
+        return self._apply(coef, None, self.matrices)
 
-    def _apply(self, coef: np.ndarray, block: np.ndarray) -> np.ndarray:
-        # sum_r M_r W (coef_r @ block), one term at a time so that at most
-        # two (m+1, n, n) temporaries live beside the sum
-        m1, n = coef.shape[1], block.shape[-1]
-        flat = block.reshape(block.shape[0], n * n)
-        out = np.zeros((m1, n, n)) if coef.shape[0] == 0 else None
-        for M, c in zip(self.matrices, coef):
-            term = pair(M, self.weight) @ (c @ flat).reshape(m1, n, n)
-            out = term if out is None else np.add(out, term, out=out)
-        return out
+    def _apply(self, left, psi, C, dense=False) -> ChebKernel:
+        # sum_r left_r (psi (x) M_r W C), psi None the identity: R S terms (left_r psi_s,
+        # M_r W C_s), or from m+1 on dense samples sum_r left_r (psi (M_r W C)), integrated
+        # last, one r at a time: two (m+1, n, n) temporaries live beside the sum
+        (R, m1), (S, n) = left.shape[:2], C.shape[:2]
+        if R * S < m1 and not dense:
+            coef = left if psi is None else left @ psi
+            return ChebKernel(self.space, self.horizon, self.weight,
+                              np.matmul(self.paired[:, None], C[None]).reshape(R * S, n, n),
+                              coef.transpose(1, 0, 2).reshape(m1, R * S))
+        out = np.zeros((m1, n * n))
+        for MW, L in zip(self.paired, left):
+            B = (MW @ C).reshape(S, n * n)
+            out += L @ (B if psi is None else psi @ B)
+        return ChebKernel(self.space, self.horizon, self.weight, out.reshape(m1, n, n))
 
 
 class FoldCache:
     """Iterated self-convolutions of a kernel, streamed forward on one grid.
 
-    fold(1) is the kernel itself; fold(l) samples f * fold(l-1) on the
-    Chebyshev grid of [0, horizon] through the TimeFactor of f there:
-    fold(2) from the factor alone, later folds from their predecessor's
-    samples, so no fold recurses.  Only f and the newest fold are held:
+    fold(1) is the kernel itself; fold(l) is f * fold(l-1) on the Chebyshev
+    grid of [0, horizon], R^l terms (dense from m+1 on) made by the R-term
+    TimeFactor of f there: fold(2) from the factor alone, later folds from
+    their predecessor's terms, so no fold recurses.  Only f and the newest fold are held:
     fold(l) returns either of them or advances to a later l, dropping the
     fold it leaves behind, and raises for a level in between.
     """
@@ -473,8 +498,7 @@ class FoldCache:
             raise DimensionMismatch(
                 f"fold {ell} is not held: the cache holds 1 and {top} and only advances")
         while top < ell:
-            values = (self.factor.convolve(self._folds.pop(top).values) if top > 1
-                      else self.factor.self_convolve())
+            self._folds[top + 1] = (self.factor.convolve(self._folds.pop(top)) if top > 1
+                                    else self.factor.self_convolve())
             top += 1
-            self._folds[top] = ChebKernel(self.f.space, self.horizon, self.f.weight, values)
         return self._folds[ell]

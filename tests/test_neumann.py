@@ -8,6 +8,7 @@ from heatkern import (
     ChebKernel,
     ClosedFormKernel,
     Conductance,
+    FoldCache,
     build_heat_kernel,
     build_space,
     convolve,
@@ -35,7 +36,7 @@ from heatkern.errors import (
 )
 from heatkern import neumann
 from heatkern.neumann import _defect_bound, _pieces
-from heatkern.timekernel import ChebSeries, lobatto_nodes
+from heatkern.timekernel import DEFAULT_QUAD, ChebSeries, lobatto_nodes, on_grid
 
 from _graphs import random_connected_graph
 
@@ -366,29 +367,102 @@ def test_rkhs_build_matches_operator_exponential(two_point):
         assert np.max(np.abs(res.K.at(t) - want)) < 1e-10
 
 
-@pytest.mark.parametrize("family", ["dirac", "rkhs"])
-def test_separable_path_matches_generic_path(rng, family):
-    # the build from SeparableKernels (scalar Volterra folds and assembly)
-    # against the same series on the same base grid summed from per-node
-    # `convolve` calls, the reference
+def _per_node_series(p, T, tol):
+    """(squarings, terms, base horizon, F's samples) of the series summed from
+    per-node `convolve` calls, each fold sampled densely on the base grid, with
+    the base horizon and stop rule that `build_heat_kernel` documents."""
+    f, weight = p.heat_image, p.weight
+    rate = max(neumann._row_mass_norm(f, weight, neumann._sample_grid(T)),
+               neumann._operator_rate(p.generator_matrix), p.rate)
+    squarings = math.ceil(math.log2(rate * T / neumann.THETA)) if rate * T > neumann.THETA else 0
+    Tb, gram = T / 2 ** squarings, p.gram if weight.ndim == 2 else None
+    Wnorm = 1.0 if gram is None else neumann._operator_rate(weight)
+    nodes = lobatto_nodes(DEFAULT_QUAD.cheb_degree, Tb)
+    fold = f.at_many(nodes)
+    F = -fold
+    for terms in range(2, neumann.MAX_TERMS + 1):
+        if _pieces(Tb * Wnorm * np.max(np.abs(fold)), 2.0 ** squarings, gram) < tol / 2:
+            return squarings, terms - 1, Tb, F
+        prev = ChebKernel(p.space, Tb, weight, fold)
+        fold = np.stack([convolve(f, prev, t) for t in nodes])
+        F += (-1) ** terms * fold
+    raise AssertionError("the reference series did not settle")
+
+
+def _family_build(rng, family):
+    """(parametrix, T, tol, result) of a small seeded build of one family."""
+    if family.startswith("profile"):
+        # counting measure and weights 0.5..2, as in the benchmark's profile graphs
+        sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.5, 2.0))
+        p = profile_parametrix(sp, cond, family.split("-")[1], horizon=1.0)
+        return p, 1.0, 1e-5, build_heat_kernel(p, T=1.0, tol=1e-5)
     sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
-    if family == "dirac":
-        p = dirac_parametrix(sp, cond, horizon=2.0)
-    else:
+    if family == "imported":
+        # the parametrix `cross_parametrix_build` makes, caught on its way in
+        res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0)
+        moved = Conductance(cond.matrix * 1.1)
+        made = []
+
+        def caught(p, T, tol):
+            made.append(p)
+            return build_heat_kernel(p, T, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neumann, "build_heat_kernel", caught)
+            out = cross_parametrix_build(res, conductance=moved)
+        return made[0], 2.0, 1e-8, out
+    if family == "rkhs":
         X = rng.standard_normal((sp.n, sp.n))
         p = rkhs_parametrix(sp, X @ X.T / sp.n + np.eye(sp.n), cond, horizon=2.0)
-    assert isinstance(p.H, SeparableKernel)
-    assert isinstance(p.heat_image, SeparableKernel)
-    fast = build_heat_kernel(p, T=2.0, tol=1e-8)
+    else:
+        p = dirac_parametrix(sp, cond, family.partition("-")[2] or "combinatorial", horizon=2.0)
+    return p, 2.0, 1e-8, build_heat_kernel(p, T=2.0, tol=1e-8)
+
+
+@pytest.mark.parametrize("family", ["dirac", "rkhs", "profile-exponential", "imported"])
+def test_separable_path_matches_generic_path(rng, family):
+    # the build (folds held as short sums psi (x) C in time, assembled
+    # through the factor of H) against the same series on the same base grid
+    # summed from per-node `convolve` calls, the reference.  A one-term image
+    # keeps every fold one term; an image of many terms (an exponential
+    # profile, a rebuild's import) is sampled densely from fold 2 on
+    p, T, tol, fast = _family_build(rng, family)
     f, H, Tb = p.heat_image, p.H, fast.base_horizon
-    nodes = lobatto_nodes(fast.K.base.degree, Tb)
-    fold, Fvals = f, -f.at_many(nodes)
-    for ell in range(2, fast.terms_used + 1):
-        fold = ChebKernel(sp, Tb, p.weight, np.stack([convolve(f, fold, t) for t in nodes]))
-        Fvals += (-1) ** ell * fold.values
-    F = ChebKernel(sp, Tb, p.weight, Fvals)
-    ref = np.stack([H.at(t) + convolve(H, F, t) for t in nodes])
+    cache = FoldCache(f, horizon=Tb)
+    m1 = DEFAULT_QUAD.cheb_degree + 1
+    if family in ("dirac", "rkhs"):
+        assert isinstance(H, SeparableKernel) and isinstance(f, SeparableKernel)
+        folds = [on_grid(f, cache.nodes)] + [cache.fold(ell) for ell in range(2, 9)]
+        assert all(k.psi.shape == (m1, 1) and k.C.shape == (1, f.n, f.n) for k in folds)
+    else:
+        assert cache.factor.values.shape[0] ** 2 >= m1  # fold 2 has R^2 terms
+        assert all(cache.fold(ell).psi is None for ell in range(2, 9))
+    squarings, terms, ref_Tb, Fvals = _per_node_series(p, T, tol)
+    assert (squarings, terms, ref_Tb) == (fast.squarings, fast.terms_used, Tb)
+    F = ChebKernel(p.space, Tb, p.weight, Fvals)
+    ref = np.stack([H.at(t) + convolve(H, F, t) for t in cache.nodes])
     assert np.max(np.abs(fast.K.base.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("family", ["dirac-combinatorial", "dirac-normalized", "rkhs",
+                                    "profile-epanechnikov", "profile-exponential"])
+def test_stop_index_and_certificate_match_the_per_node_reference(rng, family):
+    # the factored folds stop where the per-node `convolve` series stops, on
+    # the same base horizon, and the certificate covers the oracle at 20
+    # times in [0, 2T]
+    p, T, tol, res = _family_build(rng, family)
+    squarings, terms, _, _ = _per_node_series(p, T, tol)
+    assert (res.squarings, res.terms_used) == (squarings, terms)
+    A = p.generator_matrix
+    if p.weight.ndim == 2:
+        def exact(t):
+            return expm_series(A, t) @ p.gram
+    else:
+        spec = eigh_weighted(A, p.weight)
+
+        def exact(t):
+            return spectral_heat(spec, t)
+    assert _worst(res, exact, np.linspace(0.0, 2.0 * T, 20)) <= res.truncation_bound < tol
 
 
 @pytest.mark.parametrize("path", ["separable", "generic"])

@@ -35,6 +35,8 @@ from heatkern.timekernel import (
     RANK_CUT,
     SKETCH_WIDTH,
     TimeFactor,
+    interp_matrix,
+    lobatto_bary_weights,
     lobatto_nodes,
     pair,
     row_masses,
@@ -364,6 +366,23 @@ def test_lowrank_folds_match_convolve(rng, case):
         assert err <= 1e-12 * np.max(np.abs(want)), (case, ell, err)
 
 
+def test_factor_convolves_the_terms_of_another_kernels_fold(rng):
+    # a 3-term factor of g against the 9-term fold 2 of another kernel f:
+    # 27 terms (S_r psi_s, M_r W C_s), each time column paired with its own
+    # matrix (folds of one kernel cannot tell, their coefficients being
+    # symmetric), and the dense samples asked for agree with them
+    f, horizon = _lowrank_case("polynomial", rng)
+    g, _ = _lowrank_case("polynomial", rng)
+    fold = FoldCache(f, horizon=horizon).fold(2)
+    factor = TimeFactor(g, horizon, DEFAULT_QUAD)
+    assert fold.psi.shape[1] == 9 and factor.matrices.shape[0] == 3
+    terms, dense = factor.convolve(fold), factor.convolve(fold, dense=True)
+    assert terms.psi.shape[1] == 27 and dense.psi is None
+    want = np.stack([convolve(g, fold, t) for t in factor.nodes])
+    for got in (terms.values, dense.values):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_lowrank_factor_is_deterministic(rng):
     # a sampled factor meets its stopping rule at the times the folds read
     # (recomputed here one time at a time: its residual is within RANK_CUT
@@ -384,6 +403,25 @@ def test_lowrank_factor_is_deterministic(rng):
     again = TimeFactor(f, horizon, DEFAULT_QUAD)
     assert np.array_equal(again.values, factor.values)
     assert np.array_equal(again.matrices, factor.matrices)
+
+
+@pytest.mark.parametrize("case", ["separable", "profile-exponential"])
+def test_volterra_matrices_match_the_per_node_loop(two_point, rng, case):
+    # S is formed from the barycentric rows of the unit grid, shared by
+    # every horizon; against the rows of the scaled grid, one node at a time
+    if case == "separable":
+        f, horizon = SeparableKernel(two_point[0], 10.0, two_point[0].lam, lambda t: np.exp(-t),
+                                     rng.standard_normal((2, 2))), 7.3
+    else:
+        f, horizon = _lowrank_case(case, rng)
+    for quad, h in ((DEFAULT_QUAD, horizon), (QuadratureConfig(8, 12), horizon / 3.0)):
+        factor = TimeFactor(f, h, quad)
+        bary = lobatto_bary_weights(quad.cheb_degree)
+        loop = np.zeros_like(factor.S)
+        for j, taus in enumerate(factor.taus, start=1):
+            loop[:, j] = (factor.gw[j - 1] * factor.values[:, j - 1]) \
+                @ interp_matrix(factor.nodes, bary, taus)
+        assert np.max(np.abs(factor.S - loop)) <= 1e-14 * np.max(np.abs(loop)), (case, h)
 
 
 # ---------------------------------------------------------------- kernels
