@@ -26,7 +26,6 @@ from .timekernel import (
     ChebKernel,
     ClosedFormKernel,
     FoldCache,
-    QuadratureConfig,
     SemigroupKernel,
     SeparableKernel,
     TimeKernel,

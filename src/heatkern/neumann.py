@@ -172,7 +172,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
 
     Validates the starter first, with `validate`'s defaults.  T_b = T /
     2^squarings is chosen once, the longest with T_b rate <= THETA.  On
-    its DEFAULT_QUAD grid the folds stream into F until the first fold l
+    the one grid, DEFAULT_QUAD, the folds stream into F until the first fold l
     whose share T_b |W| max|f^{*l}| (|W| = 1 for a measure, the largest
     row sum of |W| for a Gram pairing), carried over the pieces, is below
     tol / 2; that is `terms_used`.  K = H + H * F is assembled once, and a SemigroupKernel
@@ -241,7 +241,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     if dense is not None:
         F = ChebKernel(f.space, T_base, weight, dense if F is None else dense + F.values)
     del Cs, psis, dense
-    Hf = TimeFactor(H, T_base, DEFAULT_QUAD)
+    Hf = TimeFactor(H, T_base)
     samples = Hf.convolve(F, dense=True).C
     samples += H.at_many(Hf.nodes)
     del Hf, F

@@ -16,9 +16,10 @@ the time variable with composite Gauss-Legendre panels split at t/2:
 
     (F * G)(x, y; t) = int_0^t sum_z F(x, z; t - tau) w(z) G(z, y; tau) dtau.
 
-Iterated self-convolutions ("folds") are streamed, each made from the one
-before by the R-term TimeFactor sum_r phi_r(t) M_r: an S-term fold gives R S
-terms (S_r psi_s, M_r W C_s), dense from m+1 on.  `convolve` is the reference.
+Iterated self-convolutions ("folds") are streamed on one grid, DEFAULT_QUAD,
+each made from the one before by the R-term TimeFactor sum_r phi_r(t) M_r:
+an S-term fold gives R S terms (S_r psi_s, M_r W C_s), dense from m+1 on.
+`convolve` is the reference.
 """
 
 from __future__ import annotations
@@ -35,17 +36,9 @@ from .errors import (
 )
 from .space import PointSpace
 
-_leggauss_cache = {}
-_resampling_cache = {}
 # Most times per evaluator call and reduction block: one node's panel times on
-# the default grid.  Larger blocks gain no speed and raise peak RSS at n = 100.
+# the grid.  Larger blocks gain no speed and raise peak RSS at n = 100.
 BLOCK = 32
-
-
-def gauss_legendre(npts: int):
-    if npts not in _leggauss_cache:
-        _leggauss_cache[npts] = np.polynomial.legendre.leggauss(npts)
-    return _leggauss_cache[npts]
 
 
 def lobatto_nodes(degree: int, horizon: float) -> np.ndarray:
@@ -62,39 +55,31 @@ def lobatto_bary_weights(degree: int) -> np.ndarray:
 
 
 def interp_matrix(nodes: np.ndarray, bary: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Barycentric evaluation matrix: row i maps samples to value at targets[i]."""
+    """Barycentric evaluation matrix: row M[i] maps samples to the value at targets[i],
+    for targets of any shape."""
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    diff = targets[:, None] - nodes[None, :]
-    exact_row, exact_col = np.nonzero(diff == 0.0)
+    diff = targets[..., None] - nodes
+    exact = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        C = bary[None, :] / diff
-        M = C / np.sum(C, axis=1)[:, None]
-    M[exact_row] = 0.0
-    M[exact_row, exact_col] = 1.0
+        C = bary / diff
+        M = C / np.sum(C, axis=-1)[..., None]
+    M[exact.any(axis=-1)] = 0.0
+    M[exact] = 1.0
     return M
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid of the time quadrature and of sampled kernels.
-
-    nodes_per_panel: Gauss-Legendre points per panel (two panels per
-    convolution, split at t/2).  cheb_degree: degree of the sampled-kernel
-    grids.  `build_heat_kernel` builds on DEFAULT_QUAD; its certificate
-    measures what the grid costs the kernel it built.
-    """
+    """The one grid of every build, DEFAULT_QUAD: Gauss-Legendre points per panel (two
+    panels per convolution, split at t/2) and the Chebyshev-Lobatto degree.  A build's
+    certificate measures what it costs; the benchmark tracer reads `FoldCache.quad`."""
 
     nodes_per_panel: int = 16
     cheb_degree: int = 32
 
-    def __post_init__(self):
-        if self.nodes_per_panel < 4:
-            raise DimensionMismatch("nodes_per_panel must be at least 4")
-        if self.cheb_degree < 8:
-            raise DimensionMismatch("cheb_degree must be at least 8")
-
 
 DEFAULT_QUAD = QuadratureConfig()
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(DEFAULT_QUAD.nodes_per_panel)
 
 
 def pair(M: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -223,8 +208,6 @@ class ChebKernel(TimeKernel):
             raise DimensionMismatch(f"sample block has shape {C.shape}, expected (m+1, n, n)")
         self.C, self.psi = C, psi
         self.degree = (C.shape[0] if psi is None else psi.shape[0]) - 1
-        self.nodes = lobatto_nodes(self.degree, self.horizon)
-        self.bary = lobatto_bary_weights(self.degree)
 
     @property
     def values(self) -> np.ndarray:
@@ -238,7 +221,9 @@ class ChebKernel(TimeKernel):
         return float(np.abs(self.psi).max() * np.abs(self.C).max())
 
     def at_many(self, ts) -> np.ndarray:
-        M = interp_matrix(self.nodes, self.bary, self._check_times(ts))
+        m = self.degree  # off the nodes only: builds read a fold through `values`
+        M = interp_matrix(lobatto_nodes(m, self.horizon), lobatto_bary_weights(m),
+                          self._check_times(ts))
         return np.einsum("kj,jxy->kxy", M if self.psi is None else M @ self.psi, self.C)
 
 
@@ -268,6 +253,9 @@ class ChebSeries(TimeKernel):
         return self.at_many(self.nodes)
 
     def at_many(self, ts) -> np.ndarray:
+        # chebvander gives these rows bit for bit, but costs about 85 us for one
+        # time against 12 us here (85 against 270 for 32 times), and `K.at` reads
+        # one time per call, some 2,260 calls per query-and-check pass.
         rows = []
         for x in map(float, 2.0 * self._check_times(ts) / self.horizon - 1.0):
             row = [1.0, x]
@@ -310,10 +298,11 @@ class SemigroupKernel(TimeKernel):
         self._chain = ()
 
     def at(self, t: float) -> np.ndarray:
-        t = float(t)
-        if not 0.0 <= t < math.inf:
-            raise HorizonExceeded(f"time {t} is negative or not finite")
-        Tb = self.base.horizon
+        t, Tb = float(t), self.base.horizon
+        # q < 2^53 is exact and holds the chain to 53 levels; past it eps_b ceil(t/T_b) >> 1
+        if not 0.0 <= t / Tb < 2.0 ** 53:  # NaN and inf fail too
+            raise HorizonExceeded(f"time {t} is negative, not finite, or 2^53 or more "
+                                  f"base horizons of {Tb}")
         # fmod is exact, so r + q Tb is t to the last bit; r = 0 moves to Tb
         r = math.fmod(t, Tb) or min(t, Tb)
         q = round((t - r) / Tb)
@@ -337,12 +326,22 @@ def constant_kernel(space, horizon, weight, matrix, name="constant") -> Separabl
 
 # ------------------------------------------------------------ convolution
 
-def _panel_points(t: float, npts: int):
-    """Gauss-Legendre nodes and weights on [0, t/2] and [t/2, t], merged."""
-    x, w = gauss_legendre(npts)
-    quarter = t / 4.0
-    taus = quarter * (x + 1.0)
-    return np.concatenate([taus, t / 2.0 + taus]), np.concatenate([quarter * w] * 2)
+def _panel_points(ts):
+    """Gauss-Legendre nodes and weights on [0, t/2] and [t/2, t], merged: for
+    each time t of ts a row of 2 nodes_per_panel (one row for a scalar t)."""
+    ts = np.asarray(ts, dtype=float)[..., None]
+    quarter = ts / 4.0
+    taus = quarter * (_GL_NODES + 1.0)
+    return (np.concatenate([taus, ts / 2.0 + taus], axis=-1),
+            np.concatenate([quarter * _GL_WEIGHTS] * 2, axis=-1))
+
+
+# l_i(tau_jq) at the panel points of t_1..t_m on [0, 1], (m, 2p, m+1): both scale with
+# the horizon, so these rows serve every horizon
+_UNIT = lobatto_nodes(DEFAULT_QUAD.cheb_degree, 1.0)
+_RESAMPLING = interp_matrix(_UNIT, lobatto_bary_weights(DEFAULT_QUAD.cheb_degree),
+                            _panel_points(_UNIT[1:])[0])
+_RESAMPLING.flags.writeable = False
 
 
 def on_grid(f: TimeKernel, nodes: np.ndarray) -> ChebKernel:
@@ -352,8 +351,7 @@ def on_grid(f: TimeKernel, nodes: np.ndarray) -> ChebKernel:
     return ChebKernel(f.space, nodes[-1], f.weight, f.at_many(nodes))
 
 
-def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
-             quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+def convolve(F1: TimeKernel, F2: TimeKernel, t: float) -> np.ndarray:
     """Time convolution of two kernels under their shared pairing."""
     if not F1.same_space(F2):
         raise SpaceMismatch("kernels live on different point spaces")
@@ -366,7 +364,7 @@ def convolve(F1: TimeKernel, F2: TimeKernel, t: float,
     t = min(t, horizon)
     if t == 0.0:
         return np.zeros((F1.n, F1.n))
-    taus, gw = _panel_points(t, quad.nodes_per_panel)
+    taus, gw = _panel_points(t)
     # sum_q gw_q F1(t - tau_q) W F2(tau_q)
     A = pair((F1.at_many(t - taus) * gw[:, None, None]).reshape(-1, F1.n), F1.weight)
     B = F2.at_many(taus)
@@ -402,12 +400,11 @@ class TimeFactor:
     exact.  Each term convolves through one scalar Volterra matrix S_r into ChebKernels.
     """
 
-    def __init__(self, f: TimeKernel, horizon: float, quad: QuadratureConfig):
+    def __init__(self, f: TimeKernel, horizon: float):
         f._check_times(horizon)  # HorizonExceeded past the horizon of f
         self.space, self.horizon, self.weight = f.space, horizon, f.weight
-        self.nodes = lobatto_nodes(quad.cheb_degree, horizon)
-        self.taus, self.gw = (np.array(a) for a in zip(
-            *(_panel_points(t, quad.nodes_per_panel) for t in self.nodes[1:])))
+        self.nodes = lobatto_nodes(DEFAULT_QUAD.cheb_degree, horizon)
+        self.taus, self.gw = _panel_points(self.nodes[1:])
         times = self.nodes[1:, None] - self.taus
         if isinstance(f, SeparableKernel):
             self.matrices = f.matrix[None]
@@ -416,14 +413,9 @@ class TimeFactor:
             self._sample(f, times)
         self.paired = pair(self.matrices, self.weight)
         # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq), the panels of `convolve` at
-        # t_j resampled from the grid; l_i(tau_jq) is the same on every horizon, so on [0, 1]
-        m, p = quad.cheb_degree, quad.nodes_per_panel
-        if (m, p) not in _resampling_cache:
-            unit, bary = lobatto_nodes(m, 1.0), lobatto_bary_weights(m)
-            _resampling_cache[m, p] = np.stack(
-                [interp_matrix(unit, bary, _panel_points(t, p)[0]) for t in unit[1:]])
-        self.S = np.zeros((self.values.shape[0], m + 1, m + 1))
-        self.S[:, 1:] = np.einsum("rjq,jqi->rji", self.gw * self.values, _resampling_cache[m, p])
+        # t_j resampled from the grid: _RESAMPLING, the same on every horizon
+        self.S = np.zeros(self.values.shape[:1] + (self.nodes.size,) * 2)
+        self.S[:, 1:] = np.einsum("rjq,jqi->rji", self.gw * self.values, _RESAMPLING)
 
     def _sample(self, f: TimeKernel, times: np.ndarray) -> None:
         full = min(f.n ** 2, times.size)
@@ -488,7 +480,7 @@ class FoldCache:
         self.f = f
         self.quad = DEFAULT_QUAD
         self.horizon = horizon if horizon is not None else f.horizon
-        self.factor = TimeFactor(f, self.horizon, self.quad)
+        self.factor = TimeFactor(f, self.horizon)
         self.nodes = self.factor.nodes
         self._folds = {1: f}
 

@@ -481,6 +481,13 @@ def test_cli_module_exit_codes(two_point_file, k3_file, tmp_path):
         assert run.returncode == want, (argv, run.stderr)
 
 
+def test_cli_build_refuses_a_time_past_the_semigroup_range(two_point_file, tmp_path, capsys):
+    out = tmp_path / "art"
+    assert main(["build", "--edges", two_point_file, "--out", str(out), "--t", "1.7e308"]) == 1
+    assert _report(out)["exit_reason"].startswith("input error: HorizonExceeded")
+    capsys.readouterr()
+
+
 def test_cli_bad_usage_exits_one(two_point_file, capsys):
     assert main(["build", "--edges", two_point_file, "--frobnicate"]) == 1
     assert main(["entropy", "--edges", two_point_file]) == 1  # --point missing

@@ -13,7 +13,6 @@ from heatkern import (
     Conductance,
     FoldCache,
     PointSpace,
-    QuadratureConfig,
     SemigroupKernel,
     SeparableKernel,
     build_heat_kernel,
@@ -35,6 +34,7 @@ from heatkern.timekernel import (
     RANK_CUT,
     SKETCH_WIDTH,
     TimeFactor,
+    _panel_points,
     interp_matrix,
     lobatto_bary_weights,
     lobatto_nodes,
@@ -94,12 +94,12 @@ def test_convolve_bilinear(two_point, rng):
 
 
 def test_convolve_quadrature_converged(two_point, rng):
+    # (f * f)(t) = int_0^t e^{-0.7 (t - tau)} e^{-0.7 tau} dtau B W B = t e^{-0.7 t} B W B
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
     f = SeparableKernel(sp, 10.0, sp.lam, lambda t: np.exp(-0.7 * t), B)
-    base = convolve(f, f, 2.0)
-    fine = convolve(f, f, 2.0, quad=QuadratureConfig(nodes_per_panel=32, cheb_degree=64))
-    assert np.max(np.abs(base - fine)) < 1e-13
+    want = 2.0 * np.exp(-1.4) * pair(B, sp.lam) @ B
+    assert np.max(np.abs(convolve(f, f, 2.0) - want)) < 1e-13
 
 
 def test_convolve_envelope_bound(two_point, rng):
@@ -374,7 +374,7 @@ def test_factor_convolves_the_terms_of_another_kernels_fold(rng):
     f, horizon = _lowrank_case("polynomial", rng)
     g, _ = _lowrank_case("polynomial", rng)
     fold = FoldCache(f, horizon=horizon).fold(2)
-    factor = TimeFactor(g, horizon, DEFAULT_QUAD)
+    factor = TimeFactor(g, horizon)
     assert fold.psi.shape[1] == 9 and factor.matrices.shape[0] == 3
     terms, dense = factor.convolve(fold), factor.convolve(fold, dense=True)
     assert terms.psi.shape[1] == 27 and dense.psi is None
@@ -389,7 +389,7 @@ def test_lowrank_factor_is_deterministic(rng):
     # of the largest sample, or the first sketch kept a column to spare),
     # and a second factor of the same kernel is identical
     f, horizon = _lowrank_case("profile-exponential", rng)
-    factor = TimeFactor(f, horizon, DEFAULT_QUAD)
+    factor = TimeFactor(f, horizon)
     rank = factor.values.shape[0]
     assert 1 < rank < f.n ** 2
     worst = scale = 0.0
@@ -400,7 +400,7 @@ def test_lowrank_factor_is_deterministic(rng):
             worst = max(worst, float(np.max(err)))
             scale = max(scale, float(np.max(np.abs(exact))))
     assert worst <= RANK_CUT * scale or rank < SKETCH_WIDTH
-    again = TimeFactor(f, horizon, DEFAULT_QUAD)
+    again = TimeFactor(f, horizon)
     assert np.array_equal(again.values, factor.values)
     assert np.array_equal(again.matrices, factor.matrices)
 
@@ -408,17 +408,20 @@ def test_lowrank_factor_is_deterministic(rng):
 @pytest.mark.parametrize("case", ["separable", "profile-exponential"])
 def test_volterra_matrices_match_the_per_node_loop(two_point, rng, case):
     # S is formed from the barycentric rows of the unit grid, shared by
-    # every horizon; against the rows of the scaled grid, one node at a time
+    # every horizon; against the rows of the scaled grid, one node at a time.
+    # The panels of all nodes at once are those of `convolve` at each node, bit for bit.
     if case == "separable":
         f, horizon = SeparableKernel(two_point[0], 10.0, two_point[0].lam, lambda t: np.exp(-t),
                                      rng.standard_normal((2, 2))), 7.3
     else:
         f, horizon = _lowrank_case(case, rng)
-    for quad, h in ((DEFAULT_QUAD, horizon), (QuadratureConfig(8, 12), horizon / 3.0)):
-        factor = TimeFactor(f, h, quad)
-        bary = lobatto_bary_weights(quad.cheb_degree)
+    for h in (horizon, horizon / 3.0):
+        factor = TimeFactor(f, h)
+        bary = lobatto_bary_weights(DEFAULT_QUAD.cheb_degree)
         loop = np.zeros_like(factor.S)
         for j, taus in enumerate(factor.taus, start=1):
+            assert np.array_equal(np.stack(_panel_points(factor.nodes[j])),
+                                  np.stack([taus, factor.gw[j - 1]]))
             loop[:, j] = (factor.gw[j - 1] * factor.values[:, j - 1]) \
                 @ interp_matrix(factor.nodes, bary, taus)
         assert np.max(np.abs(factor.S - loop)) <= 1e-14 * np.max(np.abs(loop)), (case, h)
@@ -430,8 +433,9 @@ def test_cheb_kernel_interpolates_exactly_at_nodes(two_point, rng):
     sp, _, _ = two_point
     B = rng.standard_normal((2, 2))
     f = SeparableKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t), B)
-    cheb = ChebKernel(sp, 4.0, sp.lam, f.at_many(lobatto_nodes(32, 4.0)))
-    for t in cheb.nodes:
+    nodes = lobatto_nodes(32, 4.0)
+    cheb = ChebKernel(sp, 4.0, sp.lam, f.at_many(nodes))
+    for t in nodes:
         assert np.max(np.abs(cheb.at(t) - f.at(t))) < 1e-14
     for t in (0.1, 1.3, 3.9):
         assert np.max(np.abs(cheb.at(t) - f.at(t))) < 1e-12
@@ -513,9 +517,12 @@ def test_closed_forms_refuse_nan_times(two_point):
 def test_sampled_kernels_refuse_bad_times(two_point):
     sp, cond, _ = two_point
     K = build_heat_kernel(dirac_parametrix(sp, cond), T=2.0).K
-    for t in (float("nan"), float("inf"), -0.5):
+    # from 2^53 base horizons on, the piece count is not an exact integer
+    for t in (float("nan"), float("inf"), -0.5, 1.7e308, 1e18, 2.0 ** 53 * K.base.horizon):
         with pytest.raises(HorizonExceeded):
             K.at(t)
+    assert np.all(np.isfinite(K.at(0.99 * 2.0 ** 53 * K.base.horizon)))
+    assert len(K._chain) == 53
     with pytest.raises(HorizonExceeded):
         K.base.at(float("nan"))
     with pytest.raises(HorizonExceeded):
