@@ -42,6 +42,7 @@ from .timekernel import (
     SemigroupKernel,
     TimeFactor,
     TimeKernel,
+    U,
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
     on_grid,
@@ -55,7 +56,6 @@ from .timekernel import (
 # Chebyshev grid.  So T_base |A|_inf <= THETA.
 THETA = 4.0
 MAX_TERMS = 64  # folds before an unsettled series is refused; builds take 5 to 21
-U = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass
@@ -112,16 +112,18 @@ def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
     the exact kernel on [0, T_b], h = T_b |A|_inf <= THETA, in |X| = max|X|
     for a measure pairing; for a Gram G = W^-1, K W is, in max_x sum_y |X|.
 
-    The base is K~(t) = sum_k c_k T_k(2t/T_b - 1), c = base.coeffs (c W
-    for a Gram); the exact kernel e^{-tA} K(0), K(0) = diag(1/mu) (I for a
-    Gram), e^{-sA} stochastic, so |e^{-sA} X| <= |X|.  With r(t) = K~(t) -
-    K~(0) + int_0^t A K~ (the defect correction principle, H. J. Stetter,
-    Numer. Math. 29, 1978), E = K~ - K solves (E - r)' = -A (E - r) - A r,
-    so |E(t)| <= |E(0)| + (1 + h) sup|r|.  r = q(t) - q(0), q = K~ + A
-    sum_{k>=1} I_k T_k with I_k = (T_b/4)(c'_{k-1} - c_{k+1})/k (c'_0 =
-    2 c_0) the antiderivative's coefficients, so sup|r| <= 2 |sum_{k>=1}
-    |c_k + A I_k|| = rho, as |T_k| <= 1 (L. N. Trefethen, Approximation
-    Theory and Approximation Practice, 2013).
+    The base is K~(t) = sum_k c_k T_k(2t/T_b - 1), k = 0..m, c = base.coeffs
+    (c W for a Gram), m = base.degree: the degree kept after the chop
+    (`ChebSeries`), so the series bounded is the one `base.at` sums, and a
+    shorter one has a smaller allowance.  The exact kernel is e^{-tA} K(0),
+    K(0) = diag(1/mu) (I for a Gram), e^{-sA} stochastic, so |e^{-sA} X| <=
+    |X|.  With r(t) = K~(t) - K~(0) + int_0^t A K~ (the defect correction
+    principle, H. J. Stetter, Numer. Math. 29, 1978), E = K~ - K solves
+    (E - r)' = -A (E - r) - A r, so |E(t)| <= |E(0)| + (1 + h) sup|r|.
+    r = q(t) - q(0), q = K~ + A sum_{k>=1} I_k T_k with I_k = (T_b/4)
+    (c'_{k-1} - c_{k+1})/k (c'_0 = 2 c_0) the antiderivative's coefficients,
+    so sup|r| <= 2 |sum_{k>=1} |c_k + A I_k|| = rho, as |T_k| <= 1 (L. N.
+    Trefethen, Approximation Theory and Approximation Practice, 2013).
 
     Allowance, to first order in u, with S0 = |sum_k |c_k||, so sum_{k>=1}
     |I_k| <= T_b S0 / 2 entrywise, and V0 = |K(0)|: |E(0)| <= E0 + u ((n +

@@ -36,6 +36,10 @@ from .errors import (
 )
 from .space import PointSpace
 
+U = 2.0 ** -53  # unit roundoff of float64
+
+RADIX = 8  # of `SemigroupKernel`'s chain, 7 checkpoints a level; 16 ran no faster at n = 100
+
 # Most times per evaluator call and reduction block: one node's panel times on
 # the grid.  Larger blocks gain no speed and raise peak RSS at n = 100.
 BLOCK = 32
@@ -227,6 +231,33 @@ class ChebKernel(TimeKernel):
         return np.einsum("kj,jxy->kxy", M if self.psi is None else M @ self.psi, self.C)
 
 
+def standard_chop(sizes: np.ndarray) -> int:
+    """How many leading coefficients of a series to keep, given the size of each: those
+    before the plateau where their envelope levels off near relative size u, by
+    standardChop (J. L. Aurentz & L. N. Trefethen, Chopping a Chebyshev series, ACM TOMS
+    43(4), 2017).  All of them if there is no plateau, fewer than 17, or none but zeros."""
+    n = sizes.shape[0]
+    env = np.maximum.accumulate(sizes[::-1])[::-1]  # the envelope: the largest size from k on
+    if n < 17 or env[0] == 0.0:
+        return n
+    env = env / env[0]
+    for j in range(2, n + 1):  # 1-based, as in the paper
+        j2 = int(1.25 * j + 5.5)  # round(1.25 j + 5), halves up
+        if j2 > n:
+            return n
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(U)):
+            break
+    if env[j - 2] == 0.0:
+        return j - 1
+    j3 = int(np.sum(env >= U ** (7 / 6)))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = U ** (7 / 6)
+    # the lowest point of the envelope, tilted to favour an earlier cut
+    return max(int(np.argmin(np.log10(env[:j2]) + np.linspace(0.0, -math.log10(U) / 3, j2))), 1)
+
+
 class ChebSeries(TimeKernel):
     """sum_k coeffs[k] T_k(2t/horizon - 1) through samples on the Chebyshev-Lobatto nodes
     (a DCT-I, over the sample block), evaluated by T_{k+1} = 2x T_k - T_{k-1}: a build's base.
@@ -234,18 +265,29 @@ class ChebSeries(TimeKernel):
     A ChebKernel cannot serve: the bound on its barycentric formula (rounded nodes) plus the
     DCT that finds coefficients to bound is some 20 times this series' roundoff, 1.3e-12 on
     the two-point graph at tol 1e-12.  Folds are read only at the nodes and stay ChebKernels,
-    most as a few terms in time; only the base is transformed.  `values` is computed."""
+    most as a few terms in time; only the base is transformed.
+
+    Of the m+1 coefficients it keeps those before the roundoff plateau of max_{x,y} |c_k|
+    (Aurentz & Trefethen's `standard_chop`, at least 3) if the tail dropped, max_{x,y}
+    sum_{k>d} |c_k|, is within the DCT's own rounding, (m+1) u max|c_0|.  `degree` is the
+    kept d, bounded by `neumann._defect_bound`; `values` is the series at the m+1 nodes."""
 
     def __init__(self, space, horizon, weight, values: np.ndarray):
         super().__init__(space, horizon, weight)
-        m = self.degree = values.shape[0] - 1
+        m = values.shape[0] - 1
         self.nodes = lobatto_nodes(m, self.horizon)
         j = np.arange(m + 1)
         half = np.where(j % m, 1.0, 0.5)  # the end terms count half
         phi = np.cos(np.pi * (np.outer(j, j) % (2 * m)) / m) * np.outer((-1.0) ** j * half, half)
         phi *= 2.0 / m
         flat = np.asarray(values, dtype=float).reshape(m + 1, -1)
-        self.coeffs = np.matmul(phi, flat, out=flat).reshape(values.shape)
+        flat = np.matmul(phi, flat, out=flat)
+        sizes = np.maximum(flat.max(axis=1), -flat.min(axis=1))  # max|c_k|, no |c| block
+        keep = max(standard_chop(sizes), 3)  # `_defect_bound` reads c_2
+        if keep <= m and np.abs(flat[keep:]).sum(axis=0).max() <= (m + 1) * U * sizes[0]:
+            flat = flat[:keep].copy()  # frees the whole block
+        self.degree = flat.shape[0] - 1
+        self.coeffs = flat.reshape((-1,) + values.shape[1:])
 
     @property
     def values(self) -> np.ndarray:
@@ -269,26 +311,28 @@ class ChebSeries(TimeKernel):
 class SemigroupKernel(TimeKernel):
     """A heat kernel stored on a base horizon T_b, extended by its semigroup.
 
-    Past T_b, t = r + q T_b with q = ceil(t/T_b) - 1 and r in (0, T_b], and
-    K(t) W = K(r) W prod_{bit k of q} P_k, W the pairing: one evaluation of
-    the base and popcount(q) products of P_k = K(2^k T_b) W, a chain (P_0
-    from the base, P_{k+1} = P_k P_k) grown one whole tuple per assignment
-    as queries need levels, so readers see whole chains whose bits do not
-    depend on query order.  `horizon` is the build interval, not a limit;
-    weight_inv inverts a matrix pairing (its Gram), None for a measure.
+    Past T_b, t = r + q T_b with q = ceil(t/T_b) - 1 and r in (0, T_b], and K(t) W =
+    K(r) W prod_k P_{k,d_k} over the nonzero octal digits d_k of q, W the pairing: one
+    evaluation of the base and one product per digit, of checkpoints P_{k,d} = K(d 8^k T_b) W
+    (fixed-base exponentiation, E. F. Brickell et al., EUROCRYPT '92).  Level k holds d =
+    1..7: P_{0,1} from the base, P_{k,d} = P_{k,d-1} P_{k,1}, P_{k+1,1} = P_{k,7} P_{k,1}.
+    The chain grows one whole level per assignment as queries need levels, so readers see
+    whole chains whose bits do not depend on query order.  `horizon` is the build interval,
+    not a limit; weight_inv inverts a matrix pairing (its Gram), None for a measure.
 
     Error.  The exact K W = e^{-tA} is stochastic.  For a measure pairing K
     is symmetric, so |Ã W B̃ - A W B| <= a (1 + mu(X) b) + b if |Ã - A| <= a,
     |B̃ - B| <= b entrywise ((Ã - A) W B is within a, the columns of W B
     summing to one); a product rounds within n u max|K(0)|, (un)pairing
-    within u max|K(0)|, so to first order the errors of the ceil(t/T_b)
-    pieces add, each within eps_b = truncation_bound / 2^squarings.  For a
-    Gram G = W^-1, pieces within eps of K W in max_x sum_y |.| compose
-    within (1 + eps)^c - 1, and K = (K W) G within max|G| times that.
+    within u max|K(0)|.  Each product, in the chain or in `at`, joins two runs of
+    pieces, so a product over c pieces takes at most c - 1 of them: to first order
+    the errors of the ceil(t/T_b) pieces add, each within eps_b = truncation_bound /
+    2^squarings.  For a Gram G = W^-1, pieces within eps of K W in max_x sum_y |.|
+    compose within (1 + eps)^c - 1, and K = (K W) G within max|G| times that.
     ceil(t/T_b) <= 2^ceil(log2(t/T_b)) gives the rule the build charges to
     its horizon and, to first order, `GreenResult.budget` past it.  r in
-    (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q < 2^ceil(log2(t/T_b))
-    keeps popcount(q) within the squarings of halving t onto T_b.
+    (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q < 2^ceil(log2(t/T_b)) keeps
+    the products, at most popcount(q), within the squarings of halving t onto T_b.
     """
 
     def __init__(self, base: ChebSeries, horizon: float, weight_inv: np.ndarray | None):
@@ -299,7 +343,7 @@ class SemigroupKernel(TimeKernel):
 
     def at(self, t: float) -> np.ndarray:
         t, Tb = float(t), self.base.horizon
-        # q < 2^53 is exact and holds the chain to 53 levels; past it eps_b ceil(t/T_b) >> 1
+        # q < 2^53 is exact and holds the chain to 18 levels; past it eps_b ceil(t/T_b) >> 1
         if not 0.0 <= t / Tb < 2.0 ** 53:  # NaN and inf fail too
             raise HorizonExceeded(f"time {t} is negative, not finite, or 2^53 or more "
                                   f"base horizons of {Tb}")
@@ -309,13 +353,16 @@ class SemigroupKernel(TimeKernel):
         if q == 0:
             return self.base.at(r)
         chain = self._chain
-        while len(chain) < q.bit_length():
-            self._chain = chain = (chain + (chain[-1] @ chain[-1],) if chain
-                                   else (pair(self.base.at(Tb), self.weight),))
+        while RADIX ** len(chain) <= q:
+            level = [chain[-1][-1] @ chain[-1][0] if chain else pair(self.base.at(Tb), self.weight)]
+            for _ in range(RADIX - 2):
+                level.append(level[-1] @ level[0])
+            self._chain = chain = chain + (tuple(level),)
         M = pair(self.base.at(r), self.weight)
-        for k, P in enumerate(chain):
-            if q >> k & 1:
-                M = M @ P
+        for level in chain:
+            q, d = divmod(q, RADIX)
+            if d:
+                M = M @ level[d - 1]
         return M / self.weight[None, :] if self.weight.ndim == 1 else M @ self._winv
 
 

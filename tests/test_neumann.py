@@ -34,7 +34,7 @@ from heatkern.errors import (
     SpaceMismatch,
     ZeroDegreePoint,
 )
-from heatkern import neumann
+from heatkern import neumann, timekernel
 from heatkern.neumann import _defect_bound, _pieces
 from heatkern.timekernel import DEFAULT_QUAD, ChebSeries, lobatto_nodes, on_grid
 
@@ -442,6 +442,31 @@ def test_separable_path_matches_generic_path(rng, family):
     F = ChebKernel(p.space, Tb, p.weight, Fvals)
     ref = np.stack([H.at(t) + convolve(H, F, t) for t in cache.nodes])
     assert np.max(np.abs(fast.K.base.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tiny_horizon_base_keeps_three_coefficients(two_point):
+    # over 1e-9 the kernel is linear in t to roundoff: the chop keeps c_0..c_2,
+    # the least `_defect_bound` reads, and the certificate covers the closed form
+    sp, cond, _ = two_point
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=1e-9), T=1e-9)
+    assert res.K.base.degree == 2
+    for t in np.linspace(0.0, 3e-9, 7):
+        assert np.max(np.abs(res.K.at(t) - closed_form_two_point(t))) <= res.truncation_bound
+
+
+@pytest.mark.parametrize("family", ["dirac-combinatorial", "dirac-normalized", "rkhs",
+                                    "profile-epanechnikov", "profile-exponential"])
+def test_chopped_base_certifies_no_worse(rng, family, monkeypatch):
+    # the base kept to its roundoff plateau certifies at most what the whole
+    # 33-coefficient series does, after the same folds and squarings
+    for _ in range(3):
+        p, T, tol, chopped = _family_build(rng, family)
+        with monkeypatch.context() as mp:
+            mp.setattr(timekernel, "standard_chop", lambda envelope: envelope.shape[0])
+            full = build_heat_kernel(p, T, tol)
+        assert full.K.base.degree == DEFAULT_QUAD.cheb_degree
+        assert (chopped.terms_used, chopped.squarings) == (full.terms_used, full.squarings)
+        assert chopped.truncation_bound <= full.truncation_bound
 
 
 @pytest.mark.parametrize("family", ["dirac-combinatorial", "dirac-normalized", "rkhs",

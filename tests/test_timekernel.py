@@ -28,11 +28,13 @@ from heatkern import (
     spectral_heat,
     spectral_parametrix,
 )
+from heatkern import timekernel
 from heatkern.timekernel import (
     DEFAULT_QUAD,
     ChebSeries,
     RANK_CUT,
     SKETCH_WIDTH,
+    U,
     TimeFactor,
     _panel_points,
     interp_matrix,
@@ -40,6 +42,7 @@ from heatkern.timekernel import (
     lobatto_nodes,
     pair,
     row_masses,
+    standard_chop,
 )
 from heatkern.errors import (
     DimensionMismatch,
@@ -458,6 +461,35 @@ def test_cheb_kernel_derivative(two_point, rng):
     assert np.max(np.abs(cheb.values - samples)) < 1e-14
 
 
+def test_chopped_series_within_rounding_at_the_nodes(rng, monkeypatch):
+    # a heat kernel's series keeps the coefficients before the roundoff plateau:
+    # at the 33 nodes it is within the DCT's own rounding, (m+1) u max|c_0|, of
+    # the whole series
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
+    A, mu = generator(sp, cond, "combinatorial")
+    Tb = 4.0 / np.abs(A).sum(axis=1).max()
+    spec = eigh_weighted(A, mu)
+    samples = np.stack([spectral_heat(spec, t) for t in lobatto_nodes(32, Tb)])
+    chopped = ChebSeries(sp, Tb, mu, samples.copy())
+    monkeypatch.setattr(timekernel, "standard_chop", lambda envelope: envelope.shape[0])
+    full = ChebSeries(sp, Tb, mu, samples.copy())
+    assert chopped.degree < full.degree == 32
+    assert np.array_equal(chopped.coeffs, full.coeffs[:chopped.degree + 1])
+    assert np.max(np.abs(chopped.values - full.values)) <= 33 * U * np.max(np.abs(full.coeffs[0]))
+
+
+def test_series_with_a_plateau_above_roundoff_keeps_every_coefficient(two_point, rng):
+    # samples with noise at 1e-12: standardChop finds the plateau, but the tail
+    # it would drop is far above the DCT's rounding, so all 33 coefficients stay
+    sp, _, _ = two_point
+    nodes = lobatto_nodes(32, 4.0)
+    samples = np.exp(-nodes)[:, None, None] * rng.standard_normal((2, 2))
+    samples += 1e-12 * rng.standard_normal(samples.shape)
+    cheb = ChebSeries(sp, 4.0, sp.lam, samples)
+    assert standard_chop(np.abs(cheb.coeffs).max(axis=(1, 2))) < 33
+    assert cheb.degree == 32
+
+
 def test_closed_form_horizon_guard(two_point):
     sp, _, _ = two_point
     f = const_kernel(sp, np.ones((2, 2)), horizon=1.0)
@@ -522,7 +554,7 @@ def test_sampled_kernels_refuse_bad_times(two_point):
         with pytest.raises(HorizonExceeded):
             K.at(t)
     assert np.all(np.isfinite(K.at(0.99 * 2.0 ** 53 * K.base.horizon)))
-    assert len(K._chain) == 53
+    assert len(K._chain) == math.ceil(53 / 3)  # one level per octal digit
     with pytest.raises(HorizonExceeded):
         K.base.at(float("nan"))
     with pytest.raises(HorizonExceeded):
@@ -558,10 +590,13 @@ def _checkpoint_build(rng, case):
 
 
 def _checkpoint_times(res):
+    # (q + 1/2) T_b has q = 8^k - 1 (all digits 7), 8^k (a new level) and 7 8^k
+    # (its last checkpoint) whole base pieces before the base is read
     Tb, T = res.base_horizon, res.horizon
     return sorted({np.nextafter(Tb, 0.0), Tb, np.nextafter(Tb, np.inf), 8.0 * T,
                    *(q * Tb for q in (2, 3, 5, 7, 11, 2 ** res.squarings - 1)),
-                   *(2.0 ** k * Tb for k in range(res.squarings + 2))})
+                   *(2.0 ** k * Tb for k in range(res.squarings + 2)),
+                   *((q + 0.5) * Tb for k in (1, 2) for q in (8 ** k - 1, 8 ** k, 7 * 8 ** k))})
 
 
 def _halving_squares(K, t, weight_inv):
@@ -605,22 +640,23 @@ class _CountedProduct:
         return M @ self.P
 
 
-def test_semigroup_products_are_the_set_bits(rng):
-    # popcount(ceil(t / T_b) - 1) products of checkpoints, never more than
-    # the ceil(log2(t / T_b)) squarings of halving t onto the base grid
+def test_semigroup_products_are_the_octal_digits(rng):
+    # one product of checkpoints per nonzero octal digit of q = ceil(t / T_b) - 1:
+    # never more than popcount(q), nor the ceil(log2(t / T_b)) squarings of
+    # halving t onto the base grid
     res, _, _ = _checkpoint_build(rng, "dirac-combinatorial")
     K, Tb = res.K, res.base_horizon
     times = _checkpoint_times(res) + list(rng.uniform(0.0, 8.0 * res.horizon, 200))
     # the largest time first grows the whole chain before it is wrapped
     want = {t: K.at(t) for t in [max(times)] + times}
     calls = []
-    K._chain = tuple(_CountedProduct(P, calls) for P in K._chain)
+    K._chain = tuple(tuple(_CountedProduct(P, calls) for P in level) for level in K._chain)
     for t in times:
         calls.clear()
         assert np.array_equal(K.at(t), want[t])
         q = math.ceil(t / Tb) - 1
-        assert len(calls) == bin(q).count("1"), t
-        assert len(calls) <= (math.ceil(math.log2(t / Tb)) if t > Tb else 0), t
+        assert len(calls) == sum(d != "0" for d in oct(q)[2:]), t
+        assert len(calls) <= bin(q).count("1") <= (math.ceil(math.log2(t / Tb)) if t > Tb else 0), t
 
 
 def test_semigroup_query_order_does_not_move_bits(rng):
