@@ -72,8 +72,8 @@ class GreenResult:
     horizon is the cutoff of the time integral.  budget is what the two
     routes may differ by: tail_bound (the spectral tail past the horizon
     and the head rectangle's error), quad_error (the trapezoid's last
-    halving change), the kernel's certified error integrated over
-    [0, horizon] (0 for the spectral integrand), and 1e-10 of roundoff.
+    halving change), the kernel's certified error `K.error` integrated
+    over [0, horizon] (0 for the spectral integrand), and 1e-10 of roundoff.
     """
 
     G_star: np.ndarray
@@ -86,13 +86,14 @@ class GreenResult:
 
 
 def _kernel_error_integral(K: HeatKernelResult, T_cut: float) -> float:
-    """int_0^T_cut of K's certified error: truncation_bound up to the build
-    horizon T, doubled by each squaring past it (up to 2T, 4T, ...)."""
-    span, a, b, grow = 0.0, 0.0, K.horizon, 1.0
+    """int_0^T_cut of K's certified error K.K.error, nondecreasing in t: charged
+    on [0, T_b] and on each doubling [b, 2b] past it at the right end."""
+    span, a, b = 0.0, 0.0, K.base_horizon
     while a < T_cut:
-        span += grow * (min(b, T_cut) - a)
-        a, b, grow = b, 2.0 * b, 2.0 * grow
-    return K.truncation_bound * span
+        b = min(b, T_cut)
+        span += K.K.error(b) * (b - a)
+        a, b = b, 2.0 * b
+    return span
 
 
 def _log(x: float) -> float:
@@ -162,8 +163,8 @@ def green_regularized(space: PointSpace, conductance: Conductance, spec: Spectra
 
     budget is tail_bound (the spectral tail past T_cut plus the head
     bound), quad_error (the last halving change, an observed refinement
-    error, charged as it stands if nine halvings do not settle), the
-    build's certified error integrated to T_cut, and 1e-10 of roundoff.
+    error, charged as it stands if nine halvings do not settle), K.error
+    integrated to T_cut (`_kernel_error_integral`) and 1e-10 of roundoff.
     A window the numbers make empty or infinite (tol/10 underflowing, say)
     is refused with TailUncontrolled.
     """

@@ -16,7 +16,7 @@ fold to dense samples once R^l reaches m+1.
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
 the series is built on one short base horizon and extended by the semigroup
-(SemigroupKernel); the certificate grows with the pieces (`_pieces`).
+(SemigroupKernel), which reports the certificate at any time (`SemigroupKernel.error`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .timekernel import (
     TimeFactor,
     TimeKernel,
     U,
+    _pieces,
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
     on_grid,
@@ -88,7 +89,7 @@ def _row_mass_norm(f: TimeKernel, weight: np.ndarray, ts: np.ndarray) -> float:
 
 def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
     dense = lobatto_nodes(m, horizon)
-    small = np.geomspace(max(horizon * 1e-6, 1e-12), horizon / m, 8)
+    small = np.geomspace(horizon * 1e-6, horizon / m, 8)
     return np.unique(np.concatenate([dense, small]))
 
 
@@ -96,15 +97,6 @@ def _allowance(m, n, h, V0, S0, Z, E0, rho) -> float:
     """Floating-point allowance of one base piece (see `_defect_bound`)."""
     return U * ((n + 1) * E0 + (m + 1) * S0 + Z + (n + 3) * V0
                 + (1.0 + h) * ((m + n + 1) * rho + (2.0 + h * (n + 4)) * S0))
-
-
-def _pieces(eps: float, grow: float, gram: np.ndarray | None) -> float:
-    """Error of K over `grow` base pieces within eps each (`SemigroupKernel`);
-    inf once a Gram pairing's (1 + eps)^grow passes e^700."""
-    if gram is None:
-        return eps * grow
-    x = grow * math.log1p(eps)
-    return float(np.max(np.abs(gram))) * math.expm1(x) if x < 700.0 else math.inf
 
 
 def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
@@ -178,8 +170,8 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     whose share T_b |W| max|f^{*l}| (|W| = 1 for a measure, the largest
     row sum of |W| for a Gram pairing), carried over the pieces, is below
     tol / 2; that is `terms_used`.  K = H + H * F is assembled once, and a SemigroupKernel
-    reaches T.  `truncation_bound` is what `_defect_bound` proves for one
-    base piece, carried over the 2^squarings pieces of T by `_pieces`.
+    reaches T.  `truncation_bound` is K.error(T): what `_defect_bound` proves
+    for one base piece, carried over the 2^squarings pieces of T.
     Refuses a tol the allowance alone reaches, a series not settled after
     MAX_TERMS folds, and a kernel whose bound misses tol.
     """
@@ -249,7 +241,8 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     del Hf, F
     base = ChebSeries(parametrix.space, T_base, weight, samples)
     E0, rho, fp = _defect_bound(base, A, K0)
-    bound = _pieces(E0 + (1.0 + T_base * a) * rho + fp, grow, gram)
+    K = SemigroupKernel(base, T, gram, E0 + (1.0 + T_base * a) * rho + fp)
+    bound = K.error(T)
     # the folds left out are below tol / 2: more terms would not lower it
     if bound >= tol:
         raise NoConvergenceBudget(
@@ -258,10 +251,10 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
             f"{terms} terms, not below tol={tol}; raise tol")
 
     return HeatKernelResult(
-        K=SemigroupKernel(base, horizon=T, weight_inv=parametrix.gram), terms_used=terms,
-        truncation_bound=bound, parametrix_family=parametrix.family, space=parametrix.space,
-        conductance=parametrix.conductance, kind=parametrix.kind, generator_matrix=A,
-        weight=weight, horizon=T, base_horizon=T_base, squarings=squarings, tol=tol)
+        K=K, terms_used=terms, truncation_bound=bound, parametrix_family=parametrix.family,
+        space=parametrix.space, conductance=parametrix.conductance, kind=parametrix.kind,
+        generator_matrix=A, weight=weight, horizon=T, base_horizon=T_base,
+        squarings=squarings, tol=tol)
 
 
 def cross_parametrix_build(result: HeatKernelResult,

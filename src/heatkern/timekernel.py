@@ -308,6 +308,15 @@ class ChebSeries(TimeKernel):
         return (np.array(rows) @ flat).reshape(-1, self.n, self.n)
 
 
+def _pieces(eps: float, pieces: float, gram: np.ndarray | None) -> float:
+    """Error of K over `pieces` base pieces within eps each (`SemigroupKernel`);
+    inf once a Gram pairing's (1 + eps)^pieces passes e^700."""
+    if gram is None:
+        return eps * pieces
+    x = pieces * math.log1p(eps)
+    return float(np.max(np.abs(gram))) * math.expm1(x) if x < 700.0 else math.inf
+
+
 class SemigroupKernel(TimeKernel):
     """A heat kernel stored on a base horizon T_b, extended by its semigroup.
 
@@ -318,28 +327,38 @@ class SemigroupKernel(TimeKernel):
     1..7: P_{0,1} from the base, P_{k,d} = P_{k,d-1} P_{k,1}, P_{k+1,1} = P_{k,7} P_{k,1}.
     The chain grows one whole level per assignment as queries need levels, so readers see
     whole chains whose bits do not depend on query order.  `horizon` is the build interval,
-    not a limit; weight_inv inverts a matrix pairing (its Gram), None for a measure.
+    not a limit; weight_inv inverts a matrix pairing (its Gram), None for a measure;
+    piece_bound is the error the build proves for the base on [0, T_b].
 
-    Error.  The exact K W = e^{-tA} is stochastic.  For a measure pairing K
-    is symmetric, so |Ã W B̃ - A W B| <= a (1 + mu(X) b) + b if |Ã - A| <= a,
-    |B̃ - B| <= b entrywise ((Ã - A) W B is within a, the columns of W B
-    summing to one); a product rounds within n u max|K(0)|, (un)pairing
-    within u max|K(0)|.  Each product, in the chain or in `at`, joins two runs of
-    pieces, so a product over c pieces takes at most c - 1 of them: to first order
-    the errors of the ceil(t/T_b) pieces add, each within eps_b = truncation_bound /
-    2^squarings.  For a Gram G = W^-1, pieces within eps of K W in max_x sum_y |.|
-    compose within (1 + eps)^c - 1, and K = (K W) G within max|G| times that.
-    ceil(t/T_b) <= 2^ceil(log2(t/T_b)) gives the rule the build charges to
-    its horizon and, to first order, `GreenResult.budget` past it.  r in
-    (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q < 2^ceil(log2(t/T_b)) keeps
+    Error, the one rule `error(t)` reports.  The exact K W = e^{-tA} is stochastic.  For a
+    measure pairing K is symmetric, so |Ã W B̃ - A W B| <= a (1 + mu(X) b) + b if |Ã - A| <=
+    a, |B̃ - B| <= b entrywise ((Ã - A) W B is within a, the columns of W B summing to one);
+    a product rounds within n u max|K(0)|, (un)pairing within u max|K(0)|.  Each product,
+    in the chain or in `at`, joins two runs of pieces, so a product over c pieces takes at
+    most c - 1 of them: to first order the errors of the c = max(1, ceil(t/T_b)) pieces
+    add, each within eps = piece_bound, and error(t) = c eps.  For a Gram G = W^-1, pieces
+    within eps of K W in max_x sum_y |.| compose within (1 + eps)^c - 1, and K = (K W) G
+    within max|G| times that: error(t) = max|G| ((1 + eps)^c - 1), inf past e^700.  The
+    build signs error(T), c = 2^squarings, as `truncation_bound`; error is nondecreasing
+    in t.  r in (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q < 2^ceil(log2(t/T_b)) keeps
     the products, at most popcount(q), within the squarings of halving t onto T_b.
     """
 
-    def __init__(self, base: ChebSeries, horizon: float, weight_inv: np.ndarray | None):
+    def __init__(self, base: ChebSeries, horizon: float, weight_inv: np.ndarray | None,
+                 piece_bound: float):
         super().__init__(base.space, horizon, base.weight)
         self.base = base
         self._winv = weight_inv
+        self.piece_bound = piece_bound
         self._chain = ()
+
+    def error(self, t: float) -> float:
+        """The certified sup-norm error of `at(t)`; refuses the times `at` refuses."""
+        c = float(t) / self.base.horizon
+        if not 0.0 <= c < 2.0 ** 53:
+            raise HorizonExceeded(f"time {t} is negative, not finite, or 2^53 or more "
+                                  f"base horizons of {self.base.horizon}")
+        return _pieces(self.piece_bound, max(1, math.ceil(c)), self._winv)
 
     def at(self, t: float) -> np.ndarray:
         t, Tb = float(t), self.base.horizon

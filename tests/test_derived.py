@@ -92,18 +92,22 @@ def test_green_quadrature_route_uses_built_kernel(k3):
 
 
 def test_green_budget_integrates_the_bound_past_the_horizon(path3):
-    # on the unit path the cutoff ln(1e9) / gap = 20.7 lies past T = 10,
-    # where K(t) is certified to bound * 2^ceil(log2(t / T)): the kernel's
-    # share of the budget is bound * (10 + 2 * 10 + 4 * (T_cut - 20)), not
-    # bound * T_cut; without a kernel it is 0
+    # on the unit path the cutoff ln(1e9) / gap = 20.7 lies past T = 10: the
+    # kernel's share of the budget is K.error charged at the right end of
+    # [0, T_b] and of each doubling [b/2, b] up to T_cut, at most the doubling
+    # rule bound * (10 + 2 * 10 + 4 * (T_cut - 20)); without a kernel it is 0
     sp, cond, _ = path3
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
     spec = eigh_weighted(res.generator_matrix, res.weight)
     g = green_regularized(sp, cond, spec, K=res)
     assert 20.0 < g.horizon < 40.0
-    kernel = res.truncation_bound * (10.0 + 2.0 * 10.0 + 4.0 * (g.horizon - 20.0))
+    ends = [0.0] + [min(g.horizon, res.base_horizon * 2.0 ** i)
+                    for i in range(res.squarings + 3)]
+    assert ends[-1] == g.horizon > ends[-2] == 20.0
+    kernel = sum(res.K.error(b) * (b - a) for a, b in zip(ends, ends[1:]))
     assert g.budget == pytest.approx(g.tail_bound + g.quad_error + kernel + 1e-10,
                                      rel=1e-14)
+    assert kernel <= res.truncation_bound * (10.0 + 2.0 * 10.0 + 4.0 * (g.horizon - 20.0))
     assert g.agreement <= g.budget
     spectral = green_regularized(sp, cond, spec)
     assert spectral.budget == spectral.tail_bound + spectral.quad_error + 1e-10
@@ -133,6 +137,9 @@ class _CountingKernel:
     def at(self, t):
         self.calls += 1
         return self.K.at(t)
+
+    def error(self, t):
+        return self.K.error(t)
 
 
 def test_green_time_route_evaluation_count(path3):

@@ -307,6 +307,26 @@ def test_cli_oracle_compare_flags_loose_build(k3_file, tmp_path, capsys):
     assert rep["max_oracle_dev"] > 1e-10
 
 
+def test_cli_oracle_compare_holds_the_build_to_its_certificate(two_point_file, tmp_path,
+                                                               capsys):
+    # without --tol the limit is the build's certificate, carried past T by
+    # K.error: the exponential profile on the unit edge (T = 5, tol 1e-5)
+    # certifies about 8e-6 and is about 1e-7 off the oracle; --tol still sets
+    # the limit when given
+    cfg = _write(tmp_path, "profile.cfg", "parametrix.kind = profile-exponential\n"
+                 "time.horizon = 5\nneumann.tol = 1e-5\n")
+    out = tmp_path / "art"
+    for times in ([], ["--t", "1,5,12.5"]):
+        code = main(["oracle-compare", "--edges", two_point_file, "--config", cfg,
+                     "--out", str(out)] + times)
+        assert code == 0, capsys.readouterr().err
+        rep = _report(out)
+        assert 1e-8 < rep["max_oracle_dev"] <= rep["truncation_bound"] < 1e-5
+    assert main(["oracle-compare", "--edges", two_point_file, "--config", cfg,
+                 "--tol", "1e-8"]) == 2
+    assert "above 1.000e-08" in capsys.readouterr().err
+
+
 def test_cli_validate_rejects_truncated_spectral(k3_file, tmp_path, capsys):
     cfg = _write(tmp_path, "trunc.cfg",
                  "parametrix.kind = spectral\nparametrix.n_modes = 1\n")

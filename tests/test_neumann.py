@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -35,8 +36,8 @@ from heatkern.errors import (
     ZeroDegreePoint,
 )
 from heatkern import neumann, timekernel
-from heatkern.neumann import _defect_bound, _pieces
-from heatkern.timekernel import DEFAULT_QUAD, ChebSeries, lobatto_nodes, on_grid
+from heatkern.neumann import _defect_bound
+from heatkern.timekernel import DEFAULT_QUAD, ChebSeries, _pieces, lobatto_nodes, on_grid
 
 from _graphs import random_connected_graph
 
@@ -454,6 +455,16 @@ def test_tiny_horizon_base_keeps_three_coefficients(two_point):
         assert np.max(np.abs(res.K.at(t) - closed_form_two_point(t))) <= res.truncation_bound
 
 
+@pytest.mark.parametrize("T", [1e-13, 1e-15, 1e-20, 1e-300])
+def test_small_horizons_build(two_point, T):
+    # the row-mass sample times scale with T, so none lies past a tiny horizon
+    sp, cond, _ = two_point
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=T), T=T)
+    assert res.truncation_bound < 1e-14
+    for t in np.linspace(0.0, 2.0 * T, 9):
+        assert np.max(np.abs(res.K.at(t) - closed_form_two_point(t))) <= res.K.error(t)
+
+
 @pytest.mark.parametrize("family", ["dirac-combinatorial", "dirac-normalized", "rkhs",
                                     "profile-epanechnikov", "profile-exponential"])
 def test_chopped_base_certifies_no_worse(rng, family, monkeypatch):
@@ -599,6 +610,56 @@ def test_certificate_bound_honored(rng):
         assert worst <= res2.truncation_bound < res.tol, (sp.n, kind, weights, worst)
         rebuilt += 1
     assert rebuilt >= 4
+
+
+def test_error_covers_the_oracle_at_every_time(rng):
+    # K.error(t), the one certified-error rule, against the oracle at 20 times
+    # in [0, 2T] (t = 0 and t < T_b among them): dirac builds of both kinds,
+    # both profiles at tol 1e-5, rkhs builds against e^{-tA} G and a rebuild,
+    # on n <= 10 with uneven measures and weights 0.1..10 or 1e-3..1e3.
+    # K.error(T) is the signed truncation_bound, and K.error never falls
+    T, checked, rebuilt = 1.0, 0, 0
+    for weights in ((0.1, 10.0), (1e-3, 1e3)) * 4:
+        sp, cond, _ = random_connected_graph(rng, n_max=10, weight_range=weights,
+                                             random_measure=True)
+        builds = []
+        for kind in ("combinatorial", "normalized"):
+            A, mu = generator(sp, cond, kind)
+            spec = eigh_weighted(A, mu)
+            heat = functools.partial(spectral_heat, spec)
+            builds.append((_served(lambda tol: build_heat_kernel(
+                dirac_parametrix(sp, cond, kind, horizon=T), T, tol), 1e-8), heat))
+            for profile in ("epanechnikov", "exponential"):
+                p = profile_parametrix(sp, cond, profile, kind=kind, horizon=T)
+                try:
+                    builds.append((build_heat_kernel(p, T, 1e-5), heat))
+                except (InvalidParametrix, NoConvergenceBudget):
+                    pass
+            G = _gram(rng, sp.n, 10.0 ** rng.uniform(0.0, 3.0))
+            builds.append((_served(lambda tol: build_heat_kernel(
+                rkhs_parametrix(sp, G, cond, kind, horizon=T), T, tol), 1e-8),
+                lambda t, A=A, G=G: expm_series(A, t) @ G))
+        f = np.exp(rng.uniform(np.log(0.7), np.log(1.4), size=cond.matrix.shape))
+        moved = Conductance(cond.matrix * (f + f.T) / 2.0)
+        try:
+            res = cross_parametrix_build(builds[0][0], conductance=moved)
+            builds.append((res, functools.partial(
+                spectral_heat, eigh_weighted(*generator(sp, moved, "combinatorial")))))
+            rebuilt += 1
+        except (InvalidParametrix, NoConvergenceBudget):
+            pass
+        for res, exact in builds:
+            K = res.K
+            times = np.sort(np.concatenate([[0.0, res.base_horizon / 2.0, T, 2.0 * T],
+                                            rng.uniform(0.0, 2.0 * T, 16)]))
+            errors = [K.error(t) for t in times]
+            assert K.error(T) == res.truncation_bound
+            assert all(a <= b for a, b in zip(errors, errors[1:]))
+            for t, err in zip(times, errors):
+                dev = float(np.max(np.abs(K.at(t) - exact(t))))
+                assert dev <= err, (res.parametrix_family, t)
+                checked += 1
+    assert checked >= 1000 and rebuilt >= 4
 
 
 def test_certificate_covers_roundoff():

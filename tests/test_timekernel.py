@@ -663,7 +663,8 @@ def test_semigroup_query_order_does_not_move_bits(rng):
     # a chain grown by one large query or level by level holds the same bits
     res, _, gram = _checkpoint_build(rng, "rkhs")
     times = _checkpoint_times(res)
-    up, down = (SemigroupKernel(res.K.base, res.horizon, gram) for _ in range(2))
+    up, down = (SemigroupKernel(res.K.base, res.horizon, gram, res.K.piece_bound)
+                for _ in range(2))
     ascending = {t: up.at(t) for t in times}
     descending = {t: down.at(t) for t in reversed(times)}
     assert all(np.array_equal(ascending[t], descending[t]) for t in times)
@@ -688,7 +689,7 @@ def test_semigroup_chain_shared_between_threads(rng):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            K = SemigroupKernel(res.K.base, res.horizon, None)
+            K = SemigroupKernel(res.K.base, res.horizon, None, res.K.piece_bound)
             start = threading.Barrier(len(orders))
             threads = [threading.Thread(target=query, args=(K, start, order)) for order in orders]
             for th in threads:
