@@ -30,7 +30,7 @@ spec = eigh_weighted(A, mu)
 
 # ---- regularized Green's function --------------------------------------
 # the zero mode is projected out, then the heat kernel is integrated over
-# all time; a spectral sum and a time quadrature must agree
+# all time; a spectral sum and the semigroup doubling must agree
 g = green_regularized(space, cond, spec)
 print("G* (ground mode removed):")
 print(np.array_str(g.G_star, precision=6, suppress_small=True))

@@ -2,9 +2,11 @@
 
 Everything here comes in two routes wherever the underlying object admits
 one: a spectral formula summed over eigenpairs, and a time-domain formula
-integrating the constructed kernel.  The pairs are kept separate on
-purpose; their agreement is the cross-check that the construction is
-right, so nothing below shares intermediate results between routes.
+integrating the constructed kernel; a built kernel's Green's function is
+integrated with no spectral data but its measure.  The pairs are kept
+separate on purpose; their agreement is the cross-check that the
+construction is right, so nothing below shares intermediate results
+between routes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .space import Conductance, PointSpace, connected_components, generator
 from .spectral import SpectralData, eigh_weighted, spectral_heat  # noqa: F401 (bench wraps it)
-from .timekernel import pair
+from .timekernel import U, pair
 from .neumann import HeatKernelResult
 
 
@@ -46,16 +48,6 @@ def _require_route(spec: SpectralData, K: HeatKernelResult | None, tol: float) -
         raise DimensionMismatch("the kernel's pairing is not the spectral data's measure")
 
 
-def _ground_projector(spec: SpectralData) -> np.ndarray:
-    m = spec.zero_multiplicity
-    if m != 1:
-        raise DisconnectedSpace(
-            f"expected a single zero mode, found {m}; the space is not connected"
-        )
-    phi0 = spec.eigenvectors[:, :1]
-    return phi0 @ phi0.T
-
-
 def _green_spectral(spec: SpectralData) -> np.ndarray:
     live = spec.eigenvalues > spec.zero_tol
     lam = spec.eigenvalues[live]
@@ -65,16 +57,11 @@ def _green_spectral(spec: SpectralData) -> np.ndarray:
 
 @dataclass
 class GreenResult:
-    """Regularized inverse of the generator, by both routes.
-
-    quadrature is the time route: the head rectangle t_min (K(t_min) - Pi_0)
-    on [0, t_min] plus the log-time trapezoid on [t_min, horizon], where
-    horizon is the cutoff of the time integral.  budget is what the two
-    routes may differ by: tail_bound (the spectral tail past the horizon
-    and the head rectangle's error), quad_error (the trapezoid's last
-    halving change), the kernel's certified error `K.error` integrated
-    over [0, horizon] (0 for the spectral integrand), and 1e-10 of roundoff.
-    """
+    """Regularized inverse of the generator by both routes: G_star the spectral sum,
+    quadrature J_N = int_0^N (K(t) - Pi_0) dt by doubling the semigroup to the horizon
+    N, tail_bound >= max|G* - J_N|, quad_error >= max|J_N - exact J_N| (the kernel's
+    error and the rounding carried through), and budget = tail_bound + quad_error +
+    1e-10, what the routes may differ by."""
 
     G_star: np.ndarray
     quadrature: np.ndarray
@@ -85,17 +72,6 @@ class GreenResult:
     budget: float
 
 
-def _kernel_error_integral(K: HeatKernelResult, T_cut: float) -> float:
-    """int_0^T_cut of K's certified error K.K.error, nondecreasing in t: charged
-    on [0, T_b] and on each doubling [b, 2b] past it at the right end."""
-    span, a, b = 0.0, 0.0, K.base_horizon
-    while a < T_cut:
-        b = min(b, T_cut)
-        span += K.K.error(b) * (b - a)
-        a, b = b, 2.0 * b
-    return span
-
-
 def _log(x: float) -> float:
     """ln x, or -inf where x is not positive, for the window check to refuse."""
     return math.log(x) if x > 0.0 else -math.inf
@@ -103,18 +79,14 @@ def _log(x: float) -> float:
 
 def _log_time_trapezoid(spec: SpectralData, K: HeatKernelResult | None, Pi0: np.ndarray,
                         weight, u_min: float, u_max: float, tol: float):
-    """int_{u_min}^{u_max} (K(e^u) - Pi_0) weight(u) du, K a build's kernel
-    or, when K is None, the spectral heat kernel.
-
-    The trapezoid rule on 16 panels is halved until two levels differ by
-    less than tol/4, at most nine times.  Refuses (TailUncontrolled) a
-    window that is not finite and increasing.  Returns the integral, the
-    halvings, the last change and the integrand at u_min.
-    """
+    """int_{u_min}^{u_max} (K(e^u) - Pi_0) weight(u) du for `poisson_kernel`, K a
+    build's kernel or, when K is None, the spectral heat kernel: the trapezoid rule
+    on 16 panels, halved until two levels differ by less than tol/4, at most nine
+    times.  Returns the integral and the halvings; refuses (TailUncontrolled) a
+    window that is not finite and increasing."""
     if not -math.inf < u_min < u_max < math.inf:
         raise TailUncontrolled(
-            f"log-time window [{u_min:.6g}, {u_max:.6g}] is not finite and increasing"
-        )
+            f"log-time window [{u_min:.6g}, {u_max:.6g}] is not finite and increasing")
 
     def integrand(u):
         t = math.exp(u)
@@ -124,85 +96,109 @@ def _log_time_trapezoid(spec: SpectralData, K: HeatKernelResult | None, Pi0: np.
     us = np.arange(u_min, u_max + h / 2.0, h)
     vals = [integrand(u) for u in us]
     I = h * (sum(vals) - (vals[0] + vals[-1]) / 2.0)
-    levels = 0
-    while levels < 9:
+    for levels in range(1, 10):
         mids = us[:-1] + h / 2.0
         I_new = I / 2.0 + (h / 2.0) * sum(integrand(u) for u in mids)
         h /= 2.0
         us = np.sort(np.concatenate([us, mids]))
-        levels += 1
-        change = float(np.max(np.abs(I_new - I)))
-        I = I_new
+        change, I = float(np.max(np.abs(I_new - I))), I_new
         if change < tol / 4.0:
             break
-    return I, levels, change, vals[0]
+    return I, levels
 
 
 def green_regularized(space: PointSpace, conductance: Conductance, spec: SpectralData,
                       K: HeatKernelResult | None = None, tol: float = 1e-8) -> GreenResult:
-    """G* = sum over nonzero modes of phi phi^T / lambda, cross-checked.
+    """G* = sum over nonzero modes of phi phi^T / lambda, cross-checked by
+    G* = int_0^inf D_t dt, D_t = K(t) - Pi_0, integrated by doubling the semigroup.
 
-    The quadrature route integrates K(t) - Pi_0 over t from 0 to the
-    cutoff T_cut = ln(10/tol) / gap, where every nonzero mode has decayed
-    below eps = tol/10, with K a build's kernel paired by spec.mu
-    (DimensionMismatch otherwise) or, when K is None, the spectral heat
-    kernel, and spec the combinatorial generator's.  On [t_min, T_cut] it
-    is the log-time trapezoid of `poisson_kernel` with weight e^u
-    (dt = e^u du); the head [0, t_min] is one rectangle,
-    t_min (K(t_min) - Pi_0), the trapezoid's first sample.
+    K is a build paired by spec.mu (DimensionMismatch otherwise) or None for
+    the spectral heat kernel; spec holds the generator's eigenpairs in L^2(mu).
+    On a connected space, with W = diag mu and Pi_0 = 1/mu(X), K >= 0 is
+    symmetric and K W stochastic, so with J_N = int_0^N D, J_2N = J_N + J_N W D_N,
+    D_2N = D_N W D_N and G* - J_N = G* W D_N (N. J. Higham, Functions of
+    Matrices, SIAM 2008, 10.7).  A build starts at N = T_b from K.base(T_b) -
+    Pi_0 and the base series' exact integral T_b (sum_{k even} c_k / (1 - k^2)
+    - Pi_0) (C. W. Clenshaw & A. R. Curtis, Numer. Math. 2, 1960), with no K.at
+    call and only spec.mu read; K None at N = 1/gap from the live modes'
+    phi phi^T times (1 - e^{-lambda N}) / lambda and e^{-lambda N}.
 
-    Head error, for the exact kernel K(t) = sum_k e^{-lambda_k t}
-    phi_k phi_k^T: since 0 <= lambda_k e^{-lambda_k t} <= lambda_max,
-    Cauchy-Schwarz and sum_k phi_k(x)^2 = 1/mu(x) give
-    |d/dt K(x, y)| <= lambda_max / sqrt(mu(x) mu(y)) <= lambda_max / min mu,
-    so the rectangle misses int_0^t_min (K(t) - K(t_min)) dt by at most
-    t_min^2 lambda_max / (2 min mu); t_min makes that at most eps/10.  The
-    same argument gives |K - Pi_0| <= 1/min mu, and t_min <= eps min mu
-    keeps the first sample, and with it the trapezoid's O(h^2) error at
-    u_min, below eps.
+    Proof, entrywise.  Let e_J, e_D bound the computed J~, D~ against the exact
+    J, D, and a_N, the largest mu-weighted row or column sum of |D~| plus
+    mu(X) e_D, bound those of D.  As max|X W D_N| <= a_N max|X|, G* - J_N =
+    (G* - J_N) W D_N + J_N W D_N gives the tail bound max|G* - J_N| <=
+    max|J_N W D_N| / (1 - a_N) for a_N < 1, from the next increment and its
+    error.  With E = computed - exact, J~ W D~ - J W D = E_J W D + J~ W E_D and
+    D~ W D~ - D W D = E_D W D + D W E_D + E_D W E_D.  D and J have zero mu-sums
+    along rows and columns, so |E W D| = |E W K - E W Pi_0| <= max|E| + Pi_0 m as
+    well as a_N max|E|, m the largest |mu-sum| of a row of E, which is the
+    computed matrix's (of a column for D W E), and J W E_D = int_0^N K W E_D -
+    N Pi_0 W E_D.  With mass(J) = max_x sum_z |J(x, z)| mu(z), the errors grow
+    linearly in N before the kernel mixes, as K.error does:
 
-    budget is tail_bound (the spectral tail past T_cut plus the head
-    bound), quad_error (the last halving change, an observed refinement
-    error, charged as it stands if nine halvings do not settle), K.error
-    integrated to T_cut (`_kernel_error_integral`) and 1e-10 of roundoff.
-    A window the numbers make empty or infinite (tol/10 underflowing, say)
-    is refused with TailUncontrolled.
+        e_J(2N) <= e_J + min(a_N e_J, e_J + Pi_0 m_J) + rounding
+                   + min(mass(J~) e_D, N (e_D + Pi_0 m_D) + mu(X) e_J e_D),
+        e_D(2N) <= 2 min(a_N e_D, e_D + Pi_0 m_D) + mu(X) e_D^2 + rounding,
+
+    from e_D = K.error(T_b), which holds on [0, T_b], and e_J = T_b K.error(T_b)
+    (0 for K None).  Rounding, to first order in u with g = (n + d + 4) u, d the
+    base's kept degree: a product X W Y within g mass(X) max|Y|, a mu-sum within
+    g of its absolute terms, a sum within u, the base within g (Pi_0 + max|D|)
+    and g T_b (sum |c_k / (1 - k^2)| + Pi_0) (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3).
+
+    It stops at the first N whose tail bound is below min(tol/4, e_J(N)); see
+    GreenResult.  TailUncontrolled refuses 53 doublings, a gap at or below 1e-8,
+    a second mode within spec.zero_tol, and a tol/10 that is zero or subnormal.
     """
     _require_route(spec, K, tol)
     _require_connected(space, conductance, "regularization")
-    if spec.gap <= 1e-8:
-        raise TailUncontrolled(
-            f"spectral gap {spec.gap:.3g} is below 1e-8; the time integral "
-            f"cannot be truncated"
-        )
-    Pi0 = _ground_projector(spec)
+    if spec.gap <= 1e-8 or spec.zero_multiplicity != 1:
+        raise TailUncontrolled(f"spectral gap {spec.gap:.3g} with {spec.zero_multiplicity} zero "
+                               f"modes: the time integral cannot be truncated")
+    if not tol / 10.0 >= np.finfo(float).tiny:
+        raise TailUncontrolled(f"tol/10 = {tol / 10.0:.3g} underflows: no time window meets it")
+
+    mu, mu_X = spec.mu, float(np.sum(spec.mu))
+    Pi0 = 1.0 / mu_X
+    if K is None:
+        live = spec.eigenvalues > spec.zero_tol
+        lam, phi = spec.eigenvalues[live], spec.eigenvectors[:, live]
+        N, g, e_D, e_J = 1.0 / spec.gap, (spec.n + 4) * U, 0.0, 0.0
+        J = (phi * (-np.expm1(-lam * N) / lam)) @ phi.T
+        D = (phi * np.exp(-lam * N)) @ phi.T
+    else:
+        base = K.K.base
+        N, g, c = base.horizon, (spec.n + base.degree + 4) * U, base.coeffs[::2]
+        w = 1.0 / (1.0 - np.arange(0, base.degree + 1, 2) ** 2.0)
+        J = N * (np.tensordot(w, c, 1) - Pi0)
+        D = base.at(N) - Pi0
+        e_K, sums = K.K.error(N), float(np.max(np.tensordot(np.abs(w), np.abs(c), 1)))
+        e_D, e_J = e_K + g * (Pi0 + float(np.max(np.abs(D)))), N * (e_K + g * (sums + Pi0))
+
+    for _ in range(53):
+        absD = np.abs(D)
+        a = max(float(np.max(mu @ absD)), float(np.max(absD @ mu))) + mu_X * e_D
+        mass = float(np.max(np.abs(J) @ mu))
+        m_D = max(float(np.max(np.abs(D @ mu))), float(np.max(np.abs(mu @ D)))) + g * a
+        m_J = float(np.max(np.abs(J @ mu))) + g * mass
+        step = (J * mu) @ D
+        e_step = (min(a * e_J, e_J + Pi0 * m_J) + g * mass * float(np.max(absD))
+                  + min(mass * e_D, N * (e_D + Pi0 * m_D) + mu_X * e_J * e_D))
+        tail = (float(np.max(np.abs(step))) + e_step) / (1.0 - a) if a < 1.0 else math.inf
+        if tail < min(tol / 4.0, e_J):
+            break
+        J += step
+        e_J += e_step + U * float(np.max(np.abs(J)))
+        e_D = 2.0 * min(a * e_D, e_D + Pi0 * m_D) + mu_X * e_D * e_D + g * a * float(np.max(absD))
+        D = (D * mu) @ D
+        N *= 2.0
+    else:
+        raise TailUncontrolled(f"no tail bound below tol={tol} after 53 doublings, t = {N:.3g}")
+
     G = _green_spectral(spec)
-
-    eps = tol / 10.0
-    T_cut = math.log(10.0 / tol) / spec.gap
-    lam_max, mu_min = float(spec.eigenvalues[-1]), float(np.min(spec.mu))
-    t_min = min(mu_min * eps, math.sqrt(mu_min * eps / (5.0 * lam_max)))
-    # A 1 = 0 on a connected space, so the ground eigenvalue is exactly 0;
-    # the solver's roundoff in it would add about |lambda_0| T_cut^2 / 2 Pi_0
-    ground_exact = replace(spec, eigenvalues=np.concatenate(([0.0], spec.eigenvalues[1:])))
-    I, _, quad_error, head = _log_time_trapezoid(
-        ground_exact, K, Pi0, math.exp, _log(t_min), _log(T_cut), tol)
-    quadrature = head + I
-
-    live = spec.eigenvalues > spec.zero_tol
-    lam = spec.eigenvalues[live]
-    phi = spec.eigenvectors[:, live]
-    phimax2 = float(np.max(np.abs(phi))) ** 2
-    head_bound = t_min * t_min * lam_max / (2.0 * mu_min)
-    tail = float(np.sum(np.exp(-lam * T_cut))) * phimax2 / spec.gap + head_bound
-    kernel_error = 0.0 if K is None else _kernel_error_integral(K, T_cut)
-
-    return GreenResult(
-        G_star=G, quadrature=quadrature,
-        agreement=float(np.max(np.abs(quadrature - G))),
-        tail_bound=tail, quad_error=quad_error, horizon=T_cut,
-        budget=tail + quad_error + kernel_error + 1e-10,
-    )
+    return GreenResult(G_star=G, quadrature=J, agreement=float(np.max(np.abs(J - G))),
+                       tail_bound=tail, quad_error=e_J, horizon=N, budget=tail + e_J + 1e-10)
 
 
 def resolvent(spec: SpectralData, s: float) -> np.ndarray:
@@ -285,11 +281,11 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
                                     exp(-w^2 / (4 e^u) - u/2) du
 
     over a window chosen so both Gaussian-type tails sit below tol/10, by
-    the log-time trapezoid `green_regularized` also uses; the integrand
-    decays doubly exponentially at both ends, so halving converges
-    geometrically.  K is a build paired by spec.mu, whose kernel the time
-    route integrates, or None for the spectral heat kernel.  A window that
-    w or tol make empty or infinite is refused with TailUncontrolled.
+    `_log_time_trapezoid`; the integrand decays doubly exponentially at both
+    ends, so halving converges geometrically.  K is a build paired by spec.mu,
+    whose kernel the time route integrates, or None for the spectral heat
+    kernel.  A window that w or tol make empty or infinite is refused with
+    TailUncontrolled.  The ground eigenvalue is taken as 0 in both routes.
     """
     if not 0.0 < w < math.inf:
         raise NonpositiveTime(f"subordination parameter must be positive and finite, got {w}")
@@ -299,11 +295,14 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
             f"spectral gap {spec.gap:.3g} is too small to truncate the "
             f"subordination integral"
         )
-    lam = np.clip(spec.eigenvalues, 0.0, None)
+    if spec.zero_multiplicity != 1:
+        raise DisconnectedSpace(f"expected a single zero mode, found {spec.zero_multiplicity}; "
+                                f"the space is not connected")
+    Pi0 = spec.eigenvectors[:, :1] @ spec.eigenvectors[:, :1].T
+    # A 1 = 0 on a connected space; the solver's lambda_0 costs w sqrt|lambda_0| Pi_0
+    spec = replace(spec, eigenvalues=np.concatenate(([0.0], spec.eigenvalues[1:])))
     phi = spec.eigenvectors
-    P_spec = (phi * np.exp(-w * np.sqrt(lam))) @ phi.T
-
-    Pi0 = _ground_projector(spec)
+    P_spec = (phi * np.exp(-w * np.sqrt(spec.eigenvalues))) @ phi.T
     if spec.zero_multiplicity == spec.n:
         # everything lives in the ground mode (single point); the
         # subordination integrand vanishes identically
@@ -315,7 +314,7 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
     L0 = math.log(10.0 / tol)
     u_min = _log(w * w / (4.0 * L0)) - 1.0 if L0 > 0.0 else -math.inf
     u_max = _log(L0 / spec.gap) + 1.0
-    I, levels, _, _ = _log_time_trapezoid(
+    I, levels = _log_time_trapezoid(
         spec, K, Pi0, lambda u: math.exp(-w * w / (4.0 * math.exp(u)) - u / 2.0),
         u_min, u_max, tol)
 

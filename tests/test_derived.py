@@ -17,6 +17,7 @@ from heatkern import (
     entropy,
     generator,
     green_regularized,
+    integer_line,
     poisson_kernel,
     resistance,
     resistance_by_current,
@@ -92,47 +93,60 @@ def test_green_quadrature_route_uses_built_kernel(k3):
 
 
 def test_green_budget_integrates_the_bound_past_the_horizon(path3):
-    # on the unit path the cutoff ln(1e9) / gap = 20.7 lies past T = 10: the
-    # kernel's share of the budget is K.error charged at the right end of
-    # [0, T_b] and of each doubling [b/2, b] up to T_cut, at most the doubling
-    # rule bound * (10 + 2 * 10 + 4 * (T_cut - 20)); without a kernel it is 0
+    # the doubling carries the build's K.error(T_b) from T_b to where the
+    # kernel has mixed, past T = 10 on the unit path; the budget is the tail
+    # bound plus that carried error and 1e-10, with or without a kernel
     sp, cond, _ = path3
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
     spec = eigh_weighted(res.generator_matrix, res.weight)
+    for K in (res, None):
+        g = green_regularized(sp, cond, spec, K=K)
+        assert g.budget == g.tail_bound + g.quad_error + 1e-10
+        assert g.agreement <= g.budget
     g = green_regularized(sp, cond, spec, K=res)
-    assert 20.0 < g.horizon < 40.0
-    ends = [0.0] + [min(g.horizon, res.base_horizon * 2.0 ** i)
-                    for i in range(res.squarings + 3)]
-    assert ends[-1] == g.horizon > ends[-2] == 20.0
-    kernel = sum(res.K.error(b) * (b - a) for a, b in zip(ends, ends[1:]))
-    assert g.budget == pytest.approx(g.tail_bound + g.quad_error + kernel + 1e-10,
-                                     rel=1e-14)
-    assert kernel <= res.truncation_bound * (10.0 + 2.0 * 10.0 + 4.0 * (g.horizon - 20.0))
-    assert g.agreement <= g.budget
-    spectral = green_regularized(sp, cond, spec)
-    assert spectral.budget == spectral.tail_bound + spectral.quad_error + 1e-10
+    doublings = math.log2(g.horizon / res.base_horizon)
+    assert doublings == int(doublings) and g.horizon > res.horizon
+    assert g.quad_error >= res.base_horizon * res.K.error(res.base_horizon)
+    assert g.tail_bound < min(1e-8 / 4.0, g.quad_error)
 
 
 def test_green_two_route_agreement_random(rng):
     # weights over two and over six decades, uneven measures, the spectral
-    # heat kernel and a built one: the budget covers every agreement
+    # heat kernel and a built one of either kind, each paired by its own
+    # spectral data: the budget covers every agreement, and a build's
+    # quad_error covers its distance from the spectral J_N on its own
     for weight_range in ((0.1, 10.0), (1e-3, 1e3)):
         for _ in range(5):
             sp, cond, _ = random_connected_graph(rng, n_max=8, weight_range=weight_range,
                                                  random_measure=True)
-            spec = _spec(sp, cond)
-            T = min(10.0, 50.0 / float(spec.eigenvalues[-1]))
-            res = build_heat_kernel(dirac_parametrix(sp, cond), T=T, tol=1e-9)
-            for K in (None, res):
-                g = green_regularized(sp, cond, spec, K=K)
-                assert g.agreement <= g.budget
+            for kind in ("combinatorial", "normalized"):
+                spec = eigh_weighted(*generator(sp, cond, kind))
+                T = min(10.0, 50.0 / float(spec.eigenvalues[-1]))
+                res = build_heat_kernel(dirac_parametrix(sp, cond, kind), T=T, tol=1e-9)
+                for K in (None, res):
+                    g = green_regularized(sp, cond, spec, K=K)
+                    assert g.agreement <= g.budget
+                live = spec.eigenvalues > spec.zero_tol
+                lam, phi = spec.eigenvalues[live], spec.eigenvectors[:, live]
+                J_N = (phi * (-np.expm1(-lam * g.horizon) / lam)) @ phi.T
+                assert np.max(np.abs(g.quadrature - J_N)) <= g.quad_error
+
+
+@pytest.mark.parametrize("radius", [5, 15, 25])
+def test_green_on_the_integer_line(radius):
+    # gaps down to 3.8e-3: the doubling runs far past T = 10 and certifies
+    # below the budget the log-time trapezoid it replaced reached here
+    sp, cond, _ = integer_line(radius)
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+    g = green_regularized(sp, cond, eigh_weighted(res.generator_matrix, res.weight), K=res)
+    assert g.agreement <= g.budget < {5: 2.27e-7, 15: 1.40e-5, 25: 1.06e-4}[radius]
 
 
 class _CountingKernel:
     """A kernel that counts its evaluations."""
 
     def __init__(self, K):
-        self.K, self.calls = K, 0
+        self.K, self.calls, self.base = K, 0, K.base
 
     def at(self, t):
         self.calls += 1
@@ -143,14 +157,14 @@ class _CountingKernel:
 
 
 def test_green_time_route_evaluation_count(path3):
-    # three halvings of the log-time trapezoid, 17 + 16 + 32 + 64 kernel
-    # evaluations; Gauss-Legendre panels of 16 and then 32 points took 336
+    # the doubling starts from the base series and makes its own products:
+    # no K.at call, where the log-time trapezoid made 129
     sp, cond, _ = path3
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
     counted = _CountingKernel(res.K)
     g = green_regularized(sp, cond, _spec(sp, cond), K=dataclasses.replace(res, K=counted),
                           tol=1e-8)
-    assert counted.calls <= 129
+    assert counted.calls == 0
     assert g.agreement <= g.budget
 
 

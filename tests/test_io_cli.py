@@ -352,7 +352,7 @@ def test_cli_green(two_point_file, tmp_path, capsys):
     sp, cond, _ = load_graph(two_point_file)
     G = read_matrix_csv(out / "matrices.csv", sp)[None]
     assert abs(G[0, 0] - 0.25) < 1e-8
-    # the printed budget is the library's (the cutoff 10.4 lies past T = 10)
+    # the printed budget is the library's
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=RunConfig().horizon)
     g = green_regularized(sp, cond, eigh_weighted(res.generator_matrix, res.weight), K=res)
     assert f"(certified budget {g.budget:.3e})" in capsys.readouterr().out
@@ -411,6 +411,18 @@ def test_cli_poisson(two_point_file, tmp_path, capsys):
     P = read_matrix_csv(out / "matrices.csv", sp)[None]
     want = (1.0 + np.exp(-np.sqrt(2.0))) / 2.0
     assert abs(P[0, 0] - want) < 1e-6
+
+
+def test_cli_poisson_sets_the_ground_eigenvalue_to_zero(tmp_path, capsys):
+    # stiff weights 10^U(3, 6) on a 12-point path: the eigensolver leaves the
+    # ground eigenvalue at 1.5e-11, and e^{-w sqrt(lambda_0)} would move both
+    # routes by w sqrt(lambda_0) Pi_0, 1.6e-6 at w = 5, past the 1e-6 limit
+    rng = np.random.default_rng(2)
+    edges = _write(tmp_path, "path.edges", "".join(
+        f"p{i} p{i + 1} {10.0 ** rng.uniform(3.0, 6.0)!r}\n" for i in range(11)))
+    cfg = _write(tmp_path, "short.cfg", "time.horizon = 0.01\nneumann.tol = 1e-8\n")
+    assert main(["poisson", "--edges", edges, "--config", cfg, "--w", "5"]) == 0
+    assert "poisson kernel at w=5" in capsys.readouterr().out
 
 
 def test_cli_poisson_refuses_an_infinite_window(two_point_file, tmp_path, capsys):
