@@ -210,8 +210,15 @@ def resolvent(spec: SpectralData, s: float) -> np.ndarray:
 
 def resistance(space: PointSpace, conductance: Conductance,
                spec: SpectralData) -> np.ndarray:
-    """R(x, y) = G*(x,x) + G*(y,y) - 2 G*(x,y), spec of the combinatorial generator."""
+    """R(x, y) = G*(x,x) + G*(y,y) - 2 G*(x,y), spec of the combinatorial generator.
+
+    G* drops every mode within spec.zero_tol, so spectral data with a second such
+    mode on a connected space (a true eigenvalue that small) is refused with
+    TailUncontrolled, as `green_regularized` refuses it."""
     _require_connected(space, conductance, "resistance")
+    if spec.zero_multiplicity != 1:
+        raise TailUncontrolled(f"{spec.zero_multiplicity} modes within {spec.zero_tol:.3g} of "
+                               f"zero on a connected space: G* would drop a true mode")
     G = _green_spectral(spec)
     d = np.diag(G)
     return d[:, None] + d[None, :] - G - G.T
@@ -285,7 +292,9 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
     ends, so halving converges geometrically.  K is a build paired by spec.mu,
     whose kernel the time route integrates, or None for the spectral heat
     kernel.  A window that w or tol make empty or infinite is refused with
-    TailUncontrolled.  The ground eigenvalue is taken as 0 in both routes.
+    TailUncontrolled.  The ground eigenvalue is taken as 0 in both routes, so
+    spectral data with a second mode within spec.zero_tol is refused with
+    DisconnectedSpace: the space is not connected, or a true eigenvalue is that small.
     """
     if not 0.0 < w < math.inf:
         raise NonpositiveTime(f"subordination parameter must be positive and finite, got {w}")
@@ -296,8 +305,9 @@ def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: flo
             f"subordination integral"
         )
     if spec.zero_multiplicity != 1:
-        raise DisconnectedSpace(f"expected a single zero mode, found {spec.zero_multiplicity}; "
-                                f"the space is not connected")
+        raise DisconnectedSpace(f"expected a single zero mode, found {spec.zero_multiplicity} "
+                                f"within {spec.zero_tol:.3g}: the space is not connected, or "
+                                f"a true eigenvalue is too small to tell from zero")
     Pi0 = spec.eigenvectors[:, :1] @ spec.eigenvectors[:, :1].T
     # A 1 = 0 on a connected space; the solver's lambda_0 costs w sqrt|lambda_0| Pi_0
     spec = replace(spec, eigenvalues=np.concatenate(([0.0], spec.eigenvalues[1:])))

@@ -46,7 +46,6 @@ from .timekernel import (
     _pieces,
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
-    on_grid,
     row_masses,
 )
 
@@ -212,7 +211,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     cache = FoldCache(f, horizon=T_base)
     dense, psis, Cs = None, [], []  # F = dense + sum_l psis[l] (x) Cs[l]
     for terms in range(1, MAX_TERMS + 1):
-        fold, sign = cache.fold(terms) if terms > 1 else on_grid(f, cache.nodes), (-1.0) ** terms
+        fold, sign = cache.fold(terms) if terms > 1 else cache.factor.on_grid, (-1.0) ** terms
         if fold.psi is None:
             dense = sign * fold.C if dense is None else np.add(dense, sign * fold.C, out=dense)
         else:
@@ -237,7 +236,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     del Cs, psis, dense
     Hf = TimeFactor(H, T_base)
     samples = Hf.convolve(F, dense=True).C
-    samples += H.at_many(Hf.nodes)
+    samples += Hf.on_grid.values
     del Hf, F
     base = ChebSeries(parametrix.space, T_base, weight, samples)
     E0, rho, fp = _defect_bound(base, A, K0)

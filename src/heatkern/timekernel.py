@@ -19,7 +19,9 @@ the time variable with composite Gauss-Legendre panels split at t/2:
 Iterated self-convolutions ("folds") are streamed on one grid, DEFAULT_QUAD,
 each made from the one before by the R-term TimeFactor sum_r phi_r(t) M_r:
 an S-term fold gives R S terms (S_r psi_s, M_r W C_s), dense from m+1 on.
-`convolve` is the reference.
+A closed form is factored from its m+1 node samples when they resolve it
+(its Chebyshev series chops), and sketched at the 2p m panel times the
+folds read otherwise.  `convolve` is the reference.
 """
 
 from __future__ import annotations
@@ -270,7 +272,9 @@ class ChebSeries(TimeKernel):
     Of the m+1 coefficients it keeps those before the roundoff plateau of max_{x,y} |c_k|
     (Aurentz & Trefethen's `standard_chop`, at least 3) if the tail dropped, max_{x,y}
     sum_{k>d} |c_k|, is within the DCT's own rounding, (m+1) u max|c_0|.  `degree` is the
-    kept d, bounded by `neumann._defect_bound`; `values` is the series at the m+1 nodes."""
+    kept d, bounded by `neumann._defect_bound`; `values` is the series at the m+1 nodes.
+    The constructor overwrites the sample block it is given with the coefficients: a
+    caller that reads its samples afterwards hands it a copy."""
 
     def __init__(self, space, horizon, weight, values: np.ndarray):
         super().__init__(space, horizon, weight)
@@ -410,13 +414,6 @@ _RESAMPLING = interp_matrix(_UNIT, lobatto_bary_weights(DEFAULT_QUAD.cheb_degree
 _RESAMPLING.flags.writeable = False
 
 
-def on_grid(f: TimeKernel, nodes: np.ndarray) -> ChebKernel:
-    """f at the Chebyshev-Lobatto nodes of [0, nodes[-1]]: one term for a SeparableKernel."""
-    if isinstance(f, SeparableKernel):
-        return ChebKernel(f.space, nodes[-1], f.weight, f.matrix[None], f.phi(nodes)[:, None])
-    return ChebKernel(f.space, nodes[-1], f.weight, f.at_many(nodes))
-
-
 def convolve(F1: TimeKernel, F2: TimeKernel, t: float) -> np.ndarray:
     """Time convolution of two kernels under their shared pairing."""
     if not F1.same_space(F2):
@@ -452,12 +449,21 @@ class TimeFactor:
 
     On the Chebyshev grid t_0 < ... < t_m of [0, horizon] a fold reads f
     only at t_j - tau_jq, tau_jq the 2p panel points of `convolve` at t_j.
-    values[r, j-1, q] = phi_r(t_j - tau_jq), matrices[r] = M_r.
+    values[r, j-1, q] = phi_r(t_j - tau_jq), matrices[r] = M_r, and on_grid
+    is f at the nodes, a ChebKernel: fold 1 of a build, and its starter's
+    node values.
 
-    A SeparableKernel is its own single term.  Any other kernel is factored
-    by a randomized range finder (Halko, Martinsson & Tropp, SIAM Review
-    53, 2011) streamed node by node: a sketch pass sums fixed-seed Gaussian
-    combinations of the samples and keeps the span of the sum above
+    A SeparableKernel is its own single term.  Any other kernel is evaluated
+    once at the m+1 nodes.  If those samples resolve it, that is if their
+    Chebyshev series chops as a `ChebSeries` base does, the factor is read
+    from them alone: M_r are the right singular vectors of the (m+1) x n^2
+    node block above RANK_CUT, and phi_r(t_j - tau_jq) = phi_r(tau_j(2p-1-q))
+    (the panels mirror each other about t_j / 2) applies the barycentric
+    rows of `_RESAMPLING` to phi_r(t_i) = <M_r, f(t_i)>.  An unresolved
+    kernel is factored at the panel times by a randomized range finder
+    (Halko, Martinsson & Tropp, SIAM Review 53, 2011) streamed node by
+    node: a sketch pass sums fixed-seed Gaussian combinations of the
+    samples and keeps the span of the sum above
     RANK_CUT as orthonormal M_r; a projection pass takes phi_r = <M_r, f>
     and the largest entry of f - sum_r phi_r M_r.  The sketch doubles until
     that residual is within RANK_CUT of the largest sample, or it keeps a
@@ -473,22 +479,40 @@ class TimeFactor:
         self.taus, self.gw = _panel_points(self.nodes[1:])
         times = self.nodes[1:, None] - self.taus
         if isinstance(f, SeparableKernel):
+            self.on_grid = ChebKernel(f.space, horizon, f.weight, f.matrix[None],
+                                      f.phi(self.nodes)[:, None])
             self.matrices = f.matrix[None]
             self.values = f.phi(times)[None]
         else:
-            self._sample(f, times)
+            samples = f.at_many(self.nodes)
+            self.on_grid = ChebKernel(f.space, horizon, f.weight, samples)
+            # resolved if its series chops; on a copy, as ChebSeries overwrites its samples
+            if ChebSeries(f.space, horizon, f.weight, samples.copy()).degree < len(times):
+                self._factor_nodes(samples)
+            else:
+                self._sample(f, times)
         self.paired = pair(self.matrices, self.weight)
         # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq), the panels of `convolve` at
         # t_j resampled from the grid: _RESAMPLING, the same on every horizon
         self.S = np.zeros(self.values.shape[:1] + (self.nodes.size,) * 2)
         self.S[:, 1:] = np.einsum("rjq,jqi->rji", self.gw * self.values, _RESAMPLING)
 
+    def _factor_nodes(self, samples: np.ndarray) -> None:
+        flat = samples.reshape(samples.shape[0], -1)
+        _, sv, Vt = np.linalg.svd(flat, full_matrices=False)
+        Q = Vt[:int(np.sum(sv > RANK_CUT * sv[0]))]
+        # the panel rows mirrored, applied to phi_r(t_i) = <M_r, f(t_i)>
+        self.values = np.moveaxis(_RESAMPLING[:, ::-1] @ (flat @ Q.T), -1, 0)
+        self.matrices = Q.reshape((-1,) + samples.shape[1:])
+
     def _sample(self, f: TimeKernel, times: np.ndarray) -> None:
         full = min(f.n ** 2, times.size)
         width = min(SKETCH_WIDTH, full)
         while True:
+            # freed before the projection pass, which holds its own blocks beside on_grid
             omega = np.random.default_rng(SKETCH_SEED).standard_normal(times.shape + (width,))
             Y = sum(f.at_many(ts).reshape(len(ts), -1).T @ om for ts, om in zip(times, omega))
+            del omega
             U, sv, _ = np.linalg.svd(Y, full_matrices=False)
             Q = U[:, :int(np.sum(sv > RANK_CUT * sv[0]))]
             self.values = np.empty((Q.shape[1],) + times.shape)

@@ -294,6 +294,26 @@ def test_resistance_rejects_disconnected():
         resistance_by_current(sp, cond, "a", "c")
 
 
+def test_resistance_refuses_a_true_mode_within_zero_tol():
+    # a connected 7-point graph, weights 1e-4..1e4 and uneven measures, whose
+    # lambda_1 = 1.05e-4 sits below zero_tol = 1.3e-4: the spectral G* would drop
+    # that mode and miss `resistance_by_current` by 3.7e3, so it is refused
+    rng = np.random.default_rng(1)
+    ranges = [(0.1, 10.0), (1e-3, 1e3), (1e-4, 1e4)]
+    for i in range(75):
+        sp, cond, _ = random_connected_graph(rng, n_max=10, weight_range=ranges[i % 3],
+                                             random_measure=True)
+    spec = _spec(sp, cond)
+    assert sp.n == 7 and spec.zero_multiplicity == 2
+    assert spec.zero_tol > spec.eigenvalues[1] > 1e-5
+    with pytest.raises(TailUncontrolled):
+        resistance(sp, cond, spec)
+    with pytest.raises(DisconnectedSpace, match="too small to tell from zero"):
+        poisson_kernel(spec)
+    R = np.array([[resistance_by_current(sp, cond, x, y) for y in sp.points] for x in sp.points])
+    assert np.all(np.isfinite(R)) and R.max() > 10.0
+
+
 # --------------------------------------------------------------- entropy
 
 

@@ -37,7 +37,7 @@ from heatkern.errors import (
 )
 from heatkern import neumann, timekernel
 from heatkern.neumann import _defect_bound
-from heatkern.timekernel import DEFAULT_QUAD, ChebSeries, _pieces, lobatto_nodes, on_grid
+from heatkern.timekernel import DEFAULT_QUAD, ChebSeries, _pieces, lobatto_nodes
 
 from _graphs import random_connected_graph
 
@@ -433,7 +433,7 @@ def test_separable_path_matches_generic_path(rng, family):
     m1 = DEFAULT_QUAD.cheb_degree + 1
     if family in ("dirac", "rkhs"):
         assert isinstance(H, SeparableKernel) and isinstance(f, SeparableKernel)
-        folds = [on_grid(f, cache.nodes)] + [cache.fold(ell) for ell in range(2, 9)]
+        folds = [cache.factor.on_grid] + [cache.fold(ell) for ell in range(2, 9)]
         assert all(k.psi.shape == (m1, 1) and k.C.shape == (1, f.n, f.n) for k in folds)
     else:
         assert cache.factor.values.shape[0] ** 2 >= m1  # fold 2 has R^2 terms

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -321,7 +323,8 @@ def test_rkhs_folds_are_exact_closed_form(rng, kind):
 
 
 def _lowrank_case(case, rng):
-    """(kernel, fold horizon) of a kernel that takes the sampled factor."""
+    """(kernel, fold horizon) of a kernel factored from its samples, at the grid
+    nodes if they resolve it, else by the sketch."""
     if case == "polynomial":
         return _rational_polynomial_kernel(rng)[0], 0.25
     if case == "chebyshev-40":
@@ -331,6 +334,11 @@ def _lowrank_case(case, rng):
         M = rng.standard_normal((40, sp.n, sp.n))
         return ClosedFormKernel(sp, 1.0, sp.lam, lambda ts: np.tensordot(
             np.polynomial.chebyshev.chebvander(2.0 * ts - 1.0, 39), M, axes=1)), 1.0
+    if case == "epanechnikov-below-edges":
+        # every edge (length 1/weight > 1.1) longer than the horizon: H = diag(1/mu) and
+        # f = A H, constant in time, so the node samples resolve f
+        sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.2, 0.9))
+        return profile_parametrix(sp, cond, "epanechnikov", horizon=1.0).heat_image, 0.6
     sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.5, 2.0))
     if case.startswith("profile"):
         # a heavy measure slows the generator enough that edges shorter
@@ -348,7 +356,8 @@ def _lowrank_case(case, rng):
 
 
 @pytest.mark.parametrize("case", ["profile-epanechnikov", "profile-exponential",
-                                  "imported", "spectral", "polynomial", "chebyshev-40"])
+                                  "imported", "spectral", "polynomial", "chebyshev-40",
+                                  "epanechnikov-below-edges"])
 def test_lowrank_folds_match_convolve(rng, case):
     # every grid node of folds 2-6 against one `convolve` call on the same
     # kernel and the same previous fold; they may differ by the factor's
@@ -367,6 +376,51 @@ def test_lowrank_folds_match_convolve(rng, case):
         want = np.stack([convolve(f, prev, t) for t in cache.nodes])
         err = np.max(np.abs(cache.fold(ell).values - want))
         assert err <= 1e-12 * np.max(np.abs(want)), (case, ell, err)
+
+
+def _counting(f, times):
+    """f with an evaluator that appends every time it is asked for to times."""
+    def evaluator(ts):
+        times.extend(ts)
+        return f.evaluator(ts)
+    return ClosedFormKernel(f.space, f.horizon, f.weight, evaluator, f.name)
+
+
+def test_lowrank_cases_take_their_path(rng):
+    # a kernel whose node samples chop (`ChebSeries`) is factored from those m + 1
+    # samples alone; any other is sketched at the 2 p m panel times twice as well
+    nodal = {"spectral", "polynomial", "epanechnikov-below-edges"}
+    sketched = {"profile-epanechnikov", "profile-exponential", "imported", "chebyshev-40"}
+    for case in sorted(nodal | sketched):
+        f, horizon = _lowrank_case(case, rng)
+        times = []
+        factor = TimeFactor(_counting(f, times), horizon)
+        assert np.array_equal(times[:factor.nodes.size], factor.nodes), case
+        if case in nodal:
+            assert len(times) == factor.nodes.size, case
+        else:
+            assert len(times) >= factor.nodes.size + 2 * factor.taus.size, case
+        assert np.array_equal(factor.on_grid.values, f.at_many(factor.nodes)), case
+
+
+def test_resolved_build_reads_each_kernel_once_at_the_nodes(rng):
+    # below its shortest edge (lengths 1/weight > 1.1 against T = 1) the epanechnikov
+    # starter is diag(1/mu) and its image A diag(1/mu): both factors come from the base
+    # grid's nodes, and fold 1 and the assembly reuse those samples, so the build reads
+    # f and H at no panel time and at each node but t = 0 (where validation reads H and
+    # the row-mass scan f) once
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.2, 0.9))
+    p = profile_parametrix(PointSpace(sp.points, np.full(sp.n, 0.1)), cond, "epanechnikov",
+                           horizon=1.0)
+    seen = {"H": [], "f": []}
+    p = dataclasses.replace(p, H=_counting(p.H, seen["H"]),
+                            heat_image=_counting(p.heat_image, seen["f"]))
+    res = build_heat_kernel(p, T=1.0, tol=1e-8)
+    assert res.squarings >= 1
+    nodes = lobatto_nodes(DEFAULT_QUAD.cheb_degree, res.base_horizon)[1:]
+    grid = set(nodes) | set((nodes[:, None] - _panel_points(nodes)[0]).ravel())
+    for name, times in seen.items():
+        assert Counter(t for t in times if t in grid) == Counter(nodes), name
 
 
 def test_factor_convolves_the_terms_of_another_kernels_fold(rng):
