@@ -44,6 +44,7 @@ from .timekernel import (
     TimeKernel,
     U,
     _pieces,
+    _refuse_nonfinite,
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
     lobatto_nodes,
     row_masses,
@@ -189,6 +190,7 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
 
     A, a = parametrix.generator_matrix, _operator_rate(parametrix.generator_matrix)
     norm1 = _row_mass_norm(f, weight, _sample_grid(T))
+    _refuse_nonfinite(f, norm1)  # else the squarings would silently read 0
     rate = max(norm1, a, parametrix.rate)
     gram, m = parametrix.gram if weight.ndim == 2 else None, DEFAULT_QUAD.cheb_degree
     K0 = np.diag(1.0 / weight) if gram is None else gram

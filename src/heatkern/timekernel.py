@@ -20,8 +20,9 @@ Iterated self-convolutions ("folds") are streamed on one grid, DEFAULT_QUAD,
 each made from the one before by the R-term TimeFactor sum_r phi_r(t) M_r:
 an S-term fold gives R S terms (S_r psi_s, M_r W C_s), dense from m+1 on.
 A closed form is factored from its m+1 node samples when they resolve it
-(its Chebyshev series chops), and sketched at the 2p m panel times the
-folds read otherwise.  `convolve` is the reference.
+(its Chebyshev series chops), otherwise from their range, projected on once
+at the 2p m panel times the folds read, and sketched there only if that
+range misses it.  `convolve` is the reference.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     HorizonExceeded,
+    InvalidParametrix,
     SpaceMismatch,
 )
 from .space import PointSpace
@@ -221,8 +223,9 @@ class ChebKernel(TimeKernel):
         return self.C if self.psi is None else np.tensordot(self.psi, self.C, 1)
 
     def sup(self) -> float:
-        """max |values|; for one term max|psi| max|C|, the same number (rounding is monotone)."""
-        if self.psi is None or self.psi.shape[1] > 1:
+        """max |values|, 0 with no terms; for one term max|psi| max|C|, the same number
+        (rounding is monotone)."""
+        if self.psi is None or self.psi.shape[1] != 1:
             return float(np.abs(self.values).max())
         return float(np.abs(self.psi).max() * np.abs(self.C).max())
 
@@ -436,12 +439,20 @@ def convolve(F1: TimeKernel, F2: TimeKernel, t: float) -> np.ndarray:
 
 # ------------------------------------------------------------------ folds
 
-# Sketch singular values below RANK_CUT of the largest are dropped: they
-# sit at the roundoff of the samples.  The fixed seed gives every kernel
-# the same factor on every run.
+# Singular values below RANK_CUT of the largest (of a resolved node block, of
+# a sketch, or of the coefficients on a node range) sit at the roundoff of the
+# samples: they are dropped, and a node range that misses less than that holds
+# its kernel.  The fixed seed gives every kernel the same factor on every run.
 RANK_CUT = 1e-14
 SKETCH_WIDTH = 32
 SKETCH_SEED = 2011
+
+
+def _refuse_nonfinite(f: TimeKernel, top: float) -> None:
+    """InvalidParametrix naming f unless top, the largest |sample| of f read, is finite."""
+    if not math.isfinite(top):
+        raise InvalidParametrix(f"kernel {getattr(f, 'name', '') or type(f).__name__!r} "
+                                f"is not finite on [0, {f.horizon}]")
 
 
 class TimeFactor:
@@ -454,22 +465,33 @@ class TimeFactor:
     node values.
 
     A SeparableKernel is its own single term.  Any other kernel is evaluated
-    once at the m+1 nodes.  If those samples resolve it, that is if their
+    once at the m+1 nodes, and one SVD of the (m+1) x n^2 node block serves
+    both of its paths.  If those samples resolve it, that is if their
     Chebyshev series chops as a `ChebSeries` base does, the factor is read
-    from them alone: M_r are the right singular vectors of the (m+1) x n^2
-    node block above RANK_CUT, and phi_r(t_j - tau_jq) = phi_r(tau_j(2p-1-q))
-    (the panels mirror each other about t_j / 2) applies the barycentric
-    rows of `_RESAMPLING` to phi_r(t_i) = <M_r, f(t_i)>.  An unresolved
-    kernel is factored at the panel times by a randomized range finder
-    (Halko, Martinsson & Tropp, SIAM Review 53, 2011) streamed node by
-    node: a sketch pass sums fixed-seed Gaussian combinations of the
-    samples and keeps the span of the sum above
-    RANK_CUT as orthonormal M_r; a projection pass takes phi_r = <M_r, f>
-    and the largest entry of f - sum_r phi_r M_r.  The sketch doubles until
-    that residual is within RANK_CUT of the largest sample, or it keeps a
-    column to spare (it has seen every direction above the cut), or it
-    spans all n x n matrices or all sample times, where the factor is
-    exact.  Each term convolves through one scalar Volterra matrix S_r into ChebKernels.
+    from them alone: M_r are the right singular vectors above RANK_CUT, and
+    phi_r(t_j - tau_jq) = phi_r(tau_j(2p-1-q)) (the panels mirror each other
+    about t_j / 2) applies the barycentric rows of `_RESAMPLING` to phi_r(t_i)
+    = <M_r, f(t_i)>.  An unresolved kernel is projected at the panel times on
+    the node range, the right singular vectors above the block's own rounding
+    u sigma_0: one pass takes phi_r = <M_r, f> and the residual f - sum_r phi_r
+    M_r.  The node range holds f if that residual, in Frobenius norm over all
+    panel times, is within RANK_CUT of the largest singular value of the
+    (terms x 2p m) coefficient block: what it misses then lies below the cut
+    at which one SVD of that block recuts the terms, as the sketch below cuts
+    its range, and f has been read once at each panel time.  Seen on profile
+    images and starters at n = 32 to 80: a range that holds f misses 0.04 to
+    0.2 of that cut, one that does not (time rank above m+1, or a support
+    edge inside the horizon) 4e3 to 7e13 of it.  Otherwise a randomized range
+    finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011) is streamed node
+    by node: a sketch pass sums fixed-seed Gaussian combinations of the
+    samples and keeps the span of the sum above RANK_CUT as orthonormal M_r,
+    and a projection pass as above follows.  The sketch doubles until the
+    largest entry of the residual is within RANK_CUT of the largest sample,
+    or it keeps a column to spare (it has seen every direction above the
+    cut), or it spans all n x n matrices or all sample times, where the
+    factor is exact.  A sample that is not finite is refused with
+    InvalidParametrix.  Each term convolves through one scalar Volterra
+    matrix S_r into ChebKernels.
     """
 
     def __init__(self, f: TimeKernel, horizon: float):
@@ -483,48 +505,63 @@ class TimeFactor:
                                       f.phi(self.nodes)[:, None])
             self.matrices = f.matrix[None]
             self.values = f.phi(times)[None]
+            _refuse_nonfinite(f, np.maximum(self.on_grid.sup(), np.abs(self.values).max()))
         else:
             samples = f.at_many(self.nodes)
+            _refuse_nonfinite(f, np.abs(samples).max())
             self.on_grid = ChebKernel(f.space, horizon, f.weight, samples)
+            flat = samples.reshape(samples.shape[0], -1)
+            _, sv, Vt = np.linalg.svd(flat, full_matrices=False)
             # resolved if its series chops; on a copy, as ChebSeries overwrites its samples
             if ChebSeries(f.space, horizon, f.weight, samples.copy()).degree < len(times):
-                self._factor_nodes(samples)
+                Q = Vt[:int(np.sum(sv > RANK_CUT * sv[0]))]
+                # the panel rows mirrored, applied to phi_r(t_i) = <M_r, f(t_i)>
+                self.values = np.moveaxis(_RESAMPLING[:, ::-1] @ (flat @ Q.T), -1, 0)
+                self.matrices = Q.reshape((-1,) + samples.shape[1:])
             else:
-                self._sample(f, times)
+                self._sample(f, times, Vt[:int(np.sum(sv > U * sv[0]))].T)
         self.paired = pair(self.matrices, self.weight)
         # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq), the panels of `convolve` at
         # t_j resampled from the grid: _RESAMPLING, the same on every horizon
         self.S = np.zeros(self.values.shape[:1] + (self.nodes.size,) * 2)
         self.S[:, 1:] = np.einsum("rjq,jqi->rji", self.gw * self.values, _RESAMPLING)
 
-    def _factor_nodes(self, samples: np.ndarray) -> None:
-        flat = samples.reshape(samples.shape[0], -1)
-        _, sv, Vt = np.linalg.svd(flat, full_matrices=False)
-        Q = Vt[:int(np.sum(sv > RANK_CUT * sv[0]))]
-        # the panel rows mirrored, applied to phi_r(t_i) = <M_r, f(t_i)>
-        self.values = np.moveaxis(_RESAMPLING[:, ::-1] @ (flat @ Q.T), -1, 0)
-        self.matrices = Q.reshape((-1,) + samples.shape[1:])
-
-    def _sample(self, f: TimeKernel, times: np.ndarray) -> None:
+    def _sample(self, f: TimeKernel, times: np.ndarray, Q: np.ndarray) -> None:
+        # Q: orthonormal columns spanning the node samples, the first basis projected on
         full = min(f.n ** 2, times.size)
-        width = min(SKETCH_WIDTH, full)
+        width = 0  # no sketch yet
         while True:
+            self.values = np.empty((Q.shape[1],) + times.shape)
+            worst = np.zeros(2)  # residual, largest sample
+            missed = 0.0  # the residual's sum of squares
+            for j, ts in enumerate(times):
+                F = f.at_many(ts)
+                top = np.abs(F).max()
+                _refuse_nonfinite(f, top)
+                self.values[:, j] = Q.T @ F.reshape(len(ts), -1).T
+                R = F - (self.values[:, j].T @ Q.T).reshape(F.shape)
+                worst = np.maximum(worst, [np.abs(R).max(), top])
+                missed += np.vdot(R, R)
+            if not width:
+                # the node range holds f if what it misses is below the cut of its own
+                # coefficients, where the sketch cuts its range too: then recut them there
+                P, sv, Vt = np.linalg.svd(self.values.reshape(Q.shape[1], times.size),
+                                          full_matrices=False)
+                cut = RANK_CUT * sv[0] if sv.size else 0.0  # none for a zero kernel
+                if math.sqrt(missed) <= cut:
+                    rank = int(np.sum(sv > cut))
+                    Q = Q @ P[:, :rank]
+                    self.values = (sv[:rank, None] * Vt[:rank]).reshape((rank,) + times.shape)
+                    break
+            elif worst[0] <= RANK_CUT * worst[1] or Q.shape[1] < width or width == full:
+                break
+            width = min(max(2 * width, SKETCH_WIDTH), full)
             # freed before the projection pass, which holds its own blocks beside on_grid
             omega = np.random.default_rng(SKETCH_SEED).standard_normal(times.shape + (width,))
             Y = sum(f.at_many(ts).reshape(len(ts), -1).T @ om for ts, om in zip(times, omega))
             del omega
             U, sv, _ = np.linalg.svd(Y, full_matrices=False)
             Q = U[:, :int(np.sum(sv > RANK_CUT * sv[0]))]
-            self.values = np.empty((Q.shape[1],) + times.shape)
-            worst = np.zeros(2)  # residual, largest sample
-            for j, ts in enumerate(times):
-                F = f.at_many(ts)
-                self.values[:, j] = Q.T @ F.reshape(len(ts), -1).T
-                R = F - (self.values[:, j].T @ Q.T).reshape(F.shape)
-                worst = np.maximum(worst, [np.abs(R).max(), np.abs(F).max()])
-            if worst[0] <= RANK_CUT * worst[1] or Q.shape[1] < width or width == full:
-                break
-            width = min(2 * width, full)
         self.matrices = Q.T.reshape(-1, f.n, f.n)
 
     def convolve(self, g: ChebKernel, dense: bool = False) -> ChebKernel:

@@ -18,6 +18,7 @@ from heatkern import (
     eigh_weighted,
     expm_series,
     generator,
+    integer_line,
     profile_parametrix,
     rkhs_parametrix,
     SeparableKernel,
@@ -289,6 +290,30 @@ def test_cross_build_measure_change(k3):
     spec2 = eigh_weighted(A2, mu2)
     dev = np.max(np.abs(res2.K.at(1.0) - spectral_heat(spec2, 1.0)))
     assert dev < 1e-9
+
+
+def test_noop_rebuild_has_a_zero_image():
+    # with nothing changed the imported image (A_new - A_old) H is identically zero:
+    # fold 1 settles the series, and the rebuilt kernel is the old one
+    sp, cond, _ = integer_line(3)
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=1.0), T=1.0)
+    again = cross_parametrix_build(res)
+    assert again.terms_used == 1 and again.truncation_bound < again.tol
+    for t in (0.1, 0.5, 1.0):
+        assert np.max(np.abs(again.K.at(t) - res.K.at(t))) <= again.truncation_bound
+
+
+def test_build_refuses_a_nonfinite_image():
+    # an image NaN or inf past t = 0.5 passes validation, which reads small times; its
+    # sampled row mass is not finite, and the build refuses it by name
+    sp, cond, _ = integer_line(3)
+    p = dirac_parametrix(sp, cond, horizon=1.0)
+    f = p.heat_image
+    for bad in (np.nan, np.inf):
+        image = ClosedFormKernel(sp, 1.0, p.weight, lambda ts, bad=bad: np.where(
+            (ts > 0.5)[:, None, None], bad, f.at_many(ts)), name="broken-image")
+        with pytest.raises(InvalidParametrix, match="broken-image"):
+            build_heat_kernel(dataclasses.replace(p, heat_image=image), T=1.0)
 
 
 def test_cross_build_stiff_weight_perturbation(rng):

@@ -49,6 +49,7 @@ from heatkern.timekernel import (
 from heatkern.errors import (
     DimensionMismatch,
     HorizonExceeded,
+    InvalidParametrix,
     SpaceMismatch,
 )
 
@@ -173,6 +174,41 @@ def test_ell_fold_zero_kernel(two_point):
     cache = FoldCache(z)
     for ell in (2, 3):
         assert np.max(np.abs(cache.fold(ell).at(1.0))) == 0.0
+
+
+def test_zero_closed_form_has_no_terms():
+    # an identically zero image (a rebuild with nothing changed) spans nothing at its
+    # nodes: its factor and its folds have no terms, and their sup is 0
+    sp, _, _ = integer_line(3)
+    zero = ClosedFormKernel(sp, 1.0, sp.lam, lambda ts: np.zeros((len(ts), sp.n, sp.n)))
+    cache = FoldCache(zero)
+    assert cache.factor.matrices.shape[0] == 0
+    for ell in (2, 3):
+        assert cache.fold(ell).psi.shape[1] == 0
+        assert cache.fold(ell).sup() == 0.0
+        assert not np.any(cache.fold(ell).values)
+
+
+def test_factor_refuses_nonfinite_samples(rng):
+    # NaN or inf at the nodes, at the panel times only, or in a separable profile:
+    # InvalidParametrix naming the kernel, not a failed SVD or a silent NaN factor
+    sp, _, _ = integer_line(3)
+    M = rng.standard_normal((40, sp.n, sp.n))
+    nodes = lobatto_nodes(DEFAULT_QUAD.cheb_degree, 1.0)
+
+    def unresolved(ts):  # time rank 40: the nodes do not resolve it
+        return np.tensordot(np.polynomial.chebyshev.chebvander(2.0 * ts - 1.0, 39), M, 1)
+
+    for bad in (np.nan, np.inf):
+        for where in (lambda ts: ts > 0.5, lambda ts: ~np.isin(ts, nodes)):
+            f = ClosedFormKernel(sp, 1.0, sp.lam, lambda ts, where=where, bad=bad: np.where(
+                where(ts)[:, None, None], bad, unresolved(ts)), name="broken")
+            with pytest.raises(InvalidParametrix, match="broken"):
+                TimeFactor(f, 1.0)
+        f = SeparableKernel(sp, 1.0, sp.lam, lambda ts, bad=bad: np.where(ts > 0.5, bad, 1.0),
+                            M[0], name="broken-profile")
+        with pytest.raises(InvalidParametrix, match="broken-profile"):
+            TimeFactor(f, 1.0)
 
 
 def test_ell_fold_rejects_bad_count(two_point):
@@ -388,18 +424,27 @@ def _counting(f, times):
 
 def test_lowrank_cases_take_their_path(rng):
     # a kernel whose node samples chop (`ChebSeries`) is factored from those m + 1
-    # samples alone; any other is sketched at the 2 p m panel times twice as well
+    # samples alone; any other is projected on the range of those samples at the 2 p m
+    # panel times, once, and is done if that range holds it there; a kernel of time
+    # rank above m + 1, or with a support edge inside the horizon, is sketched at the
+    # panel times after that first pass, and projected again
     nodal = {"spectral", "polynomial", "epanechnikov-below-edges"}
-    sketched = {"profile-epanechnikov", "profile-exponential", "imported", "chebyshev-40"}
-    for case in sorted(nodal | sketched):
+    node_range = {"imported"}
+    sketched = {"profile-epanechnikov", "profile-exponential", "chebyshev-40"}
+    for case in sorted(nodal | node_range | sketched):
         f, horizon = _lowrank_case(case, rng)
         times = []
         factor = TimeFactor(_counting(f, times), horizon)
         assert np.array_equal(times[:factor.nodes.size], factor.nodes), case
+        once = factor.nodes.size + factor.taus.size
         if case in nodal:
             assert len(times) == factor.nodes.size, case
+        elif case in node_range:
+            assert len(times) == once, case
+            assert np.array_equal(times[factor.nodes.size:],
+                                  (factor.nodes[1:, None] - factor.taus).ravel()), case
         else:
-            assert len(times) >= factor.nodes.size + 2 * factor.taus.size, case
+            assert len(times) >= once + 2 * factor.taus.size, case
         assert np.array_equal(factor.on_grid.values, f.at_many(factor.nodes)), case
 
 
@@ -423,6 +468,25 @@ def test_resolved_build_reads_each_kernel_once_at_the_nodes(rng):
         assert Counter(t for t in times if t in grid) == Counter(nodes), name
 
 
+def test_unresolved_build_reads_each_kernel_once_per_panel_time(rng):
+    # the exponential profile at n = 32 keeps all 33 Chebyshev coefficients at the nodes,
+    # so neither f nor H is resolved there, but the range of their node samples holds
+    # them at the panel times: each factor, f's for the folds and H's for the assembly,
+    # reads its kernel once at each node but t = 0 and once at each panel time
+    sp, cond, _ = random_connected_graph(rng, n_min=32, n_max=32, weight_range=(0.5, 2.0))
+    p = profile_parametrix(sp, cond, "exponential", horizon=10.0)
+    seen = {"H": [], "f": []}
+    p = dataclasses.replace(p, H=_counting(p.H, seen["H"]),
+                            heat_image=_counting(p.heat_image, seen["f"]))
+    res = build_heat_kernel(p, T=10.0, tol=1e-5)
+    assert res.squarings >= 1
+    nodes = lobatto_nodes(DEFAULT_QUAD.cheb_degree, res.base_horizon)[1:]
+    grid = np.concatenate([nodes, (nodes[:, None] - _panel_points(nodes)[0]).ravel()])
+    on_grid = set(grid)
+    for name, times in seen.items():
+        assert Counter(t for t in times if t in on_grid) == Counter(grid), name
+
+
 def test_factor_convolves_the_terms_of_another_kernels_fold(rng):
     # a 3-term factor of g against the 9-term fold 2 of another kernel f:
     # 27 terms (S_r psi_s, M_r W C_s), each time column paired with its own
@@ -441,9 +505,11 @@ def test_factor_convolves_the_terms_of_another_kernels_fold(rng):
 
 
 def test_lowrank_factor_is_deterministic(rng):
-    # a sampled factor meets its stopping rule at the times the folds read
-    # (recomputed here one time at a time: its residual is within RANK_CUT
-    # of the largest sample, or the first sketch kept a column to spare),
+    # a factor read at the panel times meets its stopping rule at the times the
+    # folds read (recomputed here one time at a time: its residual is within
+    # RANK_CUT of the largest sample, or it kept fewer terms than a sketch's first
+    # width: a node range that holds it, recut at RANK_CUT, or a sketch with a
+    # column to spare),
     # and a second factor of the same kernel is identical
     f, horizon = _lowrank_case("profile-exponential", rng)
     factor = TimeFactor(f, horizon)
