@@ -21,8 +21,8 @@ each made from the one before by the R-term TimeFactor sum_r phi_r(t) M_r:
 an S-term fold gives R S terms (S_r psi_s, M_r W C_s), dense from m+1 on.
 A closed form is factored from its m+1 node samples when they resolve it
 (its Chebyshev series chops), otherwise from their range, projected on once
-at the 2p m panel times the folds read, and sketched there only if that
-range misses it.  `convolve` is the reference.
+at the 2p m panel times the folds read and extended there by any block it
+misses.  `convolve` is the reference.
 """
 
 from __future__ import annotations
@@ -439,13 +439,11 @@ def convolve(F1: TimeKernel, F2: TimeKernel, t: float) -> np.ndarray:
 
 # ------------------------------------------------------------------ folds
 
-# Singular values below RANK_CUT of the largest (of a resolved node block, of
-# a sketch, or of the coefficients on a node range) sit at the roundoff of the
-# samples: they are dropped, and a node range that misses less than that holds
-# its kernel.  The fixed seed gives every kernel the same factor on every run.
+# Singular values below RANK_CUT of the largest (of a resolved node block, or
+# of the coefficients at the panel times) sit at the roundoff of the samples:
+# they are dropped.  At the panel times it also bounds, in Frobenius norm, what
+# the basis misses (`TimeFactor`); it is not an entrywise bound.
 RANK_CUT = 1e-14
-SKETCH_WIDTH = 32
-SKETCH_SEED = 2011
 
 
 def _refuse_nonfinite(f: TimeKernel, top: float) -> None:
@@ -471,27 +469,31 @@ class TimeFactor:
     from them alone: M_r are the right singular vectors above RANK_CUT, and
     phi_r(t_j - tau_jq) = phi_r(tau_j(2p-1-q)) (the panels mirror each other
     about t_j / 2) applies the barycentric rows of `_RESAMPLING` to phi_r(t_i)
-    = <M_r, f(t_i)>.  An unresolved kernel is projected at the panel times on
-    the node range, the right singular vectors above the block's own rounding
-    u sigma_0: one pass takes phi_r = <M_r, f> and the residual f - sum_r phi_r
-    M_r.  The node range holds f if that residual, in Frobenius norm over all
-    panel times, is within RANK_CUT of the largest singular value of the
-    (terms x 2p m) coefficient block: what it misses then lies below the cut
-    at which one SVD of that block recuts the terms, as the sketch below cuts
-    its range, and f has been read once at each panel time.  Seen on profile
-    images and starters at n = 32 to 80: a range that holds f misses 0.04 to
-    0.2 of that cut, one that does not (time rank above m+1, or a support
-    edge inside the horizon) 4e3 to 7e13 of it.  Otherwise a randomized range
-    finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011) is streamed node
-    by node: a sketch pass sums fixed-seed Gaussian combinations of the
-    samples and keeps the span of the sum above RANK_CUT as orthonormal M_r,
-    and a projection pass as above follows.  The sketch doubles until the
-    largest entry of the residual is within RANK_CUT of the largest sample,
-    or it keeps a column to spare (it has seen every direction above the
-    cut), or it spans all n x n matrices or all sample times, where the
-    factor is exact.  A sample that is not finite is refused with
-    InvalidParametrix.  Each term convolves through one scalar Volterra
-    matrix S_r into ChebKernels.
+    = <M_r, f(t_i)>.
+
+    An unresolved kernel is read once at each panel time, in one pass over
+    the nodes' blocks of 2p times, and projected on an orthonormal basis Q of
+    n x n matrices: at first the node range, the right singular vectors above
+    the block's own rounding u sigma_0.  A block F takes coefficients c = <Q, F>
+    and leaves the residual R = F - sum c Q.  With low the sum of squares of the
+    first coefficient row so far and missed that of the residuals, a block
+    whose |R|_F^2 passes allow = RANK_CUT^2 low - missed first extends Q by the
+    fewest leading right singular vectors of R whose tail sum of squares is
+    within allow (orthogonalized against Q, zero coefficients in the blocks
+    before), and is projected again.  So missed <= RANK_CUT^2 low after every
+    block, with no fallback.  A row norm of a matrix is at most its largest
+    singular value, and low sums squares of entries of the first row of the
+    final (terms x 2p m) coefficient block, so sqrt(low) <= sigma_0 of that
+    block, and sqrt(missed) <= RANK_CUT sigma_0.  One SVD of the block then
+    recuts the terms at RANK_CUT sigma_0, and over all panel times the
+    Frobenius norm of f - sum_r phi_r M_r is at most RANK_CUT sigma_0
+    sqrt(1 + d), d the terms dropped.  The bound is in Frobenius norm, not
+    entrywise.  Seen on profile images and starters at n = 32 to 80: the
+    node range holds f, missing 0.04 to 0.2 of that cut, and no block extends
+    it; a kernel of time rank above m+1, or with a support edge inside the
+    horizon, extends it.  The factor depends on f alone.  A sample that is
+    not finite is refused with InvalidParametrix.  Each term convolves
+    through one scalar Volterra matrix S_r into ChebKernels.
     """
 
     def __init__(self, f: TimeKernel, horizon: float):
@@ -527,42 +529,32 @@ class TimeFactor:
         self.S[:, 1:] = np.einsum("rjq,jqi->rji", self.gw * self.values, _RESAMPLING)
 
     def _sample(self, f: TimeKernel, times: np.ndarray, Q: np.ndarray) -> None:
-        # Q: orthonormal columns spanning the node samples, the first basis projected on
-        full = min(f.n ** 2, times.size)
-        width = 0  # no sketch yet
-        while True:
-            self.values = np.empty((Q.shape[1],) + times.shape)
-            worst = np.zeros(2)  # residual, largest sample
-            missed = 0.0  # the residual's sum of squares
-            for j, ts in enumerate(times):
-                F = f.at_many(ts)
-                top = np.abs(F).max()
-                _refuse_nonfinite(f, top)
-                self.values[:, j] = Q.T @ F.reshape(len(ts), -1).T
-                R = F - (self.values[:, j].T @ Q.T).reshape(F.shape)
-                worst = np.maximum(worst, [np.abs(R).max(), top])
-                missed += np.vdot(R, R)
-            if not width:
-                # the node range holds f if what it misses is below the cut of its own
-                # coefficients, where the sketch cuts its range too: then recut them there
-                P, sv, Vt = np.linalg.svd(self.values.reshape(Q.shape[1], times.size),
-                                          full_matrices=False)
-                cut = RANK_CUT * sv[0] if sv.size else 0.0  # none for a zero kernel
-                if math.sqrt(missed) <= cut:
-                    rank = int(np.sum(sv > cut))
-                    Q = Q @ P[:, :rank]
-                    self.values = (sv[:rank, None] * Vt[:rank]).reshape((rank,) + times.shape)
-                    break
-            elif worst[0] <= RANK_CUT * worst[1] or Q.shape[1] < width or width == full:
-                break
-            width = min(max(2 * width, SKETCH_WIDTH), full)
-            # freed before the projection pass, which holds its own blocks beside on_grid
-            omega = np.random.default_rng(SKETCH_SEED).standard_normal(times.shape + (width,))
-            Y = sum(f.at_many(ts).reshape(len(ts), -1).T @ om for ts, om in zip(times, omega))
-            del omega
-            U, sv, _ = np.linalg.svd(Y, full_matrices=False)
-            Q = U[:, :int(np.sum(sv > RANK_CUT * sv[0]))]
-        self.matrices = Q.T.reshape(-1, f.n, f.n)
+        # Q: orthonormal columns spanning the node samples, extended where a block needs it
+        self.values = np.empty((Q.shape[1],) + times.shape)
+        low = missed = 0.0  # sums of squares of the first coefficient row and of the residual
+        for j, ts in enumerate(times):
+            F = f.at_many(ts)
+            _refuse_nonfinite(f, np.abs(F).max())
+            F = F.reshape(len(ts), -1)
+            self.values[:, j] = Q.T @ F.T
+            R = F - self.values[:, j].T @ Q.T
+            low += np.vdot(self.values[:1, j], self.values[:1, j])  # 0 while Q is empty
+            allow = max(RANK_CUT ** 2 * low - missed, 0.0)
+            if np.vdot(R, R) > allow:
+                # the fewest leading right singular vectors of R whose tail is within allow
+                _, s, Vt = np.linalg.svd(R, full_matrices=False)
+                V = Vt[:s.size - int(np.sum(np.cumsum(s[::-1] ** 2) <= allow))].T
+                Q = np.hstack([Q, np.linalg.qr(V - Q @ (Q.T @ V))[0]])
+                self.values = np.concatenate([self.values, np.zeros((V.shape[1],) + times.shape)])
+                self.values[:, j] = Q.T @ F.T
+                R = F - self.values[:, j].T @ Q.T
+            missed += np.vdot(R, R)
+        # one SVD of the coefficients recuts the terms at RANK_CUT of the largest
+        P, sv, Vt = np.linalg.svd(self.values.reshape(Q.shape[1], times.size),
+                                  full_matrices=False)
+        rank = int(np.sum(sv > RANK_CUT * sv[0])) if sv.size else 0  # none for a zero kernel
+        self.values = (sv[:rank, None] * Vt[:rank]).reshape((rank,) + times.shape)
+        self.matrices = (Q @ P[:, :rank]).T.reshape(-1, f.n, f.n)
 
     def convolve(self, g: ChebKernel, dense: bool = False) -> ChebKernel:
         """f * g at the grid nodes from g's terms there, as dense samples if asked."""
