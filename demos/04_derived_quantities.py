@@ -72,6 +72,6 @@ print(f"  limit {-math.log(3.0):10.6f}  (uniform over 3 unit masses)")
 # integrate the heat kernel against the stable-1/2 density and compare to
 # the direct spectral formula exp(-w sqrt(A))
 p = poisson_kernel(spec, K=res, w=1.0)
-print(f"\nPoisson at w=1: route deviation {p.deviation:.3e} "
-      f"after {p.levels} quadrature refinements")
+print(f"\nPoisson at w=1: route deviation {p.deviation:.3e} from {p.nodes} "
+      f"kernel reads (certified budget {p.budget:.3e})")
 print(np.array_str(p.subordinated, precision=6, suppress_small=True))

@@ -237,12 +237,13 @@ def _cmd_poisson(args, report, outdir, space, cond, cfg, result):
     spec = eigh_weighted(result.generator_matrix, result.weight)
     threshold = args.tol if args.tol is not None else 1e-6
     res = poisson_kernel(spec, result, w=args.w, tol=threshold / 10.0)
-    report["defects"] = {"quad_levels": res.levels}
+    report["defects"] = {"quad_nodes": res.nodes, "budget": res.budget}
     if outdir:
         write_matrix_csv(outdir / "matrices.csv", space,
                          [(None, res.subordinated)])
     print(f"poisson kernel at w={fmt(args.w)}: subordination vs spectral "
-          f"deviation {res.deviation:.3e} after {res.levels} refinements")
+          f"deviation {res.deviation:.3e} from {res.nodes} kernel reads "
+          f"(certified budget {res.budget:.3e})")
     _verdict(report, res.deviation, threshold,
              "subordination route deviates from the spectral route")
 

@@ -2,9 +2,11 @@
 
 Everything here comes in two routes wherever the underlying object admits
 one: a spectral formula summed over eigenpairs, and a time-domain formula
-integrating the constructed kernel; a built kernel's Green's function is
-integrated with no spectral data but its measure.  The pairs are kept
-separate on purpose; their agreement is the cross-check that the
+integrating the constructed kernel.  A built kernel's Green's function is
+integrated with no spectral data but its measure, and its Poisson kernel
+with no more than its measure and gap; each time route stops by a proof,
+not by a test, and reports the budget the routes may differ by.  The pairs
+are kept separate on purpose; their agreement is the cross-check that the
 construction is right, so nothing below shares intermediate results
 between routes.
 """
@@ -70,41 +72,6 @@ class GreenResult:
     quad_error: float
     horizon: float
     budget: float
-
-
-def _log(x: float) -> float:
-    """ln x, or -inf where x is not positive, for the window check to refuse."""
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _log_time_trapezoid(spec: SpectralData, K: HeatKernelResult | None, Pi0: np.ndarray,
-                        weight, u_min: float, u_max: float, tol: float):
-    """int_{u_min}^{u_max} (K(e^u) - Pi_0) weight(u) du for `poisson_kernel`, K a
-    build's kernel or, when K is None, the spectral heat kernel: the trapezoid rule
-    on 16 panels, halved until two levels differ by less than tol/4, at most nine
-    times.  Returns the integral and the halvings; refuses (TailUncontrolled) a
-    window that is not finite and increasing."""
-    if not -math.inf < u_min < u_max < math.inf:
-        raise TailUncontrolled(
-            f"log-time window [{u_min:.6g}, {u_max:.6g}] is not finite and increasing")
-
-    def integrand(u):
-        t = math.exp(u)
-        return ((spectral_heat(spec, t) if K is None else K.K.at(t)) - Pi0) * weight(u)
-
-    h = (u_max - u_min) / 16.0
-    us = np.arange(u_min, u_max + h / 2.0, h)
-    vals = [integrand(u) for u in us]
-    I = h * (sum(vals) - (vals[0] + vals[-1]) / 2.0)
-    for levels in range(1, 10):
-        mids = us[:-1] + h / 2.0
-        I_new = I / 2.0 + (h / 2.0) * sum(integrand(u) for u in mids)
-        h /= 2.0
-        us = np.sort(np.concatenate([us, mids]))
-        change, I = float(np.max(np.abs(I_new - I))), I_new
-        if change < tol / 4.0:
-            break
-    return I, levels
 
 
 def green_regularized(space: PointSpace, conductance: Conductance, spec: SpectralData,
@@ -268,72 +235,101 @@ def entropy(result: HeatKernelResult, x, t: float) -> float:
 
 @dataclass
 class PoissonResult:
-    """Subordinated kernel exp(-w sqrt(A)), by both routes."""
+    """exp(-w sqrt(A)) by both routes: spectral, the damped modes; subordinated, one
+    trapezoid pass over `nodes` kernel reads in the log-time window (u_lo, u_hi); budget,
+    the bound `poisson_kernel` proves on max|subordinated - exact| + 1e-10."""
 
     spectral: np.ndarray
     subordinated: np.ndarray
     deviation: float
-    levels: int
+    nodes: int
     window: tuple
+    budget: float
 
 
 def poisson_kernel(spec: SpectralData, K: HeatKernelResult | None = None, w: float = 1.0,
                    tol: float = 1e-8) -> PoissonResult:
     """exp(-w sqrt(A)) via the square-root subordination of the heat flow.
 
-    Spectral route: damp each mode by exp(-w sqrt(lambda)).  Time route:
-    after substituting t = e^u, the subordination integral becomes
+    Spectral route: damp each mode by exp(-w sqrt(lambda)), lambda_0 taken as 0.  Time
+    route, t = e^u: exp(-w sqrt(A)) = Pi_0 + int F(u) du, F(u) = c g(u) (K(e^u) - Pi_0), c =
+    w / sqrt(4 pi), g(u) = exp(-w^2 / (4 e^u) - u/2), Pi_0 = 1/mu(X), by one trapezoid pass
+    h sum_k F(u_k), u_k = u_lo + k h for k = 0..N, u_N >= u_hi.  K is a build paired by
+    spec.mu, read once per node, or None for the spectral heat kernel.  TailUncontrolled
+    refuses a gap at or below 1e-8 and a window that w or tol make empty or infinite;
+    DisconnectedSpace a second mode within spec.zero_tol (the space is not connected, or
+    a true eigenvalue is that small).
 
-        Pi_0 + w / sqrt(4 pi) * int (K(e^u) - Pi_0)
-                                    exp(-w^2 / (4 e^u) - u/2) du
-
-    over a window chosen so both Gaussian-type tails sit below tol/10, by
-    `_log_time_trapezoid`; the integrand decays doubly exponentially at both
-    ends, so halving converges geometrically.  K is a build paired by spec.mu,
-    whose kernel the time route integrates, or None for the spectral heat
-    kernel.  A window that w or tol make empty or infinite is refused with
-    TailUncontrolled.  The ground eigenvalue is taken as 0 in both routes, so
-    spectral data with a second mode within spec.zero_tol is refused with
-    DisconnectedSpace: the space is not connected, or a true eigenvalue is that small.
+    Proof, entrywise, with m = min mu, a = pi/4 and n points.  As sum_k phi_k(x)^2 =
+    1/mu(x), the exact |K(s) - Pi_0| <= e^{-gap Re s} / m for Re s >= 0; as Re e^{u+iv} >=
+    e^u cos a for |v| <= a, and int_0^inf s^{-3/2} e^{-alpha/s - beta s} ds = sqrt(pi/alpha)
+    e^{-2 sqrt(alpha beta)}, int |F(u + iv)| du <= M = e^{-w sqrt(gap) cos a} / (m sqrt(cos
+    a)).  The bi-infinite sum then misses the integral by at most 2M / (e^{2 pi a/h} - 1)
+    (L. N. Trefethen & J. A. C. Weideman, SIAM Review 56(3), 2014, Thm 5.1), within tol/4
+    for h = 2 pi a / ln(1 + 8M/tol) or any smaller h, as the cap at a quarter of the window.
+    Left: c g(u) / m bounds |F| and increases below s = e^u = w^2/2, so the terms before
+    u_lo sum to at most erfc(w / (2 sqrt(s_lo))) / m <= e^{-w^2 / (4 s_lo)} / m, within
+    tol/8 for s_lo <= w^2 / (4 max(ln(8 / (m tol)), 1/2)).  Right: c s^{-1/2} e^{-gap s} / m
+    bounds |F| and decreases, so the terms past u_N sum to at most c int_{s_hi}^inf s^{-3/2}
+    e^{-gap s} ds / m <= w e^{-gap s_hi} / (m sqrt(pi s_hi)) if gap s_hi >= 1, within tol/8
+    for s_hi >= max(1, ln(8 w sqrt(gap) / (sqrt(pi) m tol))) / gap.  The window takes each
+    edge one unit of log time further out, which keeps both bounds, so that it is empty
+    only where these edges cross by two units; the budget evaluates the tails there.  A
+    build's kernel adds sum_k h c g(u_k) K.error(e^{u_k}).  Rounding, to first order in u,
+    as |D| <= 1/m for D = K(e^z) - Pi_0 on the strip: a node and its time lie within (1 +
+    |u_lo| + 2|u_k|) u of u_k, moving F by at most that times c g(u_k) (w^2 / (4 e^{u_k})
+    + 2) / m by Cauchy's estimate; a weight rounds within (6 + 4|x_k|) u, x_k the exponent
+    of g, D and the product within 2u, the sum within N u, and Pi_0 within (n + 1) u Pi_0
+    <= 2u/m (times 1 + sum_k h c g(u_k)) and its sum within u/m.  The budget adds these
+    bounds and the 1e-10 the spectral route may miss by.
     """
     if not 0.0 < w < math.inf:
         raise NonpositiveTime(f"subordination parameter must be positive and finite, got {w}")
     _require_route(spec, K, tol)
     if spec.n > 1 and spec.gap <= 1e-8:
-        raise TailUncontrolled(
-            f"spectral gap {spec.gap:.3g} is too small to truncate the "
-            f"subordination integral"
-        )
+        raise TailUncontrolled(f"spectral gap {spec.gap:.3g} is too small to truncate the "
+                               f"subordination integral")
     if spec.zero_multiplicity != 1:
         raise DisconnectedSpace(f"expected a single zero mode, found {spec.zero_multiplicity} "
                                 f"within {spec.zero_tol:.3g}: the space is not connected, or "
                                 f"a true eigenvalue is too small to tell from zero")
-    Pi0 = spec.eigenvectors[:, :1] @ spec.eigenvectors[:, :1].T
+    Pi0 = 1.0 / float(np.sum(spec.mu))
     # A 1 = 0 on a connected space; the solver's lambda_0 costs w sqrt|lambda_0| Pi_0
     spec = replace(spec, eigenvalues=np.concatenate(([0.0], spec.eigenvalues[1:])))
     phi = spec.eigenvectors
     P_spec = (phi * np.exp(-w * np.sqrt(spec.eigenvalues))) @ phi.T
-    if spec.zero_multiplicity == spec.n:
-        # everything lives in the ground mode (single point); the
-        # subordination integrand vanishes identically
-        return PoissonResult(
-            spectral=P_spec, subordinated=Pi0.copy(),
-            deviation=float(np.max(np.abs(Pi0 - P_spec))),
-            levels=0, window=(0.0, 0.0),
-        )
-    L0 = math.log(10.0 / tol)
-    u_min = _log(w * w / (4.0 * L0)) - 1.0 if L0 > 0.0 else -math.inf
-    u_max = _log(L0 / spec.gap) + 1.0
-    I, levels = _log_time_trapezoid(
-        spec, K, Pi0, lambda u: math.exp(-w * w / (4.0 * math.exp(u)) - u / 2.0),
-        u_min, u_max, tol)
+    P_sub = np.full((spec.n, spec.n), Pi0)
+    if spec.n == 1:  # all in the ground mode: the subordination integrand vanishes
+        return PoissonResult(spectral=P_spec, subordinated=P_sub, nodes=0, window=(0.0, 0.0),
+                             deviation=float(np.max(np.abs(P_sub - P_spec))), budget=1e-10)
 
-    P_sub = Pi0 + (w / math.sqrt(4.0 * math.pi)) * I
-    return PoissonResult(
-        spectral=P_spec, subordinated=P_sub,
-        deviation=float(np.max(np.abs(P_sub - P_spec))),
-        levels=levels, window=(u_min, u_max),
-    )
+    m, gap, a = float(np.min(spec.mu)), spec.gap, math.pi / 4.0
+    # in logs, which stay finite where products of w, m and tol over- or underflow
+    ln_mt = math.log(m) + math.log(tol)
+    s_lo = w * w / (4.0 * math.e * max(math.log(8.0) - ln_mt, 0.5))
+    s_hi = math.e * max(1.0, math.log(8.0 * w) + 0.5 * math.log(gap / math.pi) - ln_mt) / gap
+    if not 0.0 < s_lo < s_hi < math.inf:
+        raise TailUncontrolled(f"window [{s_lo:.3g}, {s_hi:.3g}] is not finite and increasing")
+    u_lo, u_hi = math.log(s_lo), math.log(s_hi)
+    y = math.log(8.0 / math.sqrt(math.cos(a))) - w * math.sqrt(gap) * math.cos(a) - ln_mt
+    h = min(2.0 * math.pi * a / (max(y, 0.0) + math.log1p(math.exp(-abs(y)))),  # ln(1 + e^y)
+            (u_hi - u_lo) / 4.0)
+    u = u_lo + h * np.arange(math.ceil((u_hi - u_lo) / h) + 1)
+    t = np.exp(u)
+    x = -w * w / (4.0 * t) - u / 2.0
+    wts = h * (w / math.sqrt(4.0 * math.pi)) * np.exp(x)
+    S = np.zeros_like(P_sub)
+    for tk, wk in zip(t.tolist(), wts.tolist()):
+        S += wk * ((spectral_heat(spec, tk) if K is None else K.K.at(tk)) - Pi0)
+    P_sub += S
+    kernel = 0.0 if K is None else float(wts @ [K.K.error(tk) for tk in t.tolist()])
+    shift = (1.0 + abs(u_lo) + 2.0 * np.abs(u)) * (w * w / (4.0 * t) + 2.0)
+    rounding = U / m * (float(wts @ (len(u) + 10.0 + 4.0 * np.abs(x) + shift)) + 3.0)
+    tails = (math.erfc(w / (2.0 * math.sqrt(s_lo))) / m
+             + w * math.exp(-gap * s_hi) / (m * math.sqrt(math.pi * s_hi)))
+    return PoissonResult(spectral=P_spec, subordinated=P_sub, nodes=len(u), window=(u_lo, u_hi),
+                         deviation=float(np.max(np.abs(P_sub - P_spec))),
+                         budget=tol / 4.0 + tails + kernel + rounding + 1e-10)
 
 
 @dataclass

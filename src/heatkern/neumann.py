@@ -87,9 +87,9 @@ def _row_mass_norm(f: TimeKernel, weight: np.ndarray, ts: np.ndarray) -> float:
     return float(np.max(f.per_time(ts, lambda M: row_masses(M, weight))))
 
 
-def _sample_grid(horizon: float, m: int = 48) -> np.ndarray:
-    dense = lobatto_nodes(m, horizon)
-    small = np.geomspace(horizon * 1e-6, horizon / m, 8)
+def _sample_grid(horizon: float) -> np.ndarray:
+    dense = lobatto_nodes(48, horizon)
+    small = np.geomspace(horizon * 1e-6, horizon / 48, 8)
     return np.unique(np.concatenate([dense, small]))
 
 

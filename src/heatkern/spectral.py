@@ -46,7 +46,7 @@ def _round_robin(n: int):
     return rounds
 
 
-def jacobi_eigh(S, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigh(S, max_sweeps: int = 60):
     """Eigendecomposition of a symmetric matrix by parallel-ordered Jacobi.
 
     Each sweep visits every off-diagonal pair once, in the round-robin
@@ -55,7 +55,7 @@ def jacobi_eigh(S, tol: float = 1e-14, max_sweeps: int = 60):
     Disjoint rotations commute and leave each other's 2x2 blocks alone,
     so a round takes all its angles from the matrix it starts from and
     applies them as whole-array operations.  Sweeps continue until the
-    off-diagonal Frobenius norm falls below tol times the matrix scale;
+    off-diagonal Frobenius norm falls below 1e-14 times the matrix scale;
     NoConvergenceBudget if max_sweeps sweeps do not get there.  Returns
     (eigenvalues ascending, orthonormal eigenvectors as columns).
     """
@@ -63,7 +63,7 @@ def jacobi_eigh(S, tol: float = 1e-14, max_sweeps: int = 60):
     n = A.shape[0]
     V = np.eye(n)
     scale = math.sqrt(float(np.sum(A * A))) or 1.0
-    skip = tol * scale * 1e-2
+    skip = 1e-14 * scale * 1e-2
     mask = ~np.eye(n, dtype=bool)
     rounds = _round_robin(n)
     for sweep in range(max_sweeps + 1):
@@ -72,12 +72,12 @@ def jacobi_eigh(S, tol: float = 1e-14, max_sweeps: int = 60):
         # off part is small and can report zero while entries sit at
         # sqrt(eps) scale.
         off = math.sqrt(max(float(np.sum(A[mask] ** 2)), 0.0))
-        if off <= tol * scale:
+        if off <= 1e-14 * scale:
             break
         if sweep == max_sweeps:
             raise NoConvergenceBudget(
                 f"Jacobi eigensolver left off-diagonal norm {off:.3e} above "
-                f"{tol * scale:.3e} after {max_sweeps} sweeps"
+                f"{1e-14 * scale:.3e} after {max_sweeps} sweeps"
             )
         for P, Q in rounds:
             apq = A[P, Q]
@@ -185,11 +185,11 @@ def spectral_heat(spec: SpectralData, t: float) -> np.ndarray:
     return (phi * np.exp(-spec.eigenvalues * t)) @ phi.T
 
 
-def expm_series(A, t: float, tol: float = 1e-13) -> np.ndarray:
+def expm_series(A, t: float) -> np.ndarray:
     """exp(-t A) by scaling and squaring with a truncated Taylor core.
 
     Scales so the Taylor argument has 1-norm at most 1/2, sums terms until
-    they fall below the (squaring-adjusted) tolerance, then squares back.
+    they fall below 1e-13 (adjusted for the squarings), then squares back.
     Independent of the eigensolver path.  A time or an operator entry that
     is not finite raises HorizonExceeded or NotSelfAdjoint.
     """
@@ -205,7 +205,7 @@ def expm_series(A, t: float, tol: float = 1e-13) -> np.ndarray:
     C = B / (2.0 ** s)
     X = np.eye(n)
     term = np.eye(n)
-    target = tol / (2.0 ** (s + 1))
+    target = 1e-13 / (2.0 ** (s + 1))
     for j in range(1, 200):
         term = term @ C / j
         X = X + term

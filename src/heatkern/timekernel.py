@@ -342,13 +342,14 @@ class SemigroupKernel(TimeKernel):
     a, |B̃ - B| <= b entrywise ((Ã - A) W B is within a, the columns of W B summing to one);
     a product rounds within n u max|K(0)|, (un)pairing within u max|K(0)|.  Each product,
     in the chain or in `at`, joins two runs of pieces, so a product over c pieces takes at
-    most c - 1 of them: to first order the errors of the c = max(1, ceil(t/T_b)) pieces
-    add, each within eps = piece_bound, and error(t) = c eps.  For a Gram G = W^-1, pieces
-    within eps of K W in max_x sum_y |.| compose within (1 + eps)^c - 1, and K = (K W) G
-    within max|G| times that: error(t) = max|G| ((1 + eps)^c - 1), inf past e^700.  The
-    build signs error(T), c = 2^squarings, as `truncation_bound`; error is nondecreasing
-    in t.  r in (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q < 2^ceil(log2(t/T_b)) keeps
-    the products, at most popcount(q), within the squarings of halving t onto T_b.
+    most c - 1 of them: to first order the errors of the c = q + 1 = max(1, ceil(t/T_b))
+    pieces `at` multiplies add, each within eps = piece_bound, and error(t) = c eps.  For a
+    Gram G = W^-1, pieces within eps of K W in max_x sum_y |.| compose within (1 + eps)^c
+    - 1, and K = (K W) G within max|G| times that: error(t) = max|G| ((1 + eps)^c - 1), inf
+    past e^700.  The build signs error(T), c = 2^squarings, as `truncation_bound`; error is
+    nondecreasing in t.  r in (0, T_b] keeps t = 2^j T_b at 2^j pieces, and q <
+    2^ceil(log2(t/T_b)) keeps the products, at most popcount(q), within the squarings of
+    halving t onto T_b.
     """
 
     def __init__(self, base: ChebSeries, horizon: float, weight_inv: np.ndarray | None,
@@ -359,15 +360,8 @@ class SemigroupKernel(TimeKernel):
         self.piece_bound = piece_bound
         self._chain = ()
 
-    def error(self, t: float) -> float:
-        """The certified sup-norm error of `at(t)`; refuses the times `at` refuses."""
-        c = float(t) / self.base.horizon
-        if not 0.0 <= c < 2.0 ** 53:
-            raise HorizonExceeded(f"time {t} is negative, not finite, or 2^53 or more "
-                                  f"base horizons of {self.base.horizon}")
-        return _pieces(self.piece_bound, max(1, math.ceil(c)), self._winv)
-
-    def at(self, t: float) -> np.ndarray:
+    def _split(self, t: float) -> tuple[float, int]:
+        """t = r + q T_b to the last bit, r in (0, T_b] (0 at t = 0), in q + 1 pieces."""
         t, Tb = float(t), self.base.horizon
         # q < 2^53 is exact and holds the chain to 18 levels; past it eps_b ceil(t/T_b) >> 1
         if not 0.0 <= t / Tb < 2.0 ** 53:  # NaN and inf fail too
@@ -375,12 +369,20 @@ class SemigroupKernel(TimeKernel):
                                   f"base horizons of {Tb}")
         # fmod is exact, so r + q Tb is t to the last bit; r = 0 moves to Tb
         r = math.fmod(t, Tb) or min(t, Tb)
-        q = round((t - r) / Tb)
+        return r, round((t - r) / Tb)
+
+    def error(self, t: float) -> float:
+        """The certified sup-norm error of `at(t)`; refuses the times `at` refuses."""
+        return _pieces(self.piece_bound, self._split(t)[1] + 1, self._winv)
+
+    def at(self, t: float) -> np.ndarray:
+        r, q = self._split(t)
         if q == 0:
             return self.base.at(r)
         chain = self._chain
         while RADIX ** len(chain) <= q:
-            level = [chain[-1][-1] @ chain[-1][0] if chain else pair(self.base.at(Tb), self.weight)]
+            level = [chain[-1][-1] @ chain[-1][0] if chain
+                     else pair(self.base.at(self.base.horizon), self.weight)]
             for _ in range(RADIX - 2):
                 level.append(level[-1] @ level[0])
             self._chain = chain = chain + (tuple(level),)

@@ -143,13 +143,14 @@ def test_green_on_the_integer_line(radius):
 
 
 class _CountingKernel:
-    """A kernel that counts its evaluations."""
+    """A kernel that counts its evaluations and keeps their times."""
 
     def __init__(self, K):
-        self.K, self.calls, self.base = K, 0, K.base
+        self.K, self.calls, self.base, self.times = K, 0, K.base, []
 
     def at(self, t):
         self.calls += 1
+        self.times.append(t)
         return self.K.at(t)
 
     def error(self, t):
@@ -401,9 +402,49 @@ def test_poisson_subordinates_the_built_kernel(two_point):
     res = build_heat_kernel(dirac_parametrix(sp, cond), T=5.0, tol=1e-10)
     spec = eigh_weighted(res.generator_matrix, res.weight)
     P = poisson_kernel(spec, res, w=1.0)
-    assert P.deviation < 1e-8
+    assert P.deviation <= P.budget < 1e-8
     assert P.window[0] < P.window[1]
-    assert 1 <= P.levels <= 9
+    assert P.nodes >= 5
+
+
+def test_poisson_reads_its_kernel_once_per_node(path3):
+    # one trapezoid pass: `nodes` reads at ascending times, none revisited, from
+    # the window's left edge to its first node at or past the right one
+    sp, cond, _ = path3
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+    counted = _CountingKernel(res.K)
+    P = poisson_kernel(_spec(sp, cond), dataclasses.replace(res, K=counted), w=1.0, tol=1e-8)
+    assert counted.calls == P.nodes == len(set(counted.times))
+    assert counted.times == sorted(counted.times)
+    u = np.log(counted.times)
+    assert abs(u[0] - P.window[0]) < 1e-12 and u[-2] < P.window[1] <= u[-1]
+    assert P.deviation <= P.budget
+
+
+def test_poisson_budget_covers_the_deviation_on_a_seeded_sweep():
+    # 60 graphs on up to 9 points, weights 0.1..10, 1e-3..1e3 or 0.5..2, every
+    # other one with an uneven measure; the spectral heat kernel and a dirac build
+    # at T = 10, tol 1e-8, each at w = 0.1, 1 and 10 with tol 1e-8.  A window that
+    # w and the gap leave empty is refused; every answer lies within its budget
+    rng = np.random.default_rng(30)
+    answered = refused = 0
+    for i in range(60):
+        weights = [(0.1, 10.0), (1e-3, 1e3), (0.5, 2.0)][i % 3]
+        sp, cond, _ = random_connected_graph(rng, n_max=9, weight_range=weights,
+                                             random_measure=i % 2 == 1)
+        res = build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+        for K, spec in ((None, _spec(sp, cond)),
+                        (res, eigh_weighted(res.generator_matrix, res.weight))):
+            for w in (0.1, 1.0, 10.0):
+                try:
+                    P = poisson_kernel(spec, K, w=w, tol=1e-8)
+                except TailUncontrolled as err:
+                    assert "window" in str(err) and w == 10.0
+                    refused += 1
+                    continue
+                assert P.deviation <= P.budget < 1e-7, (i, w, K is None)
+                answered += 1
+    assert answered >= 340 and refused <= 10
 
 
 def test_poisson_small_w_approaches_identity_kernel():

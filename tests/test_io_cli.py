@@ -411,6 +411,9 @@ def test_cli_poisson(two_point_file, tmp_path, capsys):
     P = read_matrix_csv(out / "matrices.csv", sp)[None]
     want = (1.0 + np.exp(-np.sqrt(2.0))) / 2.0
     assert abs(P[0, 0] - want) < 1e-6
+    defects = _report(out)["defects"]
+    assert list(defects) == ["quad_nodes", "budget"]
+    assert defects["quad_nodes"] >= 5 and abs(P[0, 0] - want) <= defects["budget"] < 1e-7
 
 
 def test_cli_poisson_sets_the_ground_eigenvalue_to_zero(tmp_path, capsys):

@@ -773,6 +773,30 @@ def test_semigroup_products_are_the_octal_digits(rng):
         assert len(calls) <= bin(q).count("1") <= (math.ceil(math.log2(t / Tb)) if t > Tb else 0), t
 
 
+def test_semigroup_error_charges_the_pieces_at_multiplies(two_point):
+    # K.error(t) charges the q + 1 pieces of the exact split t = r + q T_b that `at`
+    # multiplies: at T_b = 0.7, 3.5 = 2.2e-16 + 5 T_b takes six pieces, though the
+    # rounded quotient 3.5 / 0.7 is 5.  Within two ulps of k T_b the charge is the
+    # exact ceil(t / T_b), and it never falls as t grows
+    sp, cond, _ = two_point
+    res = build_heat_kernel(dirac_parametrix(sp, cond), T=0.7, tol=1e-10)
+    K, Tb = res.K, res.base_horizon
+    assert Tb == 0.7
+    assert K.error(3.5) == 6 * K.piece_bound
+    times = {0.0}
+    for k in range(1, 400):
+        below = above = k * Tb
+        times.add(below)
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            times.update((below, above))
+    times = sorted(times)
+    errors = [K.error(t) for t in times]
+    for t, err in zip(times, errors):
+        assert err == max(1, math.ceil(Fraction(t) / Fraction(Tb))) * K.piece_bound, t
+    assert all(a <= b for a, b in zip(errors, errors[1:]))
+
+
 def test_semigroup_query_order_does_not_move_bits(rng):
     # a chain grown by one large query or level by level holds the same bits
     res, _, gram = _checkpoint_build(rng, "rkhs")
