@@ -165,7 +165,9 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     """Construct the heat kernel on [0, T] from a validated starter.
 
     Validates the starter first, with `validate`'s defaults.  T_b = T /
-    2^squarings is chosen once, the longest with T_b rate <= THETA.  On
+    2^squarings is chosen once, the longest with T_b rate <= THETA (more
+    than 2^52 pieces are refused), rate the largest of f's sampled row mass,
+    |A|_inf and the starter's own rate.  On
     the one grid, DEFAULT_QUAD, the folds stream into F until the first fold l
     whose share T_b |W| max|f^{*l}| (|W| = 1 for a measure, the largest
     row sum of |W| for a Gram pairing), carried over the pieces, is below
@@ -201,7 +203,12 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
 
     # One base horizon: a squaring doubles the amplification but shrinks
     # the folds superexponentially, so T_b rate <= THETA settles them.
-    squarings = math.ceil(math.log2(rate * T / THETA)) if rate * T > THETA else 0
+    pieces = rate * T / THETA
+    if not pieces <= 2.0 ** 52:  # inf and NaN too; `SemigroupKernel` refuses 2^53 pieces
+        raise NoConvergenceBudget(
+            f"no base horizon for T={T} at rate {rate:.3g}: it needs rate T / {THETA:g} = "
+            f"{pieces:.3g} pieces, more than 2^52")
+    squarings = math.ceil(math.log2(pieces)) if pieces > 1.0 else 0
     T_base, grow = T / 2 ** squarings, 2.0 ** squarings
     # the allowance for coefficients the size of K(0)
     fp = _pieces(_allowance(m, f.n, T_base * a, V0, V0, (m + 1) * V0, 0, 0), grow, gram)
@@ -268,10 +275,11 @@ def cross_parametrix_build(result: HeatKernelResult,
     is itself an order-zero starter for the perturbed space: its heat
     image under the new generator is exactly (A_new - A_old) H, with no
     time-derivative error at all.  Small perturbations therefore converge
-    in very few terms, over `result.horizon`.  `PointSpace` and `generator`
-    check the new measure and conductance.  `build_heat_kernel` validates
-    the import and refuses it when the two spaces are too far apart for it
-    to start the series.
+    in very few terms, over `result.horizon`.  Its rate, which `Parametrix`
+    reads from H'(0) W = -A_old, is the old generator's.  `PointSpace` and
+    `generator` check the new measure and conductance.  `build_heat_kernel`
+    validates the import and refuses it when the two spaces are too far
+    apart for it to start the series.
     """
     if result.weight.ndim != 1:
         raise InvalidParametrix("cross builds need a measure-paired kernel, not a Hilbert pairing")
@@ -287,8 +295,5 @@ def cross_parametrix_build(result: HeatKernelResult,
                          name="imported")
     image = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: diff @ H.at_many(ts),
                              name="imported-image")
-    # The imported starter varies on the old kernel's time scale even when
-    # the perturbation (and hence the series norm) is tiny.
-    p = Parametrix(H, image, 0, "imported", new_space, cond, result.kind, A_new, mu_new,
-                   rate=_operator_rate(A_old))
+    p = Parametrix(H, image, 0, "imported", cond, result.kind, A_new)
     return build_heat_kernel(p, horizon, tol=tol)

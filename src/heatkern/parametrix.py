@@ -17,7 +17,7 @@ pairing flavors pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -37,7 +37,8 @@ from .space import (
     graph_distances,
 )
 from .spectral import eigh_weighted
-from .timekernel import ClosedFormKernel, SeparableKernel, TimeKernel, constant_kernel, pair, sup_norms
+from .timekernel import (ClosedFormKernel, SeparableKernel, TimeKernel, _refuse_nonfinite,
+                         constant_kernel, pair, row_masses, sup_norms)
 
 
 @dataclass
@@ -59,43 +60,44 @@ class ParametrixReport:
 class Parametrix:
     """A starter kernel with its heat image and declared order.
 
-    order_k declares |L_x H(x, y; t)| = O(t^k), which `validate` fits.  A
-    nonzero rate declares the time scale 1/rate on which the starter itself
-    varies when the generator does not show it (the imported starter of a
-    rebuild); `validate` fits the order below it and the build's base
-    horizon resolves it.  weight is the convolution pairing the starter
-    expects: a measure vector, or the inverse Gram matrix for
-    reproducing-kernel starters.  A parametrix holds no validation outcome:
-    `build_heat_kernel` validates it on every build.  Construction, and so
-    `dataclasses.replace`, refuses an order_k that is not a nonnegative
-    integer, a rate that is not finite and nonnegative (ConfigError), and
-    an H, heat image and weight not on one space and pairing (SpaceMismatch).
+    order_k declares |L_x H(x, y; t)| = O(t^k), which `validate` fits.  space
+    and weight W, the pairing (a measure, or G^-1 for rkhs), are H's.  rate
+    is the starter's own, read at construction: max_x sum_y |(H'(0) W)(x, y)|
+    with H'(0) = f(0) - A H(0), how fast it moves at t = 0 (a rebuild's import
+    at the old generator's rate); `validate` fits the order below 1/rate and
+    the base horizon resolves it.  It holds no validation outcome: every build
+    validates it.  Construction, and so `dataclasses.replace`, refuses an
+    order_k that is not a nonnegative integer (ConfigError), an H and heat
+    image not on one space and pairing (SpaceMismatch), and a rate that is
+    not finite (InvalidParametrix).
     """
 
     H: TimeKernel
     heat_image: TimeKernel
     order_k: int
     family: str
-    space: PointSpace
     conductance: Conductance
     kind: str
     generator_matrix: np.ndarray
-    weight: np.ndarray
     gram: np.ndarray | None = None
-    rate: float = 0.0
     # Whether H is analytic in t on [0, horizon] (profiles decay like exp(-d/t)
     # at t = 0).  Only bench/spans.py reads it: the build certifies any starter.
     analytic_in_time: bool = True
+    rate: float = field(init=False)
 
     def __post_init__(self):
-        k, rate, H, f = self.order_k, self.rate, self.H, self.heat_image
+        k, H, f = self.order_k, self.H, self.heat_image
         if not 0 <= k < math.inf or int(k) != k:  # NaN fails the first test
             raise ConfigError(f"declared order must be a nonnegative integer, got {k}")
-        if not 0.0 <= rate < math.inf:
-            raise ConfigError(f"declared rate must be finite and nonnegative, got {rate}")
-        if not (H.same_space(f) and H.same_pairing(f) and np.array_equal(H.weight, self.weight)):
-            raise SpaceMismatch(
-                "starter and heat image must share one space and the starter's weight")
+        if not (H.same_space(f) and H.same_pairing(f)):
+            raise SpaceMismatch("starter and heat image must share one space and pairing")
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = f.at_many(0.0) - self.generator_matrix @ H.at_many(0.0)
+            self.rate = float(row_masses(moved, self.weight)[0])
+        _refuse_nonfinite(f, self.rate)
+
+    space = property(lambda self: self.H.space)
+    weight = property(lambda self: self.H.weight)
 
 
 def dirac_parametrix(space: PointSpace, conductance: Conductance,
@@ -109,7 +111,7 @@ def dirac_parametrix(space: PointSpace, conductance: Conductance,
     H0 = np.diag(1.0 / mu)
     H = constant_kernel(space, horizon, mu, H0, name="dirac")
     image = constant_kernel(space, horizon, mu, A @ H0, name="dirac-image")
-    return Parametrix(H, image, 0, "dirac", space, conductance, kind, A, mu)
+    return Parametrix(H, image, 0, "dirac", conductance, kind, A)
 
 
 def _epanechnikov(u):
@@ -182,7 +184,7 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
 
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"profile-{profile}")
     image = ClosedFormKernel(space, horizon, mu, image_at, name=f"profile-{profile}-image")
-    return Parametrix(H, image, order, f"profile-{profile}", space, conductance, kind, A, mu,
+    return Parametrix(H, image, order, f"profile-{profile}", conductance, kind, A,
                       analytic_in_time=False)
 
 
@@ -210,7 +212,7 @@ def spectral_parametrix(space: PointSpace, conductance: Conductance, n_modes: in
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"spectral-{n_modes}")
     zero = np.zeros((space.n, space.n))
     image = constant_kernel(space, horizon, mu, zero, name="spectral-image")
-    return Parametrix(H, image, 0, "spectral", space, conductance, kind, A, mu)
+    return Parametrix(H, image, 0, "spectral", conductance, kind, A)
 
 
 def rkhs_parametrix(space: PointSpace, gram: np.ndarray, conductance: Conductance,
@@ -244,7 +246,7 @@ def rkhs_parametrix(space: PointSpace, gram: np.ndarray, conductance: Conductanc
 
     H = SeparableKernel(space, horizon, Ginv, lambda t: np.exp(-t), G, name="rkhs")
     image = SeparableKernel(space, horizon, Ginv, lambda t: np.exp(-t), B, name="rkhs-image")
-    return Parametrix(H, image, 0, "rkhs", space, conductance, kind, A, Ginv, gram=G)
+    return Parametrix(H, image, 0, "rkhs", conductance, kind, A, gram=G)
 
 
 # ------------------------------------------------------------- validation
@@ -269,7 +271,7 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6) -> ParametrixRepor
     `tolerance` (times sqrt(mu(X)) for L2).  The order fit is the log-log
     slope of the sup-norm of the heat image, evaluated once at 20 times
     across [1e-3, 1e-1] (clipped to the horizon), or across the two
-    decades below 0.1/rate when the starter declares a rate; it must reach
+    decades below 0.1/rate when the starter moves at t = 0; it must reach
     the declared order minus 0.1, and is inf when the image vanishes.  The
     starter passes if any flavor passes both checks.  A tolerance that is
     not positive and finite raises ConfigError.  The report is

@@ -152,8 +152,9 @@ def build_space(points, lambda_weights=None, edge_weights=()):
 def check_conductance(points, conductance: Conductance) -> np.ndarray:
     """Refuse a matrix that is not len(points) square (DimensionMismatch),
     pair weights that are not finite and nonnegative (NonpositiveMeasure)
-    or not symmetric (AsymmetricConductance), and a point of zero degree
-    (ZeroDegreePoint, Assumption C); return the degree vector W 1, frozen.
+    or not symmetric (AsymmetricConductance), a point of zero degree
+    (ZeroDegreePoint, Assumption C), and one whose degree overflows
+    (NonpositiveMeasure); return the degree vector W 1, frozen.
     ``points`` labels the rows in the messages."""
     W, n = conductance.matrix, len(points)
     if W.shape != (n, n):
@@ -172,12 +173,17 @@ def check_conductance(points, conductance: Conductance) -> np.ndarray:
             f"pair ({points[i]!r}, {points[j]!r}) carries unequal weights "
             f"{W[i, j]} and {W[j, i]} in its two orientations"
         )
-    c = W @ np.ones(n)
+    with np.errstate(over="ignore"):
+        c = W @ np.ones(n)
     bad = np.nonzero(c <= 0)[0]
     if bad.size:
         raise ZeroDegreePoint(
             f"Assumption C violated at point {points[bad[0]]!r}: total conductance is zero"
         )
+    bad = np.nonzero(c == np.inf)[0]
+    if bad.size:
+        raise NonpositiveMeasure(f"degree at point {points[bad[0]]!r} overflows: "
+                                 f"its weights sum past {np.finfo(float).max:.3g}")
     c.setflags(write=False)
     return c
 
@@ -193,14 +199,21 @@ def generator(space: PointSpace, conductance: Conductance, kind: str = "combinat
     exactly the combinatorial or normalized Laplacian matrix; for general
     base measures it is the measure-weighted version, self-adjoint in
     L^2(mu) for every choice of lam.  Returns (A, mu); refuses what
-    `check_conductance` refuses.
+    `check_conductance` refuses, and a mu whose reciprocal or an A whose
+    entries are not finite (NonpositiveMeasure, naming the point).
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown laplacian kind {kind!r}; expected one of {KINDS}")
     c = check_conductance(space.points, conductance)
     L = np.diag(c) - conductance.matrix
     mu = space.lam.copy() if kind == "combinatorial" else c * space.lam
-    return L / mu[:, None], mu
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A = L / mu[:, None]
+        bad = np.nonzero(~(np.isfinite(1.0 / mu) & np.isfinite(A).all(axis=1)))[0]
+    if bad.size:
+        raise NonpositiveMeasure(f"{kind} measure {mu[bad[0]]} at point {space.points[bad[0]]!r} "
+                                 f"is too small: 1/mu or its generator row is not finite")
+    return A, mu
 
 
 # ----------------------------------------------------------- connectivity

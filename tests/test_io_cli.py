@@ -523,6 +523,26 @@ def test_cli_build_refuses_a_time_past_the_semigroup_range(two_point_file, tmp_p
     capsys.readouterr()
 
 
+def test_cli_build_refuses_a_rate_past_the_squaring_range(tmp_path, capsys):
+    # the base horizon cannot be chosen: a typed refusal, and report.json says so
+    path = _write(tmp_path, "stiff.edges", "a b 5e307\n")
+    out = tmp_path / "art"
+    assert main(["build", "--edges", path, "--out", str(out)]) == 2
+    assert _report(out)["exit_reason"].startswith("certificate failure: NoConvergenceBudget")
+
+
+@pytest.mark.parametrize("edges, measure", [
+    ("a b 1e308\na c 1e308\n", None),  # the degree at 'a' overflows
+    ("a b 1.0\n", "a 5e-324\n"),  # 1 / lambda at 'a' overflows
+], ids=["degree", "measure"])
+def test_cli_build_refuses_an_overflowing_operator_as_input(tmp_path, capsys, edges, measure):
+    argv = ["build", "--edges", _write(tmp_path, "g.edges", edges), "--out", str(tmp_path / "art")]
+    if measure:
+        argv += ["--measure", _write(tmp_path, "g.measure", measure)]
+    assert main(argv) == 1
+    assert _report(tmp_path / "art")["exit_reason"].startswith("input error: NonpositiveMeasure")
+
+
 def test_cli_bad_usage_exits_one(two_point_file, capsys):
     assert main(["build", "--edges", two_point_file, "--frobnicate"]) == 1
     assert main(["entropy", "--edges", two_point_file]) == 1  # --point missing

@@ -335,6 +335,31 @@ def test_cross_build_stiff_weight_perturbation(rng):
         assert dev <= res2.truncation_bound < 1e-8
 
 
+def test_imported_starter_moves_at_the_old_generators_rate(rng, monkeypatch):
+    # the rebuild declares no rate: its starter's H'(0) W is -A_old, read from its
+    # kernels at construction, so its rate is the old generator's
+    sp, cond, _ = random_connected_graph(rng, n_min=12, n_max=12, random_measure=True)
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=2.0), T=2.0)
+    made = []
+
+    def caught(p, T, tol):
+        made.append(p)
+        return build_heat_kernel(p, T, tol)
+
+    monkeypatch.setattr(neumann, "build_heat_kernel", caught)
+    cross_parametrix_build(res, conductance=Conductance(cond.matrix * 2.0))
+    old = neumann._operator_rate(res.generator_matrix)
+    assert abs(made[0].rate - old) <= 1e-12 * old
+
+
+def test_build_refuses_a_rate_past_the_squaring_range():
+    # a rate of 1e308 is finite, but rate T / THETA is not: no count of squarings
+    # reaches it, and the build refuses it before taking its logarithm
+    sp, cond, _ = build_space("ab", None, [("a", "b", 5e307)])
+    with pytest.raises(NoConvergenceBudget, match=r"more than 2\^52"):
+        build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_cross_build_refuses_unusable_measure(k3, bad):
     # the new space refuses the measure, as `build_space` does
@@ -348,6 +373,7 @@ _BAD_CONDUCTANCES = {
     "negative": (lambda W: -W, NonpositiveMeasure),
     "nan": (lambda W: np.where(W > 0, math.nan, 0.0), NonpositiveMeasure),
     "inf": (lambda W: np.where(W > 0, math.inf, 0.0), NonpositiveMeasure),
+    "overflowing-degree": (lambda W: np.where(W > 0, 1e308, 0.0), NonpositiveMeasure),
     "asymmetric": (lambda W: W + np.triu(W), AsymmetricConductance),
     "zero-degree": (lambda W: 0.0 * W, ZeroDegreePoint),
     "wrong-shape": (lambda W: W[:2, :2], DimensionMismatch),

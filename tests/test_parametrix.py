@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from heatkern import (
+    ClosedFormKernel,
+    Parametrix,
+    PointSpace,
     build_heat_kernel,
     build_space,
     dirac_parametrix,
@@ -20,6 +23,8 @@ from heatkern.errors import (
     InvalidParametrix,
     NotPositiveDefinite,
 )
+
+from heatkern.timekernel import constant_kernel
 
 from _graphs import random_connected_graph
 
@@ -146,15 +151,49 @@ def test_profile_refuses_an_unusable_order(two_point, order):
 @pytest.mark.parametrize("change, match", [
     ({"order_k": -3}, "nonnegative integer"),
     ({"order_k": np.nan}, "nonnegative integer"),
-    ({"rate": np.nan}, "finite and nonnegative"),
-    ({"rate": -1.0}, "finite and nonnegative"),
-    ({"rate": np.inf}, "finite and nonnegative"),
-], ids=["order-negative", "order-nan", "rate-nan", "rate-negative", "rate-inf"])
+], ids=["order-negative", "order-nan"])
 def test_parametrix_refuses_an_unusable_declaration(two_point, change, match):
     # a hand-edited starter is refused where it is made, before any build
     sp, cond, _ = two_point
     with pytest.raises(ConfigError, match=match):
         dataclasses.replace(dirac_parametrix(sp, cond), **change)
+
+
+def test_parametrix_reads_its_space_pairing_and_rate_from_its_kernels(k3):
+    # nine settable values: the space and pairing are H's, and the rate is the row
+    # mass of H'(0) W = (f(0) - A H(0)) W, 0 for dirac and the profiles, which start
+    # at rest, 1 for rkhs (H'(0) W = -I) and the generator's for a full basis
+    sp, cond, _ = k3
+    assert sum(f.init for f in dataclasses.fields(Parametrix)) == 9
+    starters = {
+        "dirac": dirac_parametrix(sp, cond),
+        "epanechnikov": profile_parametrix(sp, cond, "epanechnikov"),
+        "exponential": profile_parametrix(sp, cond, "exponential"),
+        "spectral": spectral_parametrix(sp, cond, sp.n),
+        "rkhs": rkhs_parametrix(sp, np.eye(sp.n) + 0.1, cond),
+    }
+    for name, p in starters.items():
+        assert p.space is p.H.space and p.weight is p.H.weight, name
+        with pytest.raises(TypeError):
+            dataclasses.replace(p, space=PointSpace(("x", "y", "z"), np.ones(3)))
+    assert [starters[name].rate for name in ("dirac", "epanechnikov", "exponential")] == [0.0] * 3
+    assert starters["rkhs"].rate == pytest.approx(1.0, rel=1e-12)
+    A, _ = generator(sp, cond)
+    assert starters["spectral"].rate == pytest.approx(np.abs(A).sum(axis=1).max(), rel=1e-12)
+
+
+def test_replacing_a_kernel_recomputes_the_rate(two_point):
+    # a starter that jumps to 2 diag(1/mu) at t = 0 moves at once: H'(0) W = -A,
+    # row mass 2 on the unit edge; an image that is not finite there is refused by name
+    sp, cond, _ = two_point
+    p = dirac_parametrix(sp, cond, horizon=2.0)
+    q = dataclasses.replace(p, H=constant_kernel(sp, 2.0, p.weight, 2.0 * p.H.at(0.0)))
+    assert (p.rate, q.rate) == (0.0, 2.0)
+    for bad in (np.nan, np.inf):
+        image = ClosedFormKernel(sp, 2.0, p.weight, name="broken-image",
+                                 evaluator=lambda ts, bad=bad: np.full((ts.size, 2, 2), bad))
+        with pytest.raises(InvalidParametrix, match="broken-image"):
+            dataclasses.replace(p, heat_image=image)
 
 
 @pytest.mark.parametrize("tolerance", [np.nan, -1.0, 0.0, np.inf])

@@ -115,6 +115,22 @@ def test_point_space_refuses_bad_input(points, lam, error, match):
         PointSpace(points, lam)
 
 
+def test_build_space_refuses_a_degree_that_overflows():
+    # each weight is finite, their sum at 'a' is not
+    with pytest.raises(NonpositiveMeasure, match="degree at point 'a' overflows"):
+        build_space("abc", None, [("a", "b", 1e308), ("a", "c", 1e308)])
+
+
+@pytest.mark.parametrize("kind, lam, weight", [
+    ("combinatorial", [5e-324, 1.0], 1.0),
+    ("normalized", [1e-200, 1.0], 1e-200),  # nu = c lam underflows to 0 at 'a'
+], ids=["combinatorial", "normalized"])
+def test_generator_refuses_a_measure_whose_reciprocal_overflows(kind, lam, weight):
+    sp, cond, _ = build_space("ab", lam, [("a", "b", weight)])
+    with pytest.raises(NonpositiveMeasure, match=f"{kind} measure .* at point 'a'"):
+        generator(sp, cond, kind)
+
+
 def test_point_space_freezes_a_copy_of_the_measure():
     lam = np.array([1.0, 2.0])
     sp = PointSpace(("a", "b"), lam)
