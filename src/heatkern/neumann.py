@@ -61,21 +61,26 @@ MAX_TERMS = 64  # folds before an unsettled series is refused; builds take 5 to 
 
 @dataclass
 class HeatKernelResult:
-    """A constructed heat kernel with its convergence certificate."""
+    """A constructed heat kernel with its convergence certificate.
 
-    K: TimeKernel
+    space, weight (the pairing), horizon T and base_horizon are K's, and
+    truncation_bound is K.error(T); generator_matrix is the A that `generator`
+    makes of space, conductance and kind."""
+
+    K: SemigroupKernel
     terms_used: int
-    truncation_bound: float
     parametrix_family: str
-    space: PointSpace
     conductance: Conductance
     kind: str
-    generator_matrix: np.ndarray
-    weight: np.ndarray
-    horizon: float
-    base_horizon: float
-    squarings: int
     tol: float
+
+    space = property(lambda self: self.K.space)
+    weight = property(lambda self: self.K.weight)
+    horizon = property(lambda self: self.K.horizon)
+    base_horizon = property(lambda self: self.K.base.horizon)
+    squarings = property(lambda self: round(math.log2(self.horizon / self.base_horizon)))
+    truncation_bound = property(lambda self: self.K.error(self.horizon))
+    generator_matrix = property(lambda self: generator(self.space, self.conductance, self.kind)[0])
 
 
 def _operator_rate(A: np.ndarray) -> float:
@@ -89,7 +94,7 @@ def _row_mass_norm(f: TimeKernel, weight: np.ndarray, ts: np.ndarray) -> float:
 
 def _sample_grid(horizon: float) -> np.ndarray:
     dense = lobatto_nodes(48, horizon)
-    small = np.geomspace(horizon * 1e-6, horizon / 48, 8)
+    small = horizon * np.geomspace(1e-6, 1 / 48, 8)  # 1e-6 horizon underflows to 0
     return np.unique(np.concatenate([dense, small]))
 
 
@@ -220,13 +225,19 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     cache = FoldCache(f, horizon=T_base)
     dense, psis, Cs = None, [], []  # F = dense + sum_l psis[l] (x) Cs[l]
     for terms in range(1, MAX_TERMS + 1):
-        fold, sign = cache.fold(terms) if terms > 1 else cache.factor.on_grid, (-1.0) ** terms
+        with np.errstate(over="ignore", invalid="ignore"):  # a stiff starter's folds overflow
+            fold = cache.fold(terms) if terms > 1 else cache.factor.on_grid
+            top, sign = fold.sup(), (-1.0) ** terms
+        if not math.isfinite(top):
+            raise NoConvergenceBudget(
+                f"fold {terms} of the series overflows on base horizon {T_base:.3g} (sampled "
+                f"row mass {norm1:.3g}): its sup is not finite")
         if fold.psi is None:
             dense = sign * fold.C if dense is None else np.add(dense, sign * fold.C, out=dense)
         else:
             psis.append(sign * fold.psi)
             Cs.append(fold.C)
-        share = _pieces(T_base * Wnorm * fold.sup(), grow, gram)
+        share = _pieces(T_base * Wnorm * top, grow, gram)
         if share < tol / 2:
             break
     else:
@@ -258,11 +269,8 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
             f"allowance {fp:.3g}, {squarings} squarings) certifies {bound:.3g} after "
             f"{terms} terms, not below tol={tol}; raise tol")
 
-    return HeatKernelResult(
-        K=K, terms_used=terms, truncation_bound=bound, parametrix_family=parametrix.family,
-        space=parametrix.space, conductance=parametrix.conductance, kind=parametrix.kind,
-        generator_matrix=A, weight=weight, horizon=T, base_horizon=T_base,
-        squarings=squarings, tol=tol)
+    return HeatKernelResult(K, terms, parametrix.family, parametrix.conductance, parametrix.kind,
+                            tol)
 
 
 def cross_parametrix_build(result: HeatKernelResult,
@@ -286,14 +294,12 @@ def cross_parametrix_build(result: HeatKernelResult,
     new_space = result.space if lam is None else PointSpace(result.space.points, lam)
     cond = conductance if conductance is not None else result.conductance
     A_new, mu_new = generator(new_space, cond, result.kind)
-    A_old, mu_old = result.generator_matrix, result.weight
-    scale = mu_old / mu_new
+    diff, scale = A_new - result.generator_matrix, result.weight / mu_new
     Kp, horizon = result.K, result.horizon
-    diff = A_new - A_old
 
     H = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: Kp.at_many(ts) * scale,
                          name="imported")
     image = ClosedFormKernel(new_space, horizon, mu_new, lambda ts: diff @ H.at_many(ts),
                              name="imported-image")
-    p = Parametrix(H, image, 0, "imported", cond, result.kind, A_new)
+    p = Parametrix(H, image, 0, "imported", cond, result.kind)
     return build_heat_kernel(p, horizon, tol=tol)

@@ -147,6 +147,7 @@ class _CountingKernel:
 
     def __init__(self, K):
         self.K, self.calls, self.base, self.times = K, 0, K.base, []
+        self.space, self.weight, self.horizon = K.space, K.weight, K.horizon
 
     def at(self, t):
         self.calls += 1

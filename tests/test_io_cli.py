@@ -531,6 +531,15 @@ def test_cli_build_refuses_a_rate_past_the_squaring_range(tmp_path, capsys):
     assert _report(out)["exit_reason"].startswith("certificate failure: NoConvergenceBudget")
 
 
+def test_cli_build_refuses_an_overflowing_fold(tmp_path, capsys):
+    # the stiff edge's fold 22 overflows: a typed refusal, and report.json says so
+    path = _write(tmp_path, "stiff.edges", "a b 1.5e14\n")
+    out = tmp_path / "art"
+    assert main(["build", "--edges", path, "--tol", "100", "--out", str(out)]) == 2
+    assert _report(out)["exit_reason"].startswith(
+        "certificate failure: NoConvergenceBudget: fold 22 ")
+
+
 @pytest.mark.parametrize("edges, measure", [
     ("a b 1e308\na c 1e308\n", None),  # the degree at 'a' overflows
     ("a b 1.0\n", "a 5e-324\n"),  # 1 / lambda at 'a' overflows

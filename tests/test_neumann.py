@@ -10,6 +10,7 @@ from heatkern import (
     ClosedFormKernel,
     Conductance,
     FoldCache,
+    HeatKernelResult,
     build_heat_kernel,
     build_space,
     convolve,
@@ -358,6 +359,59 @@ def test_build_refuses_a_rate_past_the_squaring_range():
     sp, cond, _ = build_space("ab", None, [("a", "b", 5e307)])
     with pytest.raises(NoConvergenceBudget, match=r"more than 2\^52"):
         build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e-8)
+
+
+def test_build_refuses_a_fold_that_overflows(path3):
+    # (M W)^(l-1) M overflows while psi_l underflows: the first fold whose sup is not
+    # finite is refused by name, not carried as a NaN share through all 64 folds
+    sp, cond, _ = build_space("ab", None, [("a", "b", 1.5e14)])
+    with pytest.raises(NoConvergenceBudget, match="fold 22 "):
+        build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e2)
+    res = build_heat_kernel(dirac_parametrix(*path3[:2]), T=10.0, tol=1e-8)
+    with pytest.raises(NoConvergenceBudget, match="fold 4 "):
+        cross_parametrix_build(res, lam=np.array([1.0, 1e300, 1.0]))
+
+
+@pytest.mark.parametrize("T", [2e-318, 1e-320, 5e-324])
+def test_build_reaches_a_subnormal_horizon(path3, T):
+    # the row-mass samples start at T 1e-6, which underflows to 0 at these T
+    sp, cond, _ = path3
+    res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=1.0), T=T, tol=1e-8)
+    assert (res.terms_used, res.squarings, res.horizon) == (1, 0, T)
+    assert res.truncation_bound < 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_build_refuses_a_huge_gram(path3, scale):
+    # validation passes in the Hilbert flavor; no absolute tol holds on entries this big
+    sp, cond, _ = path3
+    with pytest.raises(NoConvergenceBudget, match="allowance"):
+        build_heat_kernel(rkhs_parametrix(sp, scale * np.eye(3), cond), T=10.0, tol=1e-8)
+
+
+def test_build_refuses_a_starter_replaced_onto_another_conductance():
+    # the generator is the named conductance's, 3x the one the dirac image was
+    # made with: the built kernel's residual shows it, where a declared generator
+    # of the old weights signed 1.1e-10 for a kernel 0.16 off the reported operator's
+    sp, cond, _ = build_space("abc", None, [("a", "b", 1.0), ("b", "c", 2.0)])
+    p = dataclasses.replace(dirac_parametrix(sp, cond), conductance=Conductance(3.0 * cond.matrix))
+    with pytest.raises(NoConvergenceBudget, match="certifies"):
+        build_heat_kernel(p, T=5.0, tol=1e-8)
+
+
+def test_result_reads_its_facts_from_its_kernel(two_point, k3):
+    # six settable values: space, pairing, horizons, squarings and certificate are K's,
+    # the generator its conductance and kind's, so replacing K moves them all
+    assert sum(f.init for f in dataclasses.fields(HeatKernelResult)) == 6
+    res = build_heat_kernel(dirac_parametrix(*two_point[:2]), T=5.0, tol=1e-8)
+    assert res.base_horizon * 2 ** res.squarings == res.horizon == 5.0
+    assert res.truncation_bound == res.K.error(5.0) < 1e-8
+    assert np.array_equal(res.generator_matrix, generator(res.space, res.conductance)[0])
+    other = build_heat_kernel(dirac_parametrix(*k3[:2], horizon=2.0), T=2.0, tol=1e-10)
+    moved = dataclasses.replace(res, K=other.K)
+    assert (moved.horizon, moved.space, moved.weight) == (2.0, other.K.space, other.K.weight)
+    assert (moved.base_horizon, moved.squarings, moved.truncation_bound) \
+        == (other.base_horizon, other.squarings, other.truncation_bound)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])

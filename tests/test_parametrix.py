@@ -5,6 +5,7 @@ import pytest
 
 from heatkern import (
     ClosedFormKernel,
+    Conductance,
     Parametrix,
     PointSpace,
     build_heat_kernel,
@@ -160,11 +161,12 @@ def test_parametrix_refuses_an_unusable_declaration(two_point, change, match):
 
 
 def test_parametrix_reads_its_space_pairing_and_rate_from_its_kernels(k3):
-    # nine settable values: the space and pairing are H's, and the rate is the row
-    # mass of H'(0) W = (f(0) - A H(0)) W, 0 for dirac and the profiles, which start
-    # at rest, 1 for rkhs (H'(0) W = -I) and the generator's for a full basis
+    # eight settable values: the space and pairing are H's, the generator is made of
+    # the space, conductance and kind, and the rate is the row mass of H'(0) W =
+    # (f(0) - A H(0)) W, 0 for dirac and the profiles, which start at rest, 1 for
+    # rkhs (H'(0) W = -I) and the generator's for a full basis
     sp, cond, _ = k3
-    assert sum(f.init for f in dataclasses.fields(Parametrix)) == 9
+    assert sum(f.init for f in dataclasses.fields(Parametrix)) == 8
     starters = {
         "dirac": dirac_parametrix(sp, cond),
         "epanechnikov": profile_parametrix(sp, cond, "epanechnikov"),
@@ -194,6 +196,30 @@ def test_replacing_a_kernel_recomputes_the_rate(two_point):
                                  evaluator=lambda ts, bad=bad: np.full((ts.size, 2, 2), bad))
         with pytest.raises(InvalidParametrix, match="broken-image"):
             dataclasses.replace(p, heat_image=image)
+
+
+def test_parametrix_makes_its_generator_from_its_conductance_and_kind(path3):
+    # A is not declared: replacing the conductance or the kind remakes it, and a
+    # kind `generator` does not know is refused at construction, not at the build
+    sp, cond, _ = path3
+    p = dirac_parametrix(sp, cond)
+    q = dataclasses.replace(p, conductance=Conductance(3.0 * cond.matrix), kind="normalized")
+    for s in (p, q):
+        assert np.array_equal(s.generator_matrix, generator(s.space, s.conductance, s.kind)[0])
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(p, generator_matrix=np.zeros((3, 3)))
+    with pytest.raises(ConfigError, match="bogus"):
+        dataclasses.replace(p, kind="bogus")
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_validate_reads_a_huge_gram_in_its_hilbert_flavor(path3, scale):
+    # the L2 residual of H(t) = e^-t G against the counting measure overflows: that
+    # flavor reads inf and fails, with no RuntimeWarning, and the Hilbert flavor decides
+    sp, cond, _ = path3
+    report = validate(rkhs_parametrix(sp, scale * np.eye(3), cond))
+    assert report.flavors == {"1-infty": False, "2-2": False, "hilbert": True}
+    assert report.passed
 
 
 @pytest.mark.parametrize("tolerance", [np.nan, -1.0, 0.0, np.inf])
