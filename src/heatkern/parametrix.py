@@ -259,6 +259,14 @@ def _monotone_to_zero(res: np.ndarray, tolerance: float) -> bool:
     return res[-1] <= tolerance
 
 
+def _sup_per_time(f: TimeKernel, ts: np.ndarray) -> np.ndarray:
+    """max|f(t)| per time; |phi(t)| max|M| for a separable phi(t) M, no (k, n, n) block,
+    which is the same numbers, rounding being monotone."""
+    if isinstance(f, SeparableKernel):
+        return np.abs(f.phi(ts)) * np.abs(f.matrix).max()
+    return f.per_time(ts, sup_norms)
+
+
 def validate(parametrix: Parametrix, tolerance: float = 1e-6) -> ParametrixReport:
     """Measure the Dirac residual, fit the heat-image order, and judge.
 
@@ -305,7 +313,7 @@ def validate(parametrix: Parametrix, tolerance: float = 1e-6) -> ParametrixRepor
         hi = min(hi, 0.1 / parametrix.rate)
         lo = hi / 100.0
     ts_fit = np.geomspace(lo, hi, 20)
-    sup_vals = parametrix.heat_image.per_time(ts_fit, sup_norms)
+    sup_vals = _sup_per_time(parametrix.heat_image, ts_fit)
     if np.max(sup_vals) < 1e-250:
         fitted = np.inf  # the heat image vanishes identically
     else:

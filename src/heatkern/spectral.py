@@ -178,11 +178,13 @@ def eigh_weighted(operator, mu) -> SpectralData:
 
 
 def spectral_heat(spec: SpectralData, t: float) -> np.ndarray:
-    """Heat kernel K(x, y; t) = sum_n exp(-lambda_n t) phi_n(x) phi_n(y)."""
+    """Heat kernel K(x, y; t) = sum_n exp(-lambda_n t) phi_n(x) phi_n(y), an eigenvalue in
+    [-zero_tol, 0) (the zero cluster) read as 0 so that K does not grow at large t."""
     if not 0 <= t < math.inf:
         raise HorizonExceeded(f"time must be finite and nonnegative, got {t}")
-    phi = spec.eigenvectors
-    return (phi * np.exp(-spec.eigenvalues * t)) @ phi.T
+    phi, lam = spec.eigenvectors, spec.eigenvalues
+    lam = np.where((lam < 0.0) & (lam >= -spec.zero_tol), 0.0, lam)
+    return (phi * np.exp(-lam * t)) @ phi.T
 
 
 def expm_series(A, t: float) -> np.ndarray:

@@ -90,9 +90,26 @@ DEFAULT_QUAD = QuadratureConfig()
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(DEFAULT_QUAD.nodes_per_panel)
 
 
+# DCT-I rows, the same on every horizon: DCT_ROWS @ samples at the m+1 Chebyshev-Lobatto
+# nodes are the coefficients of the degree-m series through them (`ChebSeries`)
+_J = np.arange(DEFAULT_QUAD.cheb_degree + 1)
+_HALF = np.where(_J % _J[-1], 1.0, 0.5)  # the end terms count half
+DCT_ROWS = (np.cos(np.pi * (np.outer(_J, _J) % (2 * _J[-1])) / _J[-1])
+            * np.outer((-1.0) ** _J * _HALF, _HALF) * (2.0 / _J[-1]))
+DCT_ROWS.flags.writeable = False
+
+
 def pair(M: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """M W for a pairing W given as a measure vector or a matrix."""
     return M * weight[None, :] if weight.ndim == 1 else M @ weight
+
+
+def left_multiply(P: np.ndarray, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """P C per matrix of a finite block C; a diagonal P (dirac M W) scales rows: same numbers."""
+    d = np.diagonal(P)
+    if np.count_nonzero(P) == np.count_nonzero(d):
+        return np.multiply(d[:, None], C, out=out)
+    return np.matmul(P, C, out=out)
 
 
 def sup_norms(block: np.ndarray) -> np.ndarray:
@@ -264,37 +281,31 @@ def standard_chop(sizes: np.ndarray) -> int:
 
 
 class ChebSeries(TimeKernel):
-    """sum_k coeffs[k] T_k(2t/horizon - 1) through samples on the Chebyshev-Lobatto nodes
-    (a DCT-I, over the sample block), evaluated by T_{k+1} = 2x T_k - T_{k-1}: a build's base.
+    """sum_k coeffs[k] T_k(2t/horizon - 1), evaluated by T_{k+1} = 2x T_k - T_{k-1}: a
+    build's base; samples at the Chebyshev-Lobatto nodes give coeffs = DCT_ROWS @ samples.
 
     A ChebKernel cannot serve: the bound on its barycentric formula (rounded nodes) plus the
     DCT that finds coefficients to bound is some 20 times this series' roundoff, 1.3e-12 on
     the two-point graph at tol 1e-12.  Folds are read only at the nodes and stay ChebKernels,
-    most as a few terms in time; only the base is transformed.
+    most as a few terms in time; only the base is a series.
 
     Of the m+1 coefficients it keeps those before the roundoff plateau of max_{x,y} |c_k|
     (Aurentz & Trefethen's `standard_chop`, at least 3) if the tail dropped, max_{x,y}
-    sum_{k>d} |c_k|, is within the DCT's own rounding, (m+1) u max|c_0|.  `degree` is the
-    kept d, bounded by `neumann._defect_bound`; `values` is the series at the m+1 nodes.
-    The constructor overwrites the sample block it is given with the coefficients: a
-    caller that reads its samples afterwards hands it a copy."""
+    sum_{k>d} |c_k|, is within (m+1) u max|c_0|, the rounding of an (m+1)-term sum of c_0's
+    size.  `degree` is the kept d, bounded by `neumann._defect_bound`; `values` is the series
+    at the m+1 nodes.  It holds the block it is given, or a copy of the rows it keeps."""
 
-    def __init__(self, space, horizon, weight, values: np.ndarray):
+    def __init__(self, space, horizon, weight, coeffs: np.ndarray):
         super().__init__(space, horizon, weight)
-        m = values.shape[0] - 1
+        flat = coeffs.reshape(coeffs.shape[0], -1)
+        m = flat.shape[0] - 1
         self.nodes = lobatto_nodes(m, self.horizon)
-        j = np.arange(m + 1)
-        half = np.where(j % m, 1.0, 0.5)  # the end terms count half
-        phi = np.cos(np.pi * (np.outer(j, j) % (2 * m)) / m) * np.outer((-1.0) ** j * half, half)
-        phi *= 2.0 / m
-        flat = np.asarray(values, dtype=float).reshape(m + 1, -1)
-        flat = np.matmul(phi, flat, out=flat)
         sizes = np.maximum(flat.max(axis=1), -flat.min(axis=1))  # max|c_k|, no |c| block
         keep = max(standard_chop(sizes), 3)  # `_defect_bound` reads c_2
         if keep <= m and np.abs(flat[keep:]).sum(axis=0).max() <= (m + 1) * U * sizes[0]:
             flat = flat[:keep].copy()  # frees the whole block
         self.degree = flat.shape[0] - 1
-        self.coeffs = flat.reshape((-1,) + values.shape[1:])
+        self.coeffs = flat.reshape((-1,) + coeffs.shape[1:])
 
     @property
     def values(self) -> np.ndarray:
@@ -516,8 +527,8 @@ class TimeFactor:
             self.on_grid = ChebKernel(f.space, horizon, f.weight, samples)
             flat = samples.reshape(samples.shape[0], -1)
             _, sv, Vt = np.linalg.svd(flat, full_matrices=False)
-            # resolved if its series chops; on a copy, as ChebSeries overwrites its samples
-            if ChebSeries(f.space, horizon, f.weight, samples.copy()).degree < len(times):
+            # resolved if its series chops
+            if ChebSeries(f.space, horizon, f.weight, DCT_ROWS @ flat).degree < len(times):
                 Q = Vt[:int(np.sum(sv > RANK_CUT * sv[0]))]
                 # the panel rows mirrored, applied to phi_r(t_i) = <M_r, f(t_i)>
                 self.values = np.moveaxis(_RESAMPLING[:, ::-1] @ (flat @ Q.T), -1, 0)
@@ -558,9 +569,9 @@ class TimeFactor:
         self.values = (sv[:rank, None] * Vt[:rank]).reshape((rank,) + times.shape)
         self.matrices = (Q @ P[:, :rank]).T.reshape(-1, f.n, f.n)
 
-    def convolve(self, g: ChebKernel, dense: bool = False) -> ChebKernel:
-        """f * g at the grid nodes from g's terms there, as dense samples if asked."""
-        return self._apply(self.S, g.psi, g.C, dense)
+    def convolve(self, g: ChebKernel) -> ChebKernel:
+        """f * g at the grid nodes from g's terms there."""
+        return self._apply(self.S, g.psi, g.C)
 
     def self_convolve(self) -> ChebKernel:
         """f * f at the grid nodes, f(tau_jq) read from the factor too: the
@@ -569,12 +580,12 @@ class TimeFactor:
         coef[:, 1:] = np.einsum("rjq,sjq->rjs", self.gw * self.values, self.values[:, :, ::-1])
         return self._apply(coef, None, self.matrices)
 
-    def _apply(self, left, psi, C, dense=False) -> ChebKernel:
+    def _apply(self, left, psi, C) -> ChebKernel:
         # sum_r left_r (psi (x) M_r W C), psi None the identity: R S terms (left_r psi_s,
         # M_r W C_s), or from m+1 on dense samples sum_r left_r (psi (M_r W C)), integrated
         # last, one r at a time: two (m+1, n, n) temporaries live beside the sum
         (R, m1), (S, n) = left.shape[:2], C.shape[:2]
-        if R * S < m1 and not dense:
+        if R * S < m1:
             coef = left if psi is None else left @ psi
             return ChebKernel(self.space, self.horizon, self.weight,
                               np.matmul(self.paired[:, None], C[None]).reshape(R * S, n, n),

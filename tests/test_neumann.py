@@ -39,7 +39,7 @@ from heatkern.errors import (
 )
 from heatkern import neumann, timekernel
 from heatkern.neumann import _defect_bound
-from heatkern.timekernel import DEFAULT_QUAD, ChebSeries, _pieces, lobatto_nodes
+from heatkern.timekernel import DCT_ROWS, DEFAULT_QUAD, ChebSeries, _pieces, lobatto_nodes
 
 from _graphs import random_connected_graph
 
@@ -240,9 +240,9 @@ def test_duhamel_identity(two_point, rng):
     f = ClosedFormKernel(sp, 2.0, mu, lambda ts: np.exp(-0.4 * ts)[:, None, None] * B
                          + ts[:, None, None] * C)
     nodes = lobatto_nodes(32, 2.0)
-    g = ChebSeries(sp, 2.0, mu, np.stack([convolve(p.H, f, t) for t in nodes]))
-    h = ChebSeries(sp, 2.0, mu, np.stack([f.at(t) + convolve(p.heat_image, f, t)
-                                          for t in nodes]))
+    g = ChebSeries(sp, 2.0, mu, np.tensordot(DCT_ROWS, [convolve(p.H, f, t) for t in nodes], 1))
+    h = ChebSeries(sp, 2.0, mu, np.tensordot(DCT_ROWS, [f.at(t) + convolve(p.heat_image, f, t)
+                                                        for t in nodes], 1))
     Ig, Ih = _integral(g), _integral(h)
     for t in (0.3, 0.9, 1.6):
         lhs = g.at(t) - g.at(0.0) + A @ _cheb_at(Ig, 2.0, t)
@@ -295,13 +295,18 @@ def test_cross_build_measure_change(k3):
 
 def test_noop_rebuild_has_a_zero_image():
     # with nothing changed the imported image (A_new - A_old) H is identically zero:
-    # fold 1 settles the series, and the rebuilt kernel is the old one
+    # fold 1 settles the series, and the rebuilt kernel is the heat kernel.  Each
+    # certificate bounds its own kernel's distance to it, so the two kernels are
+    # within the sum of both bounds (rate T / THETA = 1 puts both builds on an octave
+    # edge: the rebuild may take one squaring the first build did not)
     sp, cond, _ = integer_line(3)
     res = build_heat_kernel(dirac_parametrix(sp, cond, horizon=1.0), T=1.0)
     again = cross_parametrix_build(res)
     assert again.terms_used == 1 and again.truncation_bound < again.tol
     for t in (0.1, 0.5, 1.0):
-        assert np.max(np.abs(again.K.at(t) - res.K.at(t))) <= again.truncation_bound
+        exact = expm_series(res.generator_matrix, t) / res.weight[None, :]
+        assert np.max(np.abs(again.K.at(t) - exact)) <= again.K.error(t)
+        assert np.max(np.abs(again.K.at(t) - res.K.at(t))) <= again.K.error(t) + res.K.error(t)
 
 
 def test_build_refuses_a_nonfinite_image():
@@ -367,8 +372,11 @@ def test_build_refuses_a_fold_that_overflows(path3):
     sp, cond, _ = build_space("ab", None, [("a", "b", 1.5e14)])
     with pytest.raises(NoConvergenceBudget, match="fold 22 "):
         build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e2)
+    # a measure of 1e300 lifts rounding residue in the import's factors past 1e280: the
+    # rebuild is refused, at an overflowing fold or by its certificate, which of the
+    # two turning on the rounding of the kernel it imports
     res = build_heat_kernel(dirac_parametrix(*path3[:2]), T=10.0, tol=1e-8)
-    with pytest.raises(NoConvergenceBudget, match="fold 4 "):
+    with pytest.raises(NoConvergenceBudget):
         cross_parametrix_build(res, lam=np.array([1.0, 1e300, 1.0]))
 
 
@@ -517,7 +525,9 @@ def _family_build(rng, family):
             mp.setattr(neumann, "build_heat_kernel", caught)
             out = cross_parametrix_build(res, conductance=moved)
         return made[0], 2.0, 1e-8, out
-    if family == "rkhs":
+    if family == "spectral":
+        p = spectral_parametrix(sp, cond, n_modes=sp.n, horizon=2.0)
+    elif family == "rkhs":
         X = rng.standard_normal((sp.n, sp.n))
         p = rkhs_parametrix(sp, X @ X.T / sp.n + np.eye(sp.n), cond, horizon=2.0)
     else:
@@ -548,6 +558,37 @@ def test_separable_path_matches_generic_path(rng, family):
     F = ChebKernel(p.space, Tb, p.weight, Fvals)
     ref = np.stack([H.at(t) + convolve(H, F, t) for t in cache.nodes])
     assert np.max(np.abs(fast.K.base.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "family", ["dirac", "dirac-normalized", "rkhs", "profile-epanechnikov", "spectral"])
+def test_base_is_the_starter_plus_its_convolution_with_the_kept_folds(rng, family):
+    # the base's coefficients, one product of the time terms of H and of the kept
+    # folds with their matrices, against H + H * F at the nodes with `convolve` for
+    # the time integral, F = sum_l (-1)^l f^{*l} over the folds the build kept
+    p, T, tol, res = _family_build(rng, family)
+    cache = FoldCache(p.heat_image, horizon=res.base_horizon)
+    folds = [cache.factor.on_grid] + [cache.fold(ell) for ell in range(2, res.terms_used + 1)]
+    F = ChebKernel(p.space, res.base_horizon, p.weight,
+                   sum((-1) ** ell * k.values for ell, k in enumerate(folds, start=1)))
+    want = np.stack([p.H.at(t) + convolve(p.H, F, t) for t in cache.nodes])
+    assert np.max(np.abs(res.K.base.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+def test_diagonal_pairing_scales_rows_bit_for_bit(rng, monkeypatch, kind):
+    # a dirac starter's M W is diagonal, so the assembly scales the folds' rows
+    # instead of multiplying them: the base is the one the product gives
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
+    p = dirac_parametrix(sp, cond, kind, horizon=2.0)
+    MW = timekernel.TimeFactor(p.H, 2.0).paired[0]
+    assert np.count_nonzero(MW) == sp.n
+    scaled = build_heat_kernel(p, T=2.0)
+    monkeypatch.setattr(neumann, "left_multiply", lambda P, C, out=None: np.matmul(P, C, out=out))
+    product = build_heat_kernel(p, T=2.0)
+    assert np.array_equal(scaled.K.base.coeffs, product.K.base.coeffs)
+    C = rng.standard_normal((5, sp.n, sp.n))
+    assert np.array_equal(timekernel.left_multiply(MW, C), MW @ C)
 
 
 def test_tiny_horizon_base_keeps_three_coefficients(two_point):

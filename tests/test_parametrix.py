@@ -8,6 +8,7 @@ from heatkern import (
     Conductance,
     Parametrix,
     PointSpace,
+    SeparableKernel,
     build_heat_kernel,
     build_space,
     dirac_parametrix,
@@ -25,7 +26,8 @@ from heatkern.errors import (
     NotPositiveDefinite,
 )
 
-from heatkern.timekernel import constant_kernel
+from heatkern.parametrix import _sup_per_time
+from heatkern.timekernel import constant_kernel, sup_norms
 
 from _graphs import random_connected_graph
 
@@ -92,15 +94,36 @@ def _count_calls(kernel):
 
 def test_validate_evaluates_each_kernel_once(two_point):
     # the Dirac residuals of every flavor come from one block of H at the
-    # 13 grid times, and the order fit from one block of the image at 20
+    # 13 grid times, and the order fit from one block of the image at 20, or
+    # from its time profile at 20 times for a separable image, with no block
     sp, cond, _ = two_point
     G = np.array([[2.0, 1.0], [1.0, 2.0]])
     for p in (profile_parametrix(sp, cond, profile="exponential"),
               rkhs_parametrix(sp, G, cond)):
         h_calls, image_calls = _count_calls(p.H), _count_calls(p.heat_image)
+        phi_calls, separable = [], isinstance(p.heat_image, SeparableKernel)
+        if separable:
+            phi = p.heat_image.phi
+            p.heat_image.phi = lambda ts, phi=phi: phi_calls.append(len(ts)) or phi(ts)
         assert validate(p).passed
         assert h_calls == [13]
-        assert image_calls == [20]
+        assert (image_calls, phi_calls) == (([], [20]) if separable else ([20], []))
+
+
+def test_order_fit_reads_a_separable_image_without_a_block(two_point, rng):
+    # |phi(t)| max|M| is the block's max|phi(t) M| bit for bit, rounding being
+    # monotone: for the dirac image (phi = 1), the rkhs image (e^-t) and a phi
+    # that changes sign, at scales from 1e-300 to 1e300
+    sp, cond, _ = two_point
+    G = np.array([[2.0, 1.0], [1.0, 2.0]])
+    ts = np.geomspace(1e-4, 1.0, 20)
+    images = [dirac_parametrix(sp, cond).heat_image, rkhs_parametrix(sp, G, cond).heat_image]
+    for scale in (1e-300, 1.0, 1e300):
+        images.append(SeparableKernel(sp, 2.0, sp.lam, lambda t: np.cos(9.0 * t) - 0.3,
+                                      scale * rng.standard_normal((2, 2))))
+    for f in images:
+        assert isinstance(f, SeparableKernel)
+        assert np.array_equal(_sup_per_time(f, ts), f.per_time(ts, sup_norms))
 
 
 def test_profile_exponential_ratio(two_point):

@@ -32,6 +32,7 @@ from heatkern import (
 )
 from heatkern import timekernel
 from heatkern.timekernel import (
+    DCT_ROWS,
     DEFAULT_QUAD,
     ChebSeries,
     RANK_CUT,
@@ -486,17 +487,16 @@ def test_factor_convolves_the_terms_of_another_kernels_fold(rng):
     # a 3-term factor of g against the 9-term fold 2 of another kernel f:
     # 27 terms (S_r psi_s, M_r W C_s), each time column paired with its own
     # matrix (folds of one kernel cannot tell, their coefficients being
-    # symmetric), and the dense samples asked for agree with them
+    # symmetric), which agree with `convolve` at the nodes
     f, horizon = _lowrank_case("polynomial", rng)
     g, _ = _lowrank_case("polynomial", rng)
     fold = FoldCache(f, horizon=horizon).fold(2)
     factor = TimeFactor(g, horizon)
     assert fold.psi.shape[1] == 9 and factor.matrices.shape[0] == 3
-    terms, dense = factor.convolve(fold), factor.convolve(fold, dense=True)
-    assert terms.psi.shape[1] == 27 and dense.psi is None
+    terms = factor.convolve(fold)
+    assert terms.psi.shape[1] == 27
     want = np.stack([convolve(g, fold, t) for t in factor.nodes])
-    for got in (terms.values, dense.values):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(terms.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_lowrank_factor_is_deterministic(rng):
@@ -566,7 +566,7 @@ def test_cheb_kernel_derivative(two_point, rng):
     B = rng.standard_normal((2, 2))
     f = SeparableKernel(sp, 4.0, sp.lam, lambda t: np.exp(-t), B)
     samples = f.at_many(lobatto_nodes(32, 4.0))
-    cheb = ChebSeries(sp, 4.0, sp.lam, samples.copy())
+    cheb = ChebSeries(sp, 4.0, sp.lam, np.tensordot(DCT_ROWS, samples, 1))
     deriv = np.polynomial.chebyshev.chebder(cheb.coeffs, scl=2.0 / 4.0)
     for t in (0.2, 1.0, 3.0):
         at = np.polynomial.chebyshev.chebval(t / 2.0 - 1.0, deriv)
@@ -577,16 +577,16 @@ def test_cheb_kernel_derivative(two_point, rng):
 
 def test_chopped_series_within_rounding_at_the_nodes(rng, monkeypatch):
     # a heat kernel's series keeps the coefficients before the roundoff plateau:
-    # at the 33 nodes it is within the DCT's own rounding, (m+1) u max|c_0|, of
-    # the whole series
+    # at the 33 nodes it is within (m+1) u max|c_0| of the whole series
     sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, random_measure=True)
     A, mu = generator(sp, cond, "combinatorial")
     Tb = 4.0 / np.abs(A).sum(axis=1).max()
     spec = eigh_weighted(A, mu)
     samples = np.stack([spectral_heat(spec, t) for t in lobatto_nodes(32, Tb)])
-    chopped = ChebSeries(sp, Tb, mu, samples.copy())
+    coeffs = np.tensordot(DCT_ROWS, samples, 1)
+    chopped = ChebSeries(sp, Tb, mu, coeffs)
     monkeypatch.setattr(timekernel, "standard_chop", lambda envelope: envelope.shape[0])
-    full = ChebSeries(sp, Tb, mu, samples.copy())
+    full = ChebSeries(sp, Tb, mu, coeffs)
     assert chopped.degree < full.degree == 32
     assert np.array_equal(chopped.coeffs, full.coeffs[:chopped.degree + 1])
     assert np.max(np.abs(chopped.values - full.values)) <= 33 * U * np.max(np.abs(full.coeffs[0]))
@@ -594,12 +594,12 @@ def test_chopped_series_within_rounding_at_the_nodes(rng, monkeypatch):
 
 def test_series_with_a_plateau_above_roundoff_keeps_every_coefficient(two_point, rng):
     # samples with noise at 1e-12: standardChop finds the plateau, but the tail
-    # it would drop is far above the DCT's rounding, so all 33 coefficients stay
+    # it would drop is far above (m+1) u max|c_0|, so all 33 coefficients stay
     sp, _, _ = two_point
     nodes = lobatto_nodes(32, 4.0)
     samples = np.exp(-nodes)[:, None, None] * rng.standard_normal((2, 2))
     samples += 1e-12 * rng.standard_normal(samples.shape)
-    cheb = ChebSeries(sp, 4.0, sp.lam, samples)
+    cheb = ChebSeries(sp, 4.0, sp.lam, np.tensordot(DCT_ROWS, samples, 1))
     assert standard_chop(np.abs(cheb.coeffs).max(axis=(1, 2))) < 33
     assert cheb.degree == 32
 
