@@ -170,10 +170,12 @@ def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
 def _coefficients(Hf: TimeFactor, psi: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of K = H + H * F on the base grid, F = psi (x) C, H = sum_r
     phi_r M_r (Hf) with node terms psi_H (x) C_H (Hf.on_grid; samples have psi the identity):
-    DCT_ROWS [S_0 psi | psi_H] @ [M_0 W C ; C_H], plus DCT_ROWS S_r psi @ M_r W C per r > 0."""
+    DCT_ROWS [S_0 psi | psi_H] @ [M_0 W C ; C_H], plus DCT_ROWS S_r psi @ M_r W C per r > 0;
+    H's node term rides in the first product: a product of its own needs a second block."""
     H0, (S, n) = Hf.on_grid, C.shape[:2]
-    right = np.concatenate([C, H0.C])
+    right = np.empty((S + len(H0.C), n, n))
     left_multiply(Hf.paired[0], C, out=right[:S])
+    right[S:] = H0.C
     psi_H = np.eye(psi.shape[0]) if H0.psi is None else H0.psi
     coeffs = DCT_ROWS @ np.hstack([Hf.S[0] @ psi, psi_H]) @ right.reshape(len(right), -1)
     del right
@@ -264,15 +266,13 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
 
     # K = H + H * F on the base grid, as coefficients.  Free the folds and the term lists
     # first: a block allocated above them would pin their heap pages until K is freed.
-    # F and the full coefficient block outlive the bound's temporaries, so all of them go
-    # back to the system when the build returns, not at the caller's next large free.
     del cache, fold
     if dense is not None and Cs:
         dense += np.tensordot(np.hstack(psis), np.concatenate(Cs), 1)
     F = (np.eye(m + 1), dense) if dense is not None else (np.hstack(psis), np.concatenate(Cs))
     del Cs, psis, dense
-    coeffs = _coefficients(TimeFactor(H, T_base), *F)
-    base = ChebSeries(parametrix.space, T_base, weight, coeffs)
+    base = ChebSeries(parametrix.space, T_base, weight, _coefficients(TimeFactor(H, T_base), *F))
+    del F
     E0, rho, fp = _defect_bound(base, A, K0)
     K = SemigroupKernel(base, T, gram, E0 + (1.0 + T_base * a) * rho + fp)
     bound = K.error(T)

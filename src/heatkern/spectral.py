@@ -178,12 +178,12 @@ def eigh_weighted(operator, mu) -> SpectralData:
 
 
 def spectral_heat(spec: SpectralData, t: float) -> np.ndarray:
-    """Heat kernel K(x, y; t) = sum_n exp(-lambda_n t) phi_n(x) phi_n(y), an eigenvalue in
-    [-zero_tol, 0) (the zero cluster) read as 0 so that K does not grow at large t."""
+    """Heat kernel K(x, y; t) = sum_n exp(-lambda_n t) phi_n(x) phi_n(y), an eigenvalue below 0
+    by at most the solver's rounding n u max(1, lambda_max) read as 0: K settles at large t."""
     if not 0 <= t < math.inf:
         raise HorizonExceeded(f"time must be finite and nonnegative, got {t}")
     phi, lam = spec.eigenvectors, spec.eigenvalues
-    lam = np.where((lam < 0.0) & (lam >= -spec.zero_tol), 0.0, lam)
+    lam = np.where((lam < 0.0) & (lam >= -spec.n * 2.0 ** -53 * max(1.0, *lam[-1:])), 0.0, lam)
     return (phi * np.exp(-lam * t)) @ phi.T
 
 

@@ -107,9 +107,8 @@ def pair(M: np.ndarray, weight: np.ndarray) -> np.ndarray:
 def left_multiply(P: np.ndarray, C: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """P C per matrix of a finite block C; a diagonal P (dirac M W) scales rows: same numbers."""
     d = np.diagonal(P)
-    if np.count_nonzero(P) == np.count_nonzero(d):
-        return np.multiply(d[:, None], C, out=out)
-    return np.matmul(P, C, out=out)
+    return (np.multiply(d[:, None], C, out=out) if np.count_nonzero(P) == np.count_nonzero(d)
+            else np.matmul(P, C, out=out))
 
 
 def sup_norms(block: np.ndarray) -> np.ndarray:

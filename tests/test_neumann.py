@@ -372,12 +372,11 @@ def test_build_refuses_a_fold_that_overflows(path3):
     sp, cond, _ = build_space("ab", None, [("a", "b", 1.5e14)])
     with pytest.raises(NoConvergenceBudget, match="fold 22 "):
         build_heat_kernel(dirac_parametrix(sp, cond), T=10.0, tol=1e2)
-    # a measure of 1e300 lifts rounding residue in the import's factors past 1e280: the
-    # rebuild is refused, at an overflowing fold or by its certificate, which of the
-    # two turning on the rounding of the kernel it imports
+    # a measure of 1e300 on two points lifts the import's fold 2 to about 1e282, so
+    # fold 3 overflows by a margin no rounding of the imported kernel can close
     res = build_heat_kernel(dirac_parametrix(*path3[:2]), T=10.0, tol=1e-8)
-    with pytest.raises(NoConvergenceBudget):
-        cross_parametrix_build(res, lam=np.array([1.0, 1e300, 1.0]))
+    with pytest.raises(NoConvergenceBudget, match="fold 3 "):
+        cross_parametrix_build(res, lam=np.array([1e300, 1e300, 1.0]))
 
 
 @pytest.mark.parametrize("T", [2e-318, 1e-320, 5e-324])
