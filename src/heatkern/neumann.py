@@ -10,8 +10,9 @@ first fold too small to matter.  The certificate is the defect of the
 kernel actually built (`_defect_bound`), whatever the starter.
 
 Folds are short sums in time on the base grid (`ChebKernel`): for the one-term dirac and
-rkhs images fold l is psi_l (x) (M W)^(l-1) M, so K's coefficients take one product of
-(m+1) x (L+1) by (L+1) x n^2; other images fold to dense samples once R^l reaches m+1.
+rkhs images fold l is psi_l (x) (M W)^(l-1) M; other images fold to dense samples once R^l
+reaches m+1.  `TimeFactor.product` makes those and K's coefficients, for one-term images
+one product of (m+1) x (L+1) by (L+1) x n^2.
 
 Stiff spaces (large generator norm against the horizon) would overflow
 the alternating partial sums long before the factorial decay kicks in, so
@@ -46,7 +47,6 @@ from .timekernel import (
     _pieces,
     _refuse_nonfinite,
     convolve,  # noqa: F401  (unused here; bench/spans.py wraps neumann.convolve)
-    left_multiply,
     lobatto_nodes,
     row_masses,
 )
@@ -167,23 +167,6 @@ def _defect_bound(base: ChebSeries, A: np.ndarray, K0: np.ndarray):
     return E0, rho, _allowance(m, n, Tb * _operator_rate(A), V0, S0, Z, E0, rho) + gap
 
 
-def _coefficients(Hf: TimeFactor, psi: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of K = H + H * F on the base grid, F = psi (x) C, H = sum_r
-    phi_r M_r (Hf) with node terms psi_H (x) C_H (Hf.on_grid; samples have psi the identity):
-    DCT_ROWS [S_0 psi | psi_H] @ [M_0 W C ; C_H], plus DCT_ROWS S_r psi @ M_r W C per r > 0;
-    H's node term rides in the first product: a product of its own needs a second block."""
-    H0, (S, n) = Hf.on_grid, C.shape[:2]
-    right = np.empty((S + len(H0.C), n, n))
-    left_multiply(Hf.paired[0], C, out=right[:S])
-    right[S:] = H0.C
-    psi_H = np.eye(psi.shape[0]) if H0.psi is None else H0.psi
-    coeffs = DCT_ROWS @ np.hstack([Hf.S[0] @ psi, psi_H]) @ right.reshape(len(right), -1)
-    del right
-    for L, MW in zip(Hf.S[1:], Hf.paired[1:]):
-        coeffs += DCT_ROWS @ (L @ psi) @ left_multiply(MW, C).reshape(S, -1)
-    return coeffs.reshape(-1, n, n)
-
-
 def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> HeatKernelResult:
     """Construct the heat kernel on [0, T] from a validated starter.
 
@@ -264,15 +247,17 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
             f"{share:.3g} is not below tol/2 on base horizon {T_base:.3g} (sampled row "
             f"mass {norm1:.3g})")
 
-    # K = H + H * F on the base grid, as coefficients.  Free the folds and the term lists
-    # first: a block allocated above them would pin their heap pages until K is freed.
+    # K = H + H * F on the base grid, as coefficients, F = psi (x) C.  Free the folds and the
+    # term lists first: a block allocated above them would pin their heap pages until K is freed.
     del cache, fold
     if dense is not None and Cs:
         dense += np.tensordot(np.hstack(psis), np.concatenate(Cs), 1)
-    F = (np.eye(m + 1), dense) if dense is not None else (np.hstack(psis), np.concatenate(Cs))
+    F = (None, dense) if dense is not None else (np.hstack(psis), np.concatenate(Cs))
     del Cs, psis, dense
-    base = ChebSeries(parametrix.space, T_base, weight, _coefficients(TimeFactor(H, T_base), *F))
-    del F
+    Hf = TimeFactor(H, T_base)
+    base = ChebSeries(parametrix.space, T_base, weight,
+                      Hf.product(Hf.S, *F, rows=DCT_ROWS, plus=Hf.on_grid).reshape(-1, f.n, f.n))
+    del F, Hf
     E0, rho, fp = _defect_bound(base, A, K0)
     K = SemigroupKernel(base, T, gram, E0 + (1.0 + T_base * a) * rho + fp)
     bound = K.error(T)

@@ -199,20 +199,25 @@ def generator(space: PointSpace, conductance: Conductance, kind: str = "combinat
     exactly the combinatorial or normalized Laplacian matrix; for general
     base measures it is the measure-weighted version, self-adjoint in
     L^2(mu) for every choice of lam.  Returns (A, mu); refuses what
-    `check_conductance` refuses, and a mu whose reciprocal or an A whose
-    entries are not finite (NonpositiveMeasure, naming the point).
+    `check_conductance` refuses, a mu whose reciprocal or an A whose
+    entries are not finite (NonpositiveMeasure, naming the point), and a
+    mu whose total mu(X) overflows (NonpositiveMeasure).
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown laplacian kind {kind!r}; expected one of {KINDS}")
     c = check_conductance(space.points, conductance)
     L = np.diag(c) - conductance.matrix
-    mu = space.lam.copy() if kind == "combinatorial" else c * space.lam
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mu = space.lam.copy() if kind == "combinatorial" else c * space.lam
         A = L / mu[:, None]
         bad = np.nonzero(~(np.isfinite(1.0 / mu) & np.isfinite(A).all(axis=1)))[0]
+        total = mu.sum()
     if bad.size:
         raise NonpositiveMeasure(f"{kind} measure {mu[bad[0]]} at point {space.points[bad[0]]!r} "
                                  f"is too small: 1/mu or its generator row is not finite")
+    if total == np.inf:
+        raise NonpositiveMeasure(f"{kind} measure is too large: its total mu(X) sums past "
+                                 f"{np.finfo(float).max:.3g}")
     return A, mu
 
 

@@ -192,8 +192,11 @@ def expm_series(A, t: float) -> np.ndarray:
 
     Scales so the Taylor argument has 1-norm at most 1/2, sums terms until
     they fall below 1e-13 (adjusted for the squarings), then squares back.
-    Independent of the eigensolver path.  A time or an operator entry that
-    is not finite raises HorizonExceeded or NotSelfAdjoint.
+    Independent of the eigensolver path.  The s squarings amplify the
+    core's rounding by about 2^s, so from s = 53 (t |A|_1 past about 2^51)
+    on, where 2^s u >= 1, it raises HorizonExceeded: the 2^53 limit that
+    `SemigroupKernel` keeps.  A time or an operator entry that is not
+    finite raises HorizonExceeded or NotSelfAdjoint.
     """
     if not math.isfinite(t):
         raise HorizonExceeded(f"time must be finite, got {t}")
@@ -204,6 +207,8 @@ def expm_series(A, t: float) -> np.ndarray:
     n = B.shape[0]
     norm = float(np.max(np.sum(np.abs(B), axis=0))) if n else 0.0
     s = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
+    if s >= 53:  # 2^s u >= 1
+        raise HorizonExceeded(f"t |A|_1 = {norm:.3g} at t = {t} needs {s} squarings, 52 at most")
     C = B / (2.0 ** s)
     X = np.eye(n)
     term = np.eye(n)

@@ -18,7 +18,8 @@ the time variable with composite Gauss-Legendre panels split at t/2:
 
 Iterated self-convolutions ("folds") are streamed on one grid, DEFAULT_QUAD,
 each made from the one before by the R-term TimeFactor sum_r phi_r(t) M_r:
-an S-term fold gives R S terms (S_r psi_s, M_r W C_s), dense from m+1 on.
+an S-term fold gives R S terms (S_r psi_s, M_r W C_s), dense from m+1 on:
+`TimeFactor.product` makes those samples, and a build's coefficients.
 A closed form is factored from its m+1 node samples when they resolve it
 (its Chebyshev series chops), otherwise from their range, projected on once
 at the 2p m panel times the folds read and extended there by any block it
@@ -580,20 +581,32 @@ class TimeFactor:
         return self._apply(coef, None, self.matrices)
 
     def _apply(self, left, psi, C) -> ChebKernel:
-        # sum_r left_r (psi (x) M_r W C), psi None the identity: R S terms (left_r psi_s,
-        # M_r W C_s), or from m+1 on dense samples sum_r left_r (psi (M_r W C)), integrated
-        # last, one r at a time: two (m+1, n, n) temporaries live beside the sum
+        # R S terms (left_r psi_s, M_r W C_s), psi None the identity, or from m+1 on `product`
         (R, m1), (S, n) = left.shape[:2], C.shape[:2]
         if R * S < m1:
             coef = left if psi is None else left @ psi
             return ChebKernel(self.space, self.horizon, self.weight,
                               np.matmul(self.paired[:, None], C[None]).reshape(R * S, n, n),
                               coef.transpose(1, 0, 2).reshape(m1, R * S))
-        out = np.zeros((m1, n * n))
-        for MW, L in zip(self.paired, left):
-            B = (MW @ C).reshape(S, n * n)
-            out += L @ (B if psi is None else psi @ B)
-        return ChebKernel(self.space, self.horizon, self.weight, out.reshape(m1, n, n))
+        return ChebKernel(self.space, self.horizon, self.weight,
+                          self.product(left, psi, C).reshape(m1, n, n))
+
+    def product(self, left, psi, C, rows=None, plus=None) -> np.ndarray:
+        """rows sum_r (left_r psi) @ (M_r W C), one (m+1) x n^2 block, psi and rows None the
+        identity: a dense fold, or a build's coefficients (`neumann`).  Node terms plus, psi_+ (x)
+        C_+, ride in the r = 0 product, rows [left_0 psi | psi_+] @ [M_0 W C ; C_+]: one block."""
+        S, n = C.shape[:2]
+        L, *rest = left if psi is None else left @ psi
+        right = np.empty((S + (0 if plus is None else len(plus.C)), n, n))
+        left_multiply(self.paired[0], C, out=right[:S])
+        if plus is not None:
+            right[S:] = plus.C
+            L = np.hstack([L, np.eye(len(L)) if plus.psi is None else plus.psi])
+        out = (L if rows is None else rows @ L) @ right.reshape(len(right), -1)
+        del right
+        for L, MW in zip(rest, self.paired[1:]):
+            out += (L if rows is None else rows @ L) @ left_multiply(MW, C).reshape(S, -1)
+        return out
 
 
 class FoldCache:

@@ -552,6 +552,15 @@ def test_cli_build_refuses_an_overflowing_operator_as_input(tmp_path, capsys, ed
     assert _report(tmp_path / "art")["exit_reason"].startswith("input error: NonpositiveMeasure")
 
 
+def test_cli_build_refuses_a_natural_measure_whose_total_overflows(tmp_path, capsys):
+    # nu = (1e308, 1e308): the profile starter would normalize by mu(X) = inf
+    cfg = _write(tmp_path, "g.cfg", "parametrix.kind = profile-exponential\nlaplacian = normalized\n")
+    assert main(["build", "--edges", _write(tmp_path, "g.edges", "a b 1e308\n"),
+                 "--config", cfg, "--out", str(tmp_path / "art")]) == 1
+    assert _report(tmp_path / "art")["exit_reason"].startswith(
+        "input error: NonpositiveMeasure: normalized measure is too large")
+
+
 def test_cli_bad_usage_exits_one(two_point_file, capsys):
     assert main(["build", "--edges", two_point_file, "--frobnicate"]) == 1
     assert main(["entropy", "--edges", two_point_file]) == 1  # --point missing

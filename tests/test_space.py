@@ -131,6 +131,17 @@ def test_generator_refuses_a_measure_whose_reciprocal_overflows(kind, lam, weigh
         generator(sp, cond, kind)
 
 
+@pytest.mark.parametrize("kind, lam, weight", [
+    ("combinatorial", [1e308, 1e308], 1.0),
+    ("normalized", None, 1e308),  # nu = c lam = (1e308, 1e308)
+], ids=["combinatorial", "normalized"])
+def test_generator_refuses_a_measure_whose_total_overflows(kind, lam, weight):
+    # each mu(x) is finite, mu(X) is not
+    sp, cond, _ = build_space("ab", lam, [("a", "b", weight)])
+    with pytest.raises(NonpositiveMeasure, match=rf"{kind} measure is too large: its total mu\(X\)"):
+        generator(sp, cond, kind)
+
+
 def test_point_space_freezes_a_copy_of_the_measure():
     lam = np.array([1.0, 2.0])
     sp = PointSpace(("a", "b"), lam)

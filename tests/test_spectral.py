@@ -259,3 +259,17 @@ def test_expm_series_refuses_non_finite_time(t):
 def test_expm_series_refuses_non_finite_operator():
     with pytest.raises(NotSelfAdjoint):
         expm_series(np.array([[float("nan"), 0.0], [0.0, 1.0]]), 1.0)
+
+
+def test_expm_series_refuses_53_squarings():
+    # at t = 1e17 this path needs 61 squarings, which amplify the rounding of a kernel
+    # that settles on Pi_0 = 1 / mu(X) by 2^61: it read 2.2e68 instead of refusing
+    sp, cond, _ = build_space(["a", "b", "c"], [1.0, 2.0, 0.5],
+                              [("a", "b", 1.0), ("b", "c", 2.0)])
+    A, _mu = generator(sp, cond, "combinatorial")
+    with pytest.raises(HorizonExceeded, match="needs 61 squarings"):
+        expm_series(A, 1e17)
+    # t |A|_1 = 2^51 takes 52 squarings, the most it keeps; 2^52 takes 53
+    assert expm_series(np.ones((1, 1)), 2.0 ** 51)[0, 0] == 0.0
+    with pytest.raises(HorizonExceeded, match="needs 53 squarings"):
+        expm_series(np.ones((1, 1)), 2.0 ** 52)
