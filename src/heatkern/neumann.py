@@ -255,9 +255,10 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
     F = (None, dense) if dense is not None else (np.hstack(psis), np.concatenate(Cs))
     del Cs, psis, dense
     Hf = TimeFactor(H, T_base)
-    base = ChebSeries(parametrix.space, T_base, weight,
-                      Hf.product(Hf.S, *F, rows=DCT_ROWS, plus=Hf.on_grid).reshape(-1, f.n, f.n))
+    coeffs = Hf.product(Hf.S, *F, rows=DCT_ROWS, plus=Hf.on_grid)
     del F, Hf
+    base = ChebSeries(parametrix.space, T_base, weight, coeffs.reshape(-1, f.n, f.n))
+    del coeffs
     E0, rho, fp = _defect_bound(base, A, K0)
     K = SemigroupKernel(base, T, gram, E0 + (1.0 + T_base * a) * rho + fp)
     bound = K.error(T)
