@@ -223,11 +223,13 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
             f"no certificate below tol={tol}: base horizon {T_base:.3g}, row-mass norm "
             f"{norm1:.3g}, and {squarings} squarings lift the floating-point allowance "
             f"to {fp:.3g}; raise tol")
-    cache = FoldCache(f, horizon=T_base)
+    # f's factor for the folds and H's for the assembly, in one pass over the panel times
+    f_factor, Hf = TimeFactor.together((f, H), T_base)
+    cache = FoldCache(f_factor)
     dense, psis, Cs = None, [], []  # F = dense + sum_l psis[l] (x) Cs[l]
     for terms in range(1, MAX_TERMS + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a stiff starter's folds overflow
-            fold = cache.fold(terms) if terms > 1 else cache.factor.on_grid
+            fold = cache.fold(terms)
             top, sign = fold.sup(), (-1.0) ** terms
         if not math.isfinite(top):
             raise NoConvergenceBudget(
@@ -249,12 +251,11 @@ def build_heat_kernel(parametrix: Parametrix, T: float, tol: float = 1e-8) -> He
 
     # K = H + H * F on the base grid, as coefficients, F = psi (x) C.  Free the folds and the
     # term lists first: a block allocated above them would pin their heap pages until K is freed.
-    del cache, fold
+    del cache, fold, f_factor
     if dense is not None and Cs:
         dense += np.tensordot(np.hstack(psis), np.concatenate(Cs), 1)
     F = (None, dense) if dense is not None else (np.hstack(psis), np.concatenate(Cs))
     del Cs, psis, dense
-    Hf = TimeFactor(H, T_base)
     coeffs = Hf.product(Hf.S, *F, rows=DCT_ROWS, plus=Hf.on_grid)
     del F, Hf
     base = ChebSeries(parametrix.space, T_base, weight, coeffs.reshape(-1, f.n, f.n))

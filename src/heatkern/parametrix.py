@@ -162,7 +162,15 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
         Fv, Fd = profile_fn(d / t)
         return zero, t, Fv, Fd, (Fv @ mu)[:, :, None]
 
+    # H at the times of the latest image block, which image_at makes on the way: the
+    # next H_at call takes it if it asks for exactly those times, else drops it
+    held = []
+
     def H_at(ts):
+        if held:
+            times, block = held.pop()
+            if np.array_equal(times, ts):
+                return block
         zero, _, Fv, _, S = shape(ts)
         Fv /= S
         Fv[zero] = limit
@@ -180,6 +188,8 @@ def profile_parametrix(space: PointSpace, conductance: Conductance,
         Fd -= Fv
         Fd += np.matmul(A, H, out=Fv)
         Fd[zero] = image_limit
+        H[zero] = limit
+        held[:] = [(ts.copy(), H)]
         return Fd
 
     H = ClosedFormKernel(space, horizon, mu, H_at, name=f"profile-{profile}")

@@ -253,17 +253,30 @@ def graph_distances(space: PointSpace, conductance: Conductance) -> np.ndarray:
     """All-pairs shortest-path distance with edge length 1 / weight.
 
     Self-pairs have distance zero regardless of self-loops.  Raises
-    DisconnectedSpace when some pair is unreachable.
+    NonpositiveMeasure for an edge whose length overflows, naming the pair
+    and its weight, or a distance that overflows, and DisconnectedSpace when
+    some pair is unreachable.
     """
     n = space.n
     W = conductance.matrix
     D = np.full((n, n), np.inf)
     np.fill_diagonal(D, 0.0)
-    pos = W > 0
-    off = pos & ~np.eye(n, dtype=bool)
-    D[off] = 1.0 / W[off]
-    for k in range(n):
-        D = np.minimum(D, D[:, k, None] + D[None, k, :])
+    off = (W > 0) & ~np.eye(n, dtype=bool)
+    with np.errstate(over="ignore"):
+        lengths = 1.0 / W[off]
+    if not np.all(np.isfinite(lengths)):
+        i, j = np.argwhere(off)[np.argmin(np.isfinite(lengths))]
+        raise NonpositiveMeasure(
+            f"edge ({space.points[i]!r}, {space.points[j]!r}) of weight {W[i, j]} has a length "
+            f"1/weight that overflows")
+    D[off] = lengths
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            D = np.minimum(D, D[:, k, None] + D[None, k, :])
     if not np.all(np.isfinite(D)):
-        raise DisconnectedSpace("space is not connected; distances are undefined")
+        if len(connected_components(space, conductance)) > 1:
+            raise DisconnectedSpace("space is not connected; distances are undefined")
+        i, j = np.argwhere(~np.isfinite(D))[0]
+        raise NonpositiveMeasure(
+            f"the distance from {space.points[i]!r} to {space.points[j]!r} overflows")
     return D

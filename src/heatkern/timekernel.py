@@ -23,11 +23,14 @@ an S-term fold gives R S terms (S_r psi_s, M_r W C_s), dense from m+1 on:
 A closed form is factored from its m+1 node samples when they resolve it
 (its Chebyshev series chops), otherwise from their range, projected on once
 at the 2p m panel times the folds read and extended there by any block it
-misses.  `convolve` is the reference.
+misses.  A build factors a starter and its image in one such pass, so a
+profile starter is read with its image, once per panel time.  `convolve` is
+the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -485,9 +488,14 @@ class TimeFactor:
     = <M_r, f(t_i)>.
 
     An unresolved kernel is read once at each panel time, in one pass over
-    the nodes' blocks of 2p times, and projected on an orthonormal basis Q of
-    n x n matrices: at first the node range, the right singular vectors above
-    the block's own rounding u sigma_0.  A block F takes coefficients c = <Q, F>
+    the nodes' blocks of 2p times, which serves several kernels at once
+    (`together`; one kernel is its one-kernel case).  A build factors its
+    heat image f and its starter H together, f's block first at each node:
+    a profile image is made from H at the same times and hands that block
+    to H, so the starter is not evaluated again.  Each block is
+    projected on an orthonormal basis Q of n x n matrices: at first the node
+    range, the right singular vectors above the node block's own rounding
+    u sigma_0.  A block F takes coefficients c = <Q, F>
     and leaves the residual R = F - sum c Q.  With low the sum of squares of the
     first coefficient row so far and missed that of the residuals, a block
     whose |R|_F^2 passes allow = RANK_CUT^2 low - missed first extends Q by the
@@ -510,6 +518,22 @@ class TimeFactor:
     """
 
     def __init__(self, f: TimeKernel, horizon: float):
+        for _ in self._read(f, horizon):
+            pass
+
+    @classmethod
+    def together(cls, kernels, horizon: float) -> list["TimeFactor"]:
+        """The factors of kernels on one grid, each the one `TimeFactor(kernel, horizon)`
+        makes, bit for bit, read together: each kernel's node samples in turn, then each
+        block of 2p panel times of every kernel they leave unresolved, in kernel order,
+        before the next block."""
+        factors = [cls.__new__(cls) for _ in kernels]
+        for _ in itertools.zip_longest(*(t._read(f, horizon) for t, f in zip(factors, kernels))):
+            pass
+        return factors
+
+    def _read(self, f: TimeKernel, horizon: float):
+        """Make this factor of f, yielding before each block of panel times it reads."""
         f._check_times(horizon)  # HorizonExceeded past the horizon of f
         self.space, self.horizon, self.weight = f.space, horizon, f.weight
         self.nodes = lobatto_nodes(DEFAULT_QUAD.cheb_degree, horizon)
@@ -522,30 +546,38 @@ class TimeFactor:
             self.values = f.phi(times)[None]
             _refuse_nonfinite(f, np.maximum(self.on_grid.sup(), np.abs(self.values).max()))
         else:
-            samples = f.at_many(self.nodes)
-            _refuse_nonfinite(f, np.abs(samples).max())
-            self.on_grid = ChebKernel(f.space, horizon, f.weight, samples)
-            flat = samples.reshape(samples.shape[0], -1)
-            _, sv, Vt = np.linalg.svd(flat, full_matrices=False)
-            # resolved if its series chops
-            if ChebSeries(f.space, horizon, f.weight, DCT_ROWS @ flat).degree < len(times):
-                Q = Vt[:int(np.sum(sv > RANK_CUT * sv[0]))]
-                # the panel rows mirrored, applied to phi_r(t_i) = <M_r, f(t_i)>
-                self.values = np.moveaxis(_RESAMPLING[:, ::-1] @ (flat @ Q.T), -1, 0)
-                self.matrices = Q.reshape((-1,) + samples.shape[1:])
-            else:
-                self._sample(f, times, Vt[:int(np.sum(sv > U * sv[0]))].T)
+            Q = self._from_nodes(f, times)
+            if Q is not None:
+                yield from self._sample(f, times, Q)
         self.paired = pair(self.matrices, self.weight)
         # S_r[j, i] = sum_q gw_jq phi_r(t_j - tau_jq) l_i(tau_jq), the panels of `convolve` at
         # t_j resampled from the grid: _RESAMPLING, the same on every horizon
         self.S = np.zeros(self.values.shape[:1] + (self.nodes.size,) * 2)
         self.S[:, 1:] = np.einsum("rjq,jqi->rji", self.gw * self.values, _RESAMPLING)
 
-    def _sample(self, f: TimeKernel, times: np.ndarray, Q: np.ndarray) -> None:
+    def _from_nodes(self, f: TimeKernel, times: np.ndarray) -> np.ndarray | None:
+        """on_grid from f at the nodes, and the factor if they resolve f; else the
+        orthonormal basis of their range, (n^2, terms) in C order, that `_sample` extends."""
+        samples = f.at_many(self.nodes)
+        _refuse_nonfinite(f, np.abs(samples).max())
+        self.on_grid = ChebKernel(f.space, self.horizon, f.weight, samples)
+        flat = samples.reshape(samples.shape[0], -1)
+        _, sv, Vt = np.linalg.svd(flat, full_matrices=False)
+        # resolved if its series chops
+        if ChebSeries(f.space, self.horizon, f.weight, DCT_ROWS @ flat).degree < len(times):
+            Q = Vt[:int(np.sum(sv > RANK_CUT * sv[0]))]
+            # the panel rows mirrored, applied to phi_r(t_i) = <M_r, f(t_i)>
+            self.values = np.moveaxis(_RESAMPLING[:, ::-1] @ (flat @ Q.T), -1, 0)
+            self.matrices = Q.reshape((-1,) + samples.shape[1:])
+            return None
+        return Vt[:int(np.sum(sv > U * sv[0]))].T.copy()  # a copy: Vt goes before the pass
+
+    def _sample(self, f: TimeKernel, times: np.ndarray, Q: np.ndarray):
         # Q: orthonormal columns spanning the node samples, extended where a block needs it
         self.values = np.empty((Q.shape[1],) + times.shape)
         low = missed = 0.0  # sums of squares of the first coefficient row and of the residual
         for j, ts in enumerate(times):
+            yield
             F = f.at_many(ts)
             _refuse_nonfinite(f, np.abs(F).max())
             F = F.reshape(len(ts), -1)
@@ -617,14 +649,19 @@ class FoldCache:
     TimeFactor of f there: fold(2) from the factor alone, later folds from
     their predecessor's terms, so no fold recurses.  Only f and the newest fold are held:
     fold(l) returns either of them or advances to a later l, dropping the
-    fold it leaves behind, and raises for a level in between.
+    fold it leaves behind, and raises for a level in between.  f is a kernel,
+    factored here on [0, horizon] (its own horizon by default), or a TimeFactor
+    of one, whose grid it keeps and whose node samples serve as fold 1.
     """
 
-    def __init__(self, f: TimeKernel, horizon: float | None = None):
+    def __init__(self, f: TimeKernel | TimeFactor, horizon: float | None = None):
+        if isinstance(f, TimeFactor):
+            self.factor, f = f, f.on_grid
+        else:
+            self.factor = TimeFactor(f, horizon if horizon is not None else f.horizon)
         self.f = f
         self.quad = DEFAULT_QUAD
-        self.horizon = horizon if horizon is not None else f.horizon
-        self.factor = TimeFactor(f, self.horizon)
+        self.horizon = self.factor.horizon
         self.nodes = self.factor.nodes
         self._folds = {1: f}
 

@@ -8,6 +8,7 @@ from heatkern import (
     connected_components,
     generator,
     graph_distances,
+    profile_parametrix,
 )
 from heatkern.errors import (
     AsymmetricConductance,
@@ -284,6 +285,18 @@ def test_graph_distances_inverse_weight():
     assert d[j, k] == pytest.approx(0.25)
     assert d[i, k] == pytest.approx(0.75)
     assert np.array_equal(d, d.T)
+
+
+def test_graph_distances_refuse_a_length_that_overflows():
+    # the edge a-b of weight 5e-324 has length 1/weight = inf: a typed refusal naming it,
+    # not an overflow warning or a connected space called disconnected; the same for a
+    # distance whose edges are finite but whose sum overflows
+    sp, cond, _ = build_space(["a", "b", "c"], None, [("a", "b", 5e-324), ("b", "c", 1.0)])
+    with pytest.raises(NonpositiveMeasure, match=r"\('a', 'b'\) of weight 5e-324"):
+        profile_parametrix(sp, cond, "exponential")
+    sp, cond, _ = build_space(["a", "b", "c"], None, [("a", "b", 1e-308), ("b", "c", 1e-308)])
+    with pytest.raises(NonpositiveMeasure, match="from 'a' to 'c'"):
+        graph_distances(sp, cond)
 
 
 def test_graph_distances_disconnected_raises():

@@ -24,13 +24,14 @@ from heatkern import (
     eigh_weighted,
     expm_series,
     generator,
+    graph_distances,
     integer_line,
     profile_parametrix,
     rkhs_parametrix,
     spectral_heat,
     spectral_parametrix,
 )
-from heatkern import timekernel
+from heatkern import parametrix, timekernel
 from heatkern.timekernel import (
     DCT_ROWS,
     DEFAULT_QUAD,
@@ -358,6 +359,16 @@ def test_rkhs_folds_are_exact_closed_form(rng, kind):
             assert err <= 1e-13 * scale, (kind, ell, t, err / scale)
 
 
+def _heavy_profile(case, rng):
+    """The profile starter whose heat image is the kernel of a `_lowrank_case` profile case."""
+    n = 16 if case.endswith("-16") else None  # a larger space than the n = 6-8 default
+    sp, cond, _ = random_connected_graph(rng, n_min=n or 6, n_max=n or 8, weight_range=(0.5, 2.0))
+    # a heavy measure slows the generator enough that edges shorter
+    # than the horizon put the epanechnikov support edge inside it
+    sp = PointSpace(sp.points, np.full(sp.n, 4.0))
+    return profile_parametrix(sp, cond, case.split("-")[1], horizon=1.0)
+
+
 def _lowrank_case(case, rng):
     """(kernel, fold horizon) of a kernel factored from its samples, at the grid
     nodes if they resolve it, else at the panel times."""
@@ -375,14 +386,9 @@ def _lowrank_case(case, rng):
         # f = A H, constant in time, so the node samples resolve f
         sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.2, 0.9))
         return profile_parametrix(sp, cond, "epanechnikov", horizon=1.0).heat_image, 0.6
-    n = 16 if case.endswith("-16") else None  # a larger space than the n = 6-8 default
-    sp, cond, _ = random_connected_graph(rng, n_min=n or 6, n_max=n or 8, weight_range=(0.5, 2.0))
     if case.startswith("profile"):
-        # a heavy measure slows the generator enough that edges shorter
-        # than the horizon put the epanechnikov support edge inside it
-        sp = PointSpace(sp.points, np.full(sp.n, 4.0))
-        p = profile_parametrix(sp, cond, case.split("-")[1], horizon=1.0)
-        return p.heat_image, 0.6
+        return _heavy_profile(case, rng).heat_image, 0.6
+    sp, cond, _ = random_connected_graph(rng, n_min=6, n_max=8, weight_range=(0.5, 2.0))
     if case == "spectral":
         return spectral_parametrix(sp, cond, n_modes=sp.n - 2, horizon=1.0).H, 0.3
     # the image of a rebuild: (A_new - A_old) times the old kernel
@@ -481,6 +487,47 @@ def test_unresolved_build_reads_each_kernel_once_per_panel_time(rng):
     on_grid = set(grid)
     for name, times in seen.items():
         assert Counter(t for t in times if t in on_grid) == Counter(grid), name
+
+
+def test_build_evaluates_the_profile_once_per_panel_block(rng, monkeypatch):
+    # the build factors f and H in one pass over the panel times, and the exponential
+    # starter takes the block its image made at the same times: the profile shape is
+    # evaluated once at each block of panel times, not once for f and again for H
+    seen = Counter()
+    shape = parametrix._PROFILES["exponential"]
+
+    def counting(u):
+        seen[hash(u.tobytes())] += 1
+        return shape(u)
+
+    monkeypatch.setitem(parametrix._PROFILES, "exponential", counting)
+    sp, cond, _ = random_connected_graph(rng, n_min=32, n_max=32, weight_range=(0.5, 2.0))
+    res = build_heat_kernel(profile_parametrix(sp, cond, "exponential", horizon=10.0),
+                            T=10.0, tol=1e-5)
+    nodes = lobatto_nodes(DEFAULT_QUAD.cheb_degree, res.base_horizon)[1:]
+    d = graph_distances(sp, cond)
+    blocks = nodes[:, None] - _panel_points(nodes)[0]
+    assert [seen[hash((d / ts[:, None, None]).tobytes())] for ts in blocks] == [1] * nodes.size
+
+
+def test_factors_made_together_are_the_factors_made_alone(rng):
+    # factors made in one pass over the panel times, where a profile starter takes the
+    # block its image has just made, are those each kernel makes alone, bit for bit, in
+    # either kernel order
+    for case in ("profile-exponential", "profile-epanechnikov", "chebyshev-40"):
+        if case.startswith("profile"):
+            p, horizon = _heavy_profile(case, rng), 0.6
+            kernels = (p.heat_image, p.H)
+        else:
+            (f, horizon), (g, _) = _lowrank_case(case, rng), _lowrank_case(case, rng)
+            kernels = (f, g)
+        alone = [TimeFactor(k, horizon) for k in kernels]
+        for order in ((0, 1), (1, 0)):
+            together = TimeFactor.together([kernels[i] for i in order], horizon)
+            for i, factor in zip(order, together):
+                for name in ("values", "matrices", "S"):
+                    assert np.array_equal(getattr(factor, name), getattr(alone[i], name)), \
+                        (case, order, name)
 
 
 def test_factor_convolves_the_terms_of_another_kernels_fold(rng):
